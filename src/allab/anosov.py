@@ -89,7 +89,6 @@ class FlowModel:
         pts = self.gluing.sample_points(12)
         for r, positive in ((self.r_u, True), (self.r_s, False)):
             vals = compile_field(r, XYZ)(pts[:, 0], pts[:, 1], pts[:, 2])
-            vals = vals + np.zeros(len(pts))
             ok = vals.min() > 0 if positive else vals.max() < 0
             if not ok:
                 raise ModelError("expansion rates have the wrong sign")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -17,7 +18,7 @@ import jsonschema
 
 from . import __version__, library
 from .anosov import FlowModel, suspension_model, weak_foliations_on_torus
-from .config import ConfigError, RunConfig, load_config, thread_cap
+from .config import ConfigError, RunConfig, load_config
 from .contact import al_check
 from .foliation import Foliation2, SlopeSearch, compact_leaves, reeb_annuli, winding
 from .prelag import pre_lagrangian_certificate
@@ -172,6 +173,8 @@ def run(cfg: RunConfig, command: str, out_dir: str) -> tuple[int, dict]:
                 ok = rep.outcome == "certificate"
             else:
                 if G is None:
+                    if command == "all":
+                        return {"skipped": "needs a partner foliation"}, True
                     raise ToolError(
                         "pre-lagrangian on foliation data needs a partner foliation"
                     )
@@ -205,7 +208,7 @@ def run(cfg: RunConfig, command: str, out_dir: str) -> tuple[int, dict]:
         "version": __version__,
         "command": command,
         "config_digest": cfg.digest,
-        "threads": thread_cap(),
+        "threads": os.cpu_count() or 1,
         "ok": ok,
         "stages": stages,
     }
@@ -239,12 +242,12 @@ def main(argv=None) -> int:
                 raise ToolError("--grid must be positive")
             overrides["grid"] = args.grid
         if args.scale_c is not None:
-            if args.scale_c <= 0:
-                raise ToolError("--scale-C must be positive")
+            if not 0 < args.scale_c < math.inf:
+                raise ToolError("--scale-C must be positive and finite")
             overrides["scale_c"] = args.scale_c
         if args.tolerance is not None:
-            if args.tolerance <= 0:
-                raise ToolError("--tolerance must be positive")
+            if not 0 < args.tolerance < math.inf:
+                raise ToolError("--tolerance must be positive and finite")
             overrides["tolerance"] = args.tolerance
         if overrides:
             from dataclasses import replace

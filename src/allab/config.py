@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import os
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from .expr import Expr, ExprError, parse_expr
 
@@ -57,7 +57,6 @@ class RunConfig:
     max_denominator: int = 10
     report_name: str = "report.json"
     svg_name: str = "foliation.svg"
-    raw: dict = field(default_factory=dict)
 
 
 def _digest(text: str) -> str:
@@ -97,6 +96,9 @@ def load_config(path: str) -> RunConfig:
             v = float(raw)
         except ValueError:
             violations.append(f"{section}.{key}: not a number: {raw!r}")
+            return default
+        if not math.isfinite(v):
+            violations.append(f"{section}.{key}: not a finite number: {raw!r}")
             return default
         if positive and v <= 0:
             violations.append(f"{section}.{key}: must be positive, got {v}")
@@ -198,17 +200,5 @@ def load_config(path: str) -> RunConfig:
     return RunConfig(
         path=path,
         digest=_digest(text),
-        raw={s: dict(parser[s]) for s in parser.sections()},
         **values,
     )
-
-
-def thread_cap() -> int:
-    """Parallelism cap from ALLAB_THREADS; at least 1."""
-    raw = os.environ.get("ALLAB_THREADS", "")
-    if not raw:
-        return os.cpu_count() or 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1

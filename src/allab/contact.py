@@ -11,7 +11,7 @@ tests d(lambda)^2 directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +28,8 @@ from .geom import (
     exterior_derivative,
     one_form,
     restrict,
+    torus3,
+    torus_samples,
     volume_form,
     wedge,
 )
@@ -56,9 +58,7 @@ class FormPair:
     def grid(self, n: int) -> np.ndarray:
         if self.gluing is not None:
             return self.gluing.sample_points(n)
-        a = np.arange(n) / n
-        A, B, C = np.meshgrid(a, a, a, indexing="ij")
-        return np.stack([A.ravel(), B.ravel(), C.ravel()], axis=1)
+        return torus3().sample_points(n, z_lo=0.0)
 
 
 @dataclass(frozen=True)
@@ -99,14 +99,7 @@ def _stats(values: np.ndarray, pts: np.ndarray) -> QuantityStats:
 
 
 def _coeff_values(form3: DifferentialForm, pts: np.ndarray) -> np.ndarray:
-    idx = (0, 1, 2)
-    c = form3.coeff(idx)
-    if c == ZERO:
-        return np.zeros(len(pts))
-    fn = compile_field(c, XYZ)
-    return np.broadcast_to(
-        fn(pts[:, 0], pts[:, 1], pts[:, 2]), (len(pts),)
-    ).astype(float)
+    return compile_field(form3.coeff((0, 1, 2)), XYZ)(pts[:, 0], pts[:, 1], pts[:, 2])
 
 
 def al_check(
@@ -196,20 +189,12 @@ def liouville_direct_check(
     lam = _lift(pair.plus).scale(es) + _lift(pair.minus).scale(ems)
     dlam = exterior_derivative(lam)
     top = wedge(dlam, dlam)
-    c = top.coeff((0, 1, 2, 3))
-    fn = compile_field(c, SXYZ) if c != ZERO else None
+    fn = compile_field(top.coeff((0, 1, 2, 3)), SXYZ)
     vol_vals = _coeff_values(vol, pts)
     best = math.inf
     arg = (0.0, 0.0, 0.0, 0.0)
     for s in s_samples:
-        if fn is None:
-            vals = np.zeros(len(pts))
-        else:
-            sa = np.full(len(pts), float(s))
-            vals = np.broadcast_to(
-                fn(sa, pts[:, 0], pts[:, 1], pts[:, 2]), (len(pts),)
-            ).astype(float)
-        vals = vals / vol_vals
+        vals = fn(float(s), pts[:, 0], pts[:, 1], pts[:, 2]) / vol_vals
         i = int(np.argmin(vals))
         if vals[i] < best:
             best = float(vals[i])
@@ -237,27 +222,16 @@ class PerturbResult:
 
 
 def _curl_residual(beta: DifferentialForm, n: int = 64) -> float:
-    d = exterior_derivative(beta)
-    c = d.coeff((0, 1))
-    if c == ZERO:
-        return 0.0
-    fn = compile_field(c, UV)
-    a = np.arange(n) / n
-    U, V = np.meshgrid(a, a, indexing="ij")
-    return float(np.max(np.abs(fn(U, V))))
+    c = exterior_derivative(beta).coeff((0, 1))
+    return float(np.max(np.abs(torus_samples(c, n))))
 
 
 def _c1_norm(beta: DifferentialForm, n: int = 64) -> float:
-    a = np.arange(n) / n
-    U, V = np.meshgrid(a, a, indexing="ij")
-    worst = 0.0
-    for c in beta.coeffs.values():
-        for e in (c, diff(c, "u"), diff(c, "v")):
-            if e == ZERO:
-                continue
-            fn = compile_field(e, UV)
-            worst = max(worst, float(np.max(np.abs(fn(U, V)))))
-    return worst
+    return max(
+        (float(np.max(np.abs(torus_samples(e, n))))
+         for c in beta.coeffs.values() for e in (c, diff(c, "u"), diff(c, "v"))),
+        default=0.0,
+    )
 
 
 def quintic_bump(t: Expr) -> Expr:
@@ -328,12 +302,10 @@ def perturb_pair(
     new_pair = FormPair(pair.plus + ambient, pair.minus + ambient, pair.gluing)
     # the restricted sum must hit the target exactly
     check = restrict(new_pair.plus + new_pair.minus, sigma) - beta_target
-    resid = 0.0
-    a = np.arange(32) / 32
-    U, V = np.meshgrid(a, a, indexing="ij")
-    for c in check.coeffs.values():
-        fn = compile_field(c, UV)
-        resid = max(resid, float(np.max(np.abs(fn(U, V)))))
+    resid = max(
+        (float(np.max(np.abs(torus_samples(c, 32)))) for c in check.coeffs.values()),
+        default=0.0,
+    )
     if resid > 1e-12:
         raise PerturbationError(
             f"restricted sum misses the target (residual {resid:.2e})"
@@ -387,8 +359,7 @@ class ScalingExtension:
     def positivity_margin(self, n_uv: int = 24, n_z: int = 64) -> float:
         a = np.arange(n_uv) / n_uv
         zs = np.linspace(-2 * self.delta, 2 * self.delta, n_z)
-        U, V, Z = np.meshgrid(a, a, zs, indexing="ij")
-        return float(np.min(self.margin_fn()(U, V, Z)))
+        return float(np.min(self.margin_fn()(*np.ix_(a, a, zs))))
 
 
 def extend_scaling(
@@ -413,10 +384,7 @@ def extend_scaling(
         raise ContactError("collar radii must satisfy 0 < eps < delta")
     if c <= 0 or C <= 0:
         raise ContactError("plateau constants must be positive")
-    a = np.arange(grid_n) / grid_n
-    U, V = np.meshgrid(a, a, indexing="ij")
-    f_vals = compile_field(f, UV)(U, V) + np.zeros_like(U)
-    r_vals = compile_field(r, UV)(U, V) + np.zeros_like(U)
+    f_vals, r_vals = torus_samples(f, grid_n), torus_samples(r, grid_n)
     if f_vals.min() <= 0:
         raise ContactError("scaling f must be positive on the torus")
     if r_vals.min() <= 0:
@@ -452,8 +420,7 @@ def extend_scaling(
         ),
         denom,
     )
-    s_hi_vals = compile_field(s_hi, UV)(U, V) + np.zeros_like(U)
-    s_lo_vals = compile_field(s_lo, UV)(U, V) + np.zeros_like(U)
+    s_hi_vals, s_lo_vals = torus_samples(s_hi, grid_n), torus_samples(s_lo, grid_n)
     if s_hi_vals.min() <= 0 or s_lo_vals.min() <= 0:
         raise ContactError(
             "plateau constants too close to the inner band for this collar "

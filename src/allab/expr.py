@@ -14,6 +14,7 @@ returned unsimplified.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -506,16 +507,6 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
         raise DomainError(f"overflow: {exc}", e) from exc
 
 
-def free_variables(e: Expr) -> set[str]:
-    if isinstance(e, Const):
-        return set()
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, BinOp):
-        return free_variables(e.left) | free_variables(e.right)
-    return free_variables(e.arg)
-
-
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Replace variables by expressions, re-folding constants."""
     if isinstance(e, Const):
@@ -534,7 +525,7 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
 
 def _codegen(e: Expr) -> str:
     if isinstance(e, Const):
-        return repr(e.value)
+        return repr(e.value)  # 'inf' and 'nan' are bound in _NAMESPACE
     if isinstance(e, Var):
         return f"_v_{e.name}" if e.name != "pi" else repr(math.pi)
     if isinstance(e, BinOp):
@@ -546,7 +537,9 @@ def _codegen(e: Expr) -> str:
     return f"_f_{e.name}({_codegen(e.arg)})"
 
 
-_NUMPY_FUNCS = {
+_NAMESPACE = {
+    "inf": math.inf,
+    "nan": math.nan,
     "_f_exp": np.exp,
     "_f_log": np.log,
     "_f_sin": np.sin,
@@ -556,25 +549,22 @@ _NUMPY_FUNCS = {
     "_f_step": lambda t: (np.asarray(t) > 0.0).astype(float),
 }
 
-_MATH_FUNCS = {
-    "_f_exp": math.exp,
-    "_f_log": math.log,
-    "_f_sin": math.sin,
-    "_f_cos": math.cos,
-    "_f_sqrt": math.sqrt,
-    "_f_pos": lambda t: t if t > 0.0 else 0.0,
-    "_f_step": lambda t: 1.0 if t > 0.0 else 0.0,
-}
 
-
+@functools.lru_cache(maxsize=4096)
 def compile_field(e: Expr, names: tuple[str, ...]) -> Callable:
-    """Compile to a numpy-vectorized callable of the given variables."""
-    src = "lambda " + ", ".join(f"_v_{n}" for n in names) + ": +(" + _codegen(e) + ")"
-    fn = eval(src, dict(_NUMPY_FUNCS))  # noqa: S307 - generated from our own AST
-    return lambda *args: np.asarray(fn(*(np.asarray(a, dtype=float) for a in args)), dtype=float)
+    """Compile to a numpy-vectorized callable of the given variables.
 
+    The callable returns a fresh float array of the broadcast shape of its
+    arguments, also for trees that do not use every variable.  Equal trees
+    share one callable.  Domain violations give NaN or inf, as in numpy.
+    """
+    src = "lambda " + ", ".join(f"_v_{n}" for n in names) + ": " + _codegen(e)
+    fn = eval(src, dict(_NAMESPACE))  # noqa: S307 - generated from our own AST
 
-def compile_scalar(e: Expr, names: tuple[str, ...]) -> Callable:
-    """Compile to a scalar callable using math-module functions (fast in loops)."""
-    src = "lambda " + ", ".join(f"_v_{n}" for n in names) + ": (" + _codegen(e) + ")"
-    return eval(src, dict(_MATH_FUNCS))  # noqa: S307
+    def field(*args):
+        args = [np.asarray(a, dtype=float) for a in args]
+        out = np.empty(np.broadcast(*args).shape)
+        out[...] = fn(*args)
+        return out
+
+    return field

@@ -12,15 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 from scipy import integrate, optimize
 from scipy.interpolate import PchipInterpolator
 
 from . import expr as ex
-from .expr import Expr, ZERO, compile_field, compile_scalar, diff
-from .geom import DifferentialForm, UV, exterior_derivative
+from .expr import Expr, ZERO, compile_field, diff
+from .geom import DifferentialForm, UV, exterior_derivative, torus_samples
 
 
 class FoliationError(Exception):
@@ -44,29 +43,28 @@ class Foliation2:
     name: str = ""
 
     def __post_init__(self):
-        a = np.arange(256) / 256.0
-        U, V = np.meshgrid(a, a, indexing="ij")
-        v1 = self.field1()(U, V) + np.zeros_like(U)
-        v2 = self.field2()(U, V) + np.zeros_like(U)
+        n = 256
+        v1, v2 = torus_samples(self.V1, n), torus_samples(self.V2, n)
+        bad = ~(np.isfinite(v1) & np.isfinite(v2))
+        if bad.any():
+            i, j = np.argwhere(bad)[0] / n
+            raise FoliationError(
+                f"direction field is not finite at (u, v) = ({i:.4f}, {j:.4f})"
+            )
         norm = np.hypot(v1, v2)
         if norm.min() <= 1e-9:
-            i = np.unravel_index(int(np.argmin(norm)), norm.shape)
+            i, j = np.unravel_index(int(np.argmin(norm)), norm.shape)
             raise FoliationError(
-                f"direction field vanishes near (u, v) = ({U[i]:.4f}, {V[i]:.4f})"
+                f"direction field vanishes near (u, v) = ({i / n:.4f}, {j / n:.4f})"
             )
         worst = 0.0
         t = np.linspace(0.0, 1.0, 33)
-        for fn in (self.field1(), self.field2()):
+        for e in (self.V1, self.V2):
+            fn = compile_field(e, UV)
             worst = max(worst, float(np.max(np.abs(fn(t, t + 1.0) - fn(t, t)))))
             worst = max(worst, float(np.max(np.abs(fn(t + 1.0, t) - fn(t, t)))))
         if worst > 1e-9:
             raise FoliationError(f"field is not 1-periodic (residual {worst:.2e})")
-
-    def field1(self):
-        return compile_field(self.V1, UV)
-
-    def field2(self):
-        return compile_field(self.V2, UV)
 
     @staticmethod
     def from_form(a: DifferentialForm, name: str = "") -> "Foliation2":
@@ -77,9 +75,7 @@ class Foliation2:
         da = exterior_derivative(a).coeff((0, 1))
         closed = True
         if da != ZERO:
-            g = np.arange(64) / 64.0
-            U, V = np.meshgrid(g, g, indexing="ij")
-            closed = float(np.max(np.abs(compile_field(da, UV)(U, V)))) < 1e-9
+            closed = float(np.max(np.abs(torus_samples(da, 64)))) < 1e-9
         return Foliation2(
             ex.zneg(a.coeff((1,))), a.coeff((0,)), closed_form=closed, name=name
         )
@@ -97,7 +93,7 @@ def _turning_integrand(F: Foliation2, along: str):
         ex.zmul(F.V1, diff(F.V2, along)), ex.zmul(F.V2, diff(F.V1, along))
     )
     den = ex.add(ex.mul(F.V1, F.V1), ex.mul(F.V2, F.V2))
-    return compile_scalar(ex.div(num, den), UV)
+    return compile_field(ex.div(num, den), UV)
 
 
 def winding(F: Foliation2, gap: float = 0.3) -> tuple[int, int]:
@@ -106,7 +102,7 @@ def winding(F: Foliation2, gap: float = 0.3) -> tuple[int, int]:
     out = []
     fu = _turning_integrand(F, "u")
     fv = _turning_integrand(F, "v")
-    for fn in (lambda t: fu(t, 0.0), lambda t: fv(0.0, t)):
+    for fn in (lambda t: float(fu(t, 0.0)), lambda t: float(fv(0.0, t))):
         total, _ = integrate.quad(fn, 0.0, 1.0, limit=200)
         deg = total / (2.0 * math.pi)
         k = round(deg)
@@ -121,38 +117,46 @@ def winding(F: Foliation2, gap: float = 0.3) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # leaf integration
 
+def _rk4(rhs, x: float, y: np.ndarray, h: float, n: int, out=None) -> np.ndarray:
+    """n classical RK4 steps of dy/dx = rhs(x, y) for an array of states y;
+    returns the last state, and writes every state to ``out[0..n]`` if given."""
+    if out is not None:
+        out[0] = y
+    for i in range(n):
+        k1 = rhs(x, y)
+        k2 = rhs(x + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(x + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(x + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        x += h
+        if out is not None:
+            out[i + 1] = y
+    return y
+
+
 def integrate_leaf(
     F: Foliation2,
-    start: tuple[float, float],
+    start: tuple[float, float] | np.ndarray,
     length: float,
     max_step: float = 1e-3,
 ) -> np.ndarray:
     """Arc-length RK4 trajectory of V/|V| in the universal cover; returns the
-    polyline as an (n+1, 2) array starting at ``start``."""
+    polyline as an (n+1, 2) array starting at ``start``, or a (k, n+1, 2)
+    array of k polylines for a (k, 2) array of starts."""
     if length <= 0:
         raise FoliationError("leaf length must be positive")
-    f1 = compile_scalar(F.V1, UV)
-    f2 = compile_scalar(F.V2, UV)
+    f1, f2 = compile_field(F.V1, UV), compile_field(F.V2, UV)
 
-    def rhs(u, v):
-        a, b = f1(u, v), f2(u, v)
-        n = math.hypot(a, b)
-        return a / n, b / n
+    def rhs(_, y):  # y[0], y[1]: the u and v rows
+        a, b = f1(y[0], y[1]), f2(y[0], y[1])
+        return np.array((a, b)) / np.hypot(a, b)
 
+    starts = np.asarray(start, dtype=float)
     n = max(1, math.ceil(length / max_step))
-    h = length / n
-    pts = np.empty((n + 1, 2))
-    u, v = float(start[0]), float(start[1])
-    pts[0] = (u, v)
-    for i in range(n):
-        k1 = rhs(u, v)
-        k2 = rhs(u + 0.5 * h * k1[0], v + 0.5 * h * k1[1])
-        k3 = rhs(u + 0.5 * h * k2[0], v + 0.5 * h * k2[1])
-        k4 = rhs(u + h * k3[0], v + h * k3[1])
-        u += h * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6.0
-        v += h * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6.0
-        pts[i + 1] = (u, v)
-    return pts
+    pts = np.empty((n + 1, 2, starts.size // 2))
+    _rk4(rhs, 0.0, starts.reshape(-1, 2).T, length / n, n, pts)
+    pts = pts.transpose(2, 0, 1)
+    return pts[0] if starts.ndim == 1 else pts
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +210,7 @@ class ReturnMap:
 def _crossing_sign(F: Foliation2, axis: str, n: int = 192, tol: float = 1e-6):
     """Sign of the transverse component over the whole torus, or None if it
     vanishes somewhere (no global return map in that direction)."""
-    a = np.arange(n) / n
-    U, V = np.meshgrid(a, a, indexing="ij")
-    fn = F.field1() if axis == "u" else F.field2()
-    comp = fn(U, V) + np.zeros_like(U)
+    comp = torus_samples(F.V1 if axis == "u" else F.V2, n)
     if np.min(np.abs(comp)) <= tol or np.min(comp) * np.max(comp) < 0:
         return None
     return 1 if comp.flat[0] > 0 else -1
@@ -229,25 +230,12 @@ def return_map(
             f"field is tangent to circles {transversal.axis} = const somewhere; "
             "the foliation carries Reeb bands in this direction"
         )
-    f1, f2 = F.field1(), F.field2()
-    if transversal.axis == "u":
-        def slope(x, y):  # dy/dx along the leaf, x = u
-            return f2(x, y) / f1(x, y)
-    else:
-        def slope(x, y):  # x = v
-            return f1(y, x) / f2(y, x)
-    x0 = float(transversal.value)
-    h = sign / float(n_steps)
+    if transversal.axis == "u":  # dy/dx along the leaf, x = u
+        slope = compile_field(ex.div(F.V2, F.V1), ("u", "v"))
+    else:  # x = v
+        slope = compile_field(ex.div(F.V1, F.V2), ("v", "u"))
     ts = np.arange(n_points) / n_points
-    y = ts.copy()
-    x = x0
-    for _ in range(n_steps):
-        k1 = slope(x, y)
-        k2 = slope(x + 0.5 * h, y + 0.5 * h * k1)
-        k3 = slope(x + 0.5 * h, y + 0.5 * h * k2)
-        k4 = slope(x + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        x += h
+    y = _rk4(slope, float(transversal.value), ts, sign / float(n_steps), n_steps)
     if np.any(np.diff(y) <= 0):
         raise FoliationError("tabulated return map lost monotonicity")
     t_ext = np.concatenate([ts, [1.0]])
@@ -286,21 +274,23 @@ def _primitive(p: int, q: int) -> tuple[int, int]:
 def _axis_leaves(F: Foliation2, axis: str, n_scan: int = 2048) -> list[CompactLeaf]:
     """Leaves parallel to an axis: circles where the transverse component
     vanishes identically."""
-    fn_t = F.field1() if axis == "u" else F.field2()
-    fn_a = F.field2() if axis == "u" else F.field1()
+    e_t, e_a = (F.V1, F.V2) if axis == "u" else (F.V2, F.V1)
+    fn_t, fn_a = compile_field(e_t, UV), compile_field(e_a, UV)
+
+    def at(fn, x, y):  # x across the axis, y along it
+        return fn(x, y) if axis == "u" else fn(y, x)
+
     vs = np.arange(17) / 17.0
     xs = np.arange(n_scan) / n_scan
 
     def worst(x):
-        if axis == "u":
-            return float(np.max(np.abs(fn_t(np.full_like(vs, x), vs))))
-        return float(np.max(np.abs(fn_t(vs, np.full_like(vs, x)))))
+        return float(np.max(np.abs(at(fn_t, x, vs))))
 
-    prof = np.array([worst(x) for x in xs])
+    prof = np.max(np.abs(at(fn_t, xs[:, None], vs)), axis=1)
     if prof.max() < 1e-8:
         # transverse component vanishes identically: every leaf is an
         # axis-parallel circle
-        s = 1 if (fn_a(0.0, 0.5) if axis == "u" else fn_a(0.5, 0.0)) > 0 else -1
+        s = 1 if at(fn_a, 0.0, 0.5) > 0 else -1
         cls = (0, s) if axis == "u" else (s, 0)
         return [CompactLeaf((0.0, 0.0), cls, 1.0, family=True)]
     left = np.roll(prof, 1)
@@ -309,7 +299,7 @@ def _axis_leaves(F: Foliation2, axis: str, n_scan: int = 2048) -> list[CompactLe
     leaves = []
     found: list[float] = []
     def signed(x):
-        return float(fn_t(x, 0.37)) if axis == "u" else float(fn_t(0.37, x))
+        return float(at(fn_t, x, 0.37))
 
     for i in candidates:
         lo = (i - 1) / n_scan
@@ -328,7 +318,7 @@ def _axis_leaves(F: Foliation2, axis: str, n_scan: int = 2048) -> list[CompactLe
         if any(_circle_dist(x_mod, y) < 1e-6 for y in found):
             continue
         found.append(x_mod)
-        s = 1 if (fn_a(x_mod, 0.5) if axis == "u" else fn_a(0.5, x_mod)) > 0 else -1
+        s = 1 if at(fn_a, x_mod, 0.5) > 0 else -1
         cls = (0, s) if axis == "u" else (s, 0)
         point = (x_mod, 0.0) if axis == "u" else (0.0, x_mod)
         leaves.append(CompactLeaf(point, cls, 1.0))
@@ -358,15 +348,17 @@ def _return_map_leaves(
                 if not any(l.family and l.cls == cls for l in leaves):
                     leaves.append(CompactLeaf((0.0, 0.0), cls, float(q), family=True))
                 break
-            roots = []
+            # exact zeros on the scan grid are roots; the strict sign test
+            # below cannot see them, so nothing is counted twice
             sgn = np.sign(h)
+            roots = [float(ts[i]) for i in np.flatnonzero(sgn == 0)]
             for i in np.flatnonzero(sgn[:-1] * sgn[1:] < 0):
                 r = optimize.brentq(
                     lambda t: R.iterate_lift(float(t), q) - t - p, ts[i], ts[i + 1],
                     xtol=1e-12,
                 )
                 roots.append(float(r))
-            for r in roots:
+            for r in sorted(roots):
                 if any(
                     q % qq == 0 and _on_orbit(R, rr, qq, r)
                     for qq, rr in seen_orbit_points
@@ -410,10 +402,16 @@ def compact_leaves(F: Foliation2, max_period: int = 8) -> list[CompactLeaf]:
         leaves += _return_map_leaves(F, "v", max_period)
     uniq: list[CompactLeaf] = []
     for leaf in leaves:
-        if leaf.family and any(m.family and m.cls == leaf.cls for m in uniq):
-            continue
-        uniq.append(leaf)
+        # both detectors report an axis-parallel leaf, at the same point
+        if not any(_same_leaf(leaf, m) for m in uniq):
+            uniq.append(leaf)
     return uniq
+
+
+def _same_leaf(a: CompactLeaf, b: CompactLeaf) -> bool:
+    if a.cls != b.cls or a.family != b.family:
+        return False
+    return a.family or max(_circle_dist(x, y) for x, y in zip(a.point, b.point)) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +465,8 @@ def reeb_annuli(F: Foliation2, leaves: list[CompactLeaf] | None = None) -> list[
 def _check_transverse_pair(F: Foliation2, G: Foliation2, n: int = 128, tol: float = 1e-9):
     # offset grid: isolated tangency circles (shared compact leaves) should
     # not fail the check, a tangency on a band should
-    a = (np.arange(n) + 0.382) / n
-    U, V = np.meshgrid(a, a, indexing="ij")
-    det = F.field1()(U, V) * G.field2()(U, V) - F.field2()(U, V) * G.field1()(U, V)
-    det = det + np.zeros_like(U)
+    f1, f2, g1, g2 = (torus_samples(e, n, offset=0.382) for e in (F.V1, F.V2, G.V1, G.V2))
+    det = f1 * g2 - f2 * g1
     worst = float(np.min(np.abs(det)))
     if worst <= tol:
         raise FoliationError(
@@ -540,14 +536,11 @@ def cone_separation(
     distance query against the sorted set of sampled field angles.
     """
     _check_transverse_pair(F, G)
-    fine = np.arange(4 * search.grid_n) / (4 * search.grid_n)
-    coarse = np.arange(max(search.grid_n // 4, 16)) / max(search.grid_n // 4, 16)
+    fine, coarse = 4 * search.grid_n, max(search.grid_n // 4, 16)
     angles = []
     for H in (F, G):
-        for xs, ys in ((fine, coarse), (coarse, fine)):
-            U, V = np.meshgrid(xs, ys, indexing="ij")
-            v1 = H.field1()(U, V) + np.zeros_like(U)
-            v2 = H.field2()(U, V) + np.zeros_like(U)
+        for n, m in ((fine, coarse), (coarse, fine)):
+            v1, v2 = torus_samples(H.V1, n, m), torus_samples(H.V2, n, m)
             angles.append(np.arctan2(v2, v1).ravel() % math.pi)
     thetas = np.sort(np.concatenate(angles))
     gap_margin = math.asin(min(1.0, search.tol))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -103,14 +103,6 @@ class DifferentialForm:
 
     def evaluate(self, point: Mapping[str, float]) -> dict[tuple[int, ...], float]:
         return {i: ex.evaluate(c, point) for i, c in self.coeffs.items()}
-
-    def compiled(self) -> dict[tuple[int, ...], callable]:
-        return {i: compile_field(c, self.coords) for i, c in self.coeffs.items()}
-
-
-def form(coords: tuple[str, ...], degree: int,
-         terms: Mapping[tuple[int, ...], Expr]) -> DifferentialForm:
-    return DifferentialForm(coords, degree, dict(terms))
 
 
 def one_form(coords: tuple[str, ...], *coeffs: Expr) -> DifferentialForm:
@@ -293,6 +285,15 @@ def fiber_embedding(gluing: Gluing3, z: float = 0.0) -> TorusEmbedding:
     )
 
 
+def torus_samples(e: Expr, n: int, m: int | None = None, offset: float = 0.0) -> np.ndarray:
+    """Values of e(u, v) on the torus grid ((i + offset)/n, (j + offset)/m),
+    i < n, j < m, as an n x m array; m defaults to n."""
+    m = n if m is None else m
+    return compile_field(e, UV)(
+        ((np.arange(n) + offset) / n)[:, None], (np.arange(m) + offset) / m
+    )
+
+
 def restrict(omega: DifferentialForm, sigma: TorusEmbedding) -> DifferentialForm:
     """Pullback under the affine embedding; output lives in (u, v)."""
     if omega.coords != XYZ:
@@ -345,17 +346,15 @@ def _pullback_residual(omega, pts, offset, jac, subs, fns):
     tz = z + offset[2]
     worst = 0.0
     worst_i = 0
-    zeros = np.zeros_like(x)
     for idx in itertools.combinations(range(n), omega.degree):
-        here = fns[idx](x, y, z) if idx in fns else zeros
-        pulled = np.zeros_like(zeros)
+        pulled = 0.0
         for jdx, fn in fns.items():
             minor = jac[np.ix_(jdx, idx)]
             det = float(np.linalg.det(minor)) if len(idx) else 1.0
             if abs(det) < 1e-15:
                 continue
             pulled = pulled + det * fn(tx, ty, tz)
-        res = np.abs(pulled - here)
+        res = np.abs(pulled - compile_field(omega.coeff(idx), XYZ)(x, y, z))
         k = int(np.argmax(res))
         if res[k] > worst:
             worst = float(res[k])

@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from . import expr as ex
-from .expr import Const, Expr, compile_field
+from .expr import Const, Expr
 from .anosov import FlowModel, weak_foliations_on_torus
 from .contact import (
     ALReport,
@@ -38,6 +37,7 @@ from .geom import (
     UV,
     XYZ,
     restrict,
+    torus_samples,
 )
 
 
@@ -97,13 +97,7 @@ def _dv(F: np.ndarray, k: np.ndarray) -> np.ndarray:
 def _sample_form(a: DifferentialForm, n: int):
     if a.coords != UV or a.degree != 1:
         raise PreLagError("solver inputs must be 1-forms on (u, v)")
-    t = np.arange(n) / n
-    U, V = np.meshgrid(t, t, indexing="ij")
-    zeros = np.zeros_like(U)
-    return (
-        compile_field(a.coeff((0,)), UV)(U, V) + zeros,
-        compile_field(a.coeff((1,)), UV)(U, V) + zeros,
-    )
+    return torus_samples(a.coeff((0,)), n), torus_samples(a.coeff((1,)), n)
 
 
 def closedness_objective(a: DifferentialForm, b: DifferentialForm, n: int = 64):
@@ -130,43 +124,19 @@ def closedness_objective(a: DifferentialForm, b: DifferentialForm, n: int = 64):
     return objective
 
 
-def _trig_expr(values: np.ndarray, drop_tol: float = 1e-12) -> Expr:
-    """Trigonometric interpolant of grid samples as a symbolic expression;
-    modes below drop_tol (relative to the sup of the data) are dropped."""
+def _truncated_series(values: np.ndarray, drop_tol: float = 1e-12) -> np.ndarray:
+    """Trigonometric interpolant of grid samples, evaluated back on the grid;
+    modes below drop_tol (relative to the sup of the data) are dropped, a
+    conjugate pair by the amplitude 2|c| of its real term."""
     n = values.shape[0]
     c = np.fft.fft2(values) / (n * n)
-    freqs = np.fft.fftfreq(n, 1.0 / n).astype(int)
+    mirror = (-np.arange(n)) % n
+    c = 0.5 * (c + np.conj(c[mirror][:, mirror]))  # exactly Hermitian
+    fixed = mirror == np.arange(n)
+    amp = np.where(fixed[:, None] & fixed, 1.0, 2.0) * np.abs(c)
     scale = max(1.0, float(np.max(np.abs(values))))
-    u, v = ex.var("u"), ex.var("v")
-    terms = []
-    for i in range(n):
-        for j in range(n):
-            ni, nj = (-i) % n, (-j) % n
-            if (ni, nj) < (i, j):
-                continue  # conjugate already handled
-            k1, k2 = int(freqs[i]), int(freqs[j])
-            theta = ex.zadd(
-                ex.zmul(ex.const(2.0 * math.pi * k1), u),
-                ex.zmul(ex.const(2.0 * math.pi * k2), v),
-            )
-            if (ni, nj) == (i, j):
-                amp = float(c[i, j].real)
-                if abs(amp) <= drop_tol * scale:
-                    continue
-                terms.append(ex.zmul(ex.const(amp), ex.func("cos", theta)))
-            else:
-                re, im = 2.0 * float(c[i, j].real), 2.0 * float(c[i, j].imag)
-                if math.hypot(re, im) <= drop_tol * scale:
-                    continue
-                terms.append(
-                    ex.zsub(
-                        ex.zmul(ex.const(re), ex.func("cos", theta)),
-                        ex.zmul(ex.const(im), ex.func("sin", theta)),
-                    )
-                )
-    if not terms:
-        return ex.ZERO
-    return reduce(ex.zadd, terms)
+    c[amp <= drop_tol * scale] = 0.0
+    return np.real(np.fft.ifft2(c)) * (n * n)
 
 
 @dataclass(frozen=True)
@@ -174,8 +144,6 @@ class ScalingSolution:
     n: int
     log_f: np.ndarray
     log_g: np.ndarray
-    f_expr: Expr
-    g_expr: Expr
     residual: float
     residual_history: tuple[float, ...]
     iterations: int
@@ -247,31 +215,24 @@ def scaling_solve(
     phi = phi - m
     gamma = gamma - m
     residual = math.sqrt(J)
-    f_expr = ex.func("exp", _trig_expr(phi))
-    g_expr = ex.func("exp", _trig_expr(gamma))
-    interp_res = _interpolant_residual(a, b, f_expr, g_expr, n)
     return ScalingSolution(
         n=n,
         log_f=phi,
         log_g=gamma,
-        f_expr=f_expr,
-        g_expr=g_expr,
         residual=residual,
         residual_history=tuple(history),
         iterations=it,
         success=residual < tol,
-        interpolant_residual=interp_res,
+        interpolant_residual=_interpolant_residual(a, b, phi, gamma, n),
     )
 
 
-def _interpolant_residual(a, b, f_expr, g_expr, n) -> float:
+def _interpolant_residual(a, b, phi, gamma, n) -> float:
+    """Curl residual of the scalings exp of the truncated Fourier series of
+    phi and gamma."""
     a1, a2 = _sample_form(a, n)
     b1, b2 = _sample_form(b, n)
-    t = np.arange(n) / n
-    U, V = np.meshgrid(t, t, indexing="ij")
-    zeros = np.zeros_like(U)
-    fv = compile_field(f_expr, UV)(U, V) + zeros
-    gv = compile_field(g_expr, UV)(U, V) + zeros
+    fv, gv = np.exp(_truncated_series(phi)), np.exp(_truncated_series(gamma))
     k = _wavenumbers(n)
     rho = _du(fv * a2 - gv * b2, k) - _dv(fv * a1 - gv * b1, k)
     return math.sqrt(float(np.mean(rho * rho)))
@@ -347,13 +308,8 @@ def _restrict_scalar(r: Expr, sigma: TorusEmbedding) -> Expr:
 def _mean_constant_form(beta: DifferentialForm, n: int = 48) -> DifferentialForm:
     """Constant-coefficient (hence closed) form with the grid-averaged
     coefficients of beta."""
-    t = np.arange(n) / n
-    U, V = np.meshgrid(t, t, indexing="ij")
-    coeffs = {}
-    for idx in ((0,), (1,)):
-        c = beta.coeff(idx)
-        vals = compile_field(c, UV)(U, V) + np.zeros_like(U)
-        coeffs[idx] = ex.const(float(np.mean(vals)))
+    coeffs = {idx: ex.const(float(np.mean(torus_samples(beta.coeff(idx), n))))
+              for idx in ((0,), (1,))}
     return DifferentialForm(UV, 1, coeffs)
 
 
@@ -507,12 +463,8 @@ def pre_lagrangian_certificate(
 def _collar_extension(f: Expr, r: Expr, delta: float, eps: float):
     """Collar extension with plateau constants chosen from grid bounds with
     a factor-2 headroom."""
-    n = 24
-    t = np.arange(n) / n
-    U, V = np.meshgrid(t, t, indexing="ij")
-    zeros = np.zeros_like(U)
-    f_vals = compile_field(f, UV)(U, V) + zeros
-    s_vals = 1.0 - (compile_field(r, UV)(U, V) + zeros)  # inner-band exponent
+    f_vals = torus_samples(f, 24)
+    s_vals = 1.0 - torus_samples(r, 24)  # inner-band exponent
     s_max = float(np.max(np.abs(s_vals)))
     C = 2.0 * float(f_vals.max()) * math.exp(s_max * eps)
     c = 0.5 * float(f_vals.min()) * math.exp(-s_max * eps)

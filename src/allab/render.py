@@ -95,20 +95,23 @@ def render_foliation(
     canvas = _Canvas(style)
 
     n = style.seeds
-    for i in range(n):
-        for j in range(n):
-            seed = ((i + 0.5) / n, (j + 0.5) / n)
-            pts = integrate_leaf(F, seed, style.length, max_step=5e-3)[::4]
-            segs = _wrap_segments(pts)
-            for seg in segs:
-                canvas.polyline(seg, style.flow_color, style.stroke)
-            if segs:
-                canvas.arrowhead(max(segs, key=len), style.flow_color)
+    seeds = [((i + 0.5) / n, (j + 0.5) / n) for i in range(n) for j in range(n)]
+    for pts in integrate_leaf(F, np.reshape(seeds, (-1, 2)), style.length, max_step=5e-3):
+        segs = _wrap_segments(pts[::4])
+        for seg in segs:
+            canvas.polyline(seg, style.flow_color, style.stroke)
+        if segs:
+            canvas.arrowhead(max(segs, key=len), style.flow_color)
 
-    for leaf in sorted(leaves, key=lambda l: (l.point, l.cls)):
-        length = leaf.period_length or float(np.hypot(*leaf.cls)) or 1.0
-        pts = integrate_leaf(F, leaf.point, length * 1.001, max_step=2e-3)[::2]
-        for seg in _wrap_segments(pts):
+    leaves = sorted(leaves, key=lambda l: (l.point, l.cls))
+    lengths = [l.period_length or float(np.hypot(*l.cls)) or 1.0 for l in leaves]
+    tracks = {}
+    for length in sorted(set(lengths)):  # one integration per period length
+        idx = [i for i, m in enumerate(lengths) if m == length]
+        starts = np.array([leaves[i].point for i in idx])
+        tracks.update(zip(idx, integrate_leaf(F, starts, length * 1.001, max_step=2e-3)))
+    for i in range(len(leaves)):
+        for seg in _wrap_segments(tracks[i][::2]):
             canvas.polyline(seg, style.leaf_color, style.leaf_stroke)
 
     return canvas.document()

@@ -197,6 +197,34 @@ def test_compile_field_matches_evaluate():
     assert np.allclose(got, want, atol=1e-14)
 
 
+def test_compile_field_returns_the_broadcast_shape():
+    import numpy as np
+
+    fn = compile_field(parse_expr("2*pi"), ("u", "v"))
+    out = fn(np.zeros((3, 1)), np.zeros(4))
+    assert out.shape == (3, 4) and out.dtype == float
+    assert np.all(out == 2 * math.pi)
+    assert fn(0.5, 0.5).shape == ()
+
+
+def test_compile_field_is_shared_by_equal_trees():
+    a = compile_field(parse_expr("sin(2*pi*u) + v"), ("u", "v"))
+    assert compile_field(parse_expr("sin(2*pi*u) + v"), ("u", "v")) is a
+    assert compile_field(parse_expr("sin(2*pi*u) + v"), ("v", "u")) is not a
+
+
+@pytest.mark.parametrize("text", ["1e400*u", "u - 1e400", "u + 1e400*0"])
+def test_compile_field_emits_non_finite_constants(text):
+    import numpy as np
+
+    e = parse_expr(text)
+    fn = compile_field(e, ("u", "v"))
+    us = np.array([2.0, -1.0])
+    got = fn(us, 0.0)
+    want = [evaluate(e, {"u": u, "v": 0.0}) for u in us]
+    assert np.array_equal(got, want, equal_nan=True)
+
+
 def test_internal_bump_primitives():
     t = Var("z")
     bump = ex.pow_(ex.func("pos", ex.sub(Const(1.0), ex.mul(t, t))), Const(3.0))

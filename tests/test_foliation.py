@@ -35,6 +35,11 @@ def test_foliation_rejects_vanishing_field():
         Foliation2(parse_expr("sin(2*pi*u)"), parse_expr("sin(2*pi*v)"))
 
 
+def test_foliation_rejects_non_finite_field():
+    with pytest.raises(FoliationError, match="not finite"):
+        Foliation2(parse_expr("log(0-1)"), parse_expr("1"))
+
+
 def test_foliation_rejects_nonperiodic_field():
     with pytest.raises(FoliationError, match="periodic"):
         Foliation2(parse_expr("u + 1"), ex.ONE)
@@ -109,6 +114,15 @@ def test_leaf_vertical_circle_closes():
     F = Foliation2(Const(0.0), ex.ONE)
     pts = integrate_leaf(F, (0.3, 0.0), 1.0)
     assert np.allclose(pts[-1] % 1.0, (0.3, 0.0), atol=1e-6)
+
+
+def test_leaf_batch_matches_single_starts():
+    F = Foliation2(parse_expr("2 + sin(2*pi*v)"), parse_expr("cos(2*pi*u) + 0.3"))
+    starts = np.array([(0.1, 0.2), (0.5, 0.5), (0.9, 0.3)])
+    batch = integrate_leaf(F, starts, 1.5, max_step=5e-3)
+    assert batch.shape == (3, 301, 2)
+    for start, pts in zip(starts, batch):
+        assert np.max(np.abs(pts - integrate_leaf(F, tuple(start), 1.5, max_step=5e-3))) < 1e-12
 
 
 def test_irrational_leaf_never_closes():
@@ -237,6 +251,19 @@ def test_same_orientation_leaves_make_no_annuli():
     leaves = compact_leaves(F)
     assert sorted(l.cls for l in leaves) == [(0, 1), (0, 1)]
     assert reeb_annuli(F, leaves) == []
+
+
+@pytest.mark.parametrize("eps, b", [(0.0446, 0.1209), (0.0154, 0.0825)])
+def test_exact_zero_of_the_return_map_is_a_leaf(eps, b):
+    # four closed leaves v = j/4 + eps sin(2 pi u); on these inputs
+    # lift(t) - t is exactly 0 at one scan point
+    F = Foliation2(
+        ex.ONE,
+        parse_expr(f"2*pi*{eps}*cos(2*pi*u) + {b}*sin(4*pi*(v - {eps}*sin(2*pi*u)))"),
+    )
+    leaves = compact_leaves(F)
+    assert sorted(l.point[1] for l in leaves) == pytest.approx([0.0, 0.25, 0.5, 0.75], abs=1e-6)
+    assert all(l.cls == (1, 0) for l in leaves)
 
 
 def test_eight_band_model():

@@ -113,6 +113,14 @@ def test_scaling_interpolant_matches_grid_residual(planted_solution):
     assert abs(sol.interpolant_residual - sol.residual) < 1e-8
 
 
+def test_scaling_interpolant_of_a_2d_problem():
+    a = one_form(UV, ex.ZERO, parse_expr("exp(0.3*sin(2*pi*u)*cos(2*pi*v))"))
+    b = one_form(UV, ex.ONE, ex.ZERO)
+    sol = scaling_solve(a, b, n=32, tol=1e-6)
+    assert sol.success
+    assert abs(sol.interpolant_residual - sol.residual) < 1e-8
+
+
 def test_adjoint_gradient_matches_finite_differences():
     rng = np.random.default_rng(11)
     a = one_form(UV, parse_expr("0.4*cos(2*pi*v)"), parse_expr("exp(0.3*sin(2*pi*u))"))

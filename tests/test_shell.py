@@ -6,7 +6,7 @@ import pytest
 
 from allab import library
 from allab.cli import REPORT_SCHEMA, main, run
-from allab.config import ConfigError, load_config, thread_cap
+from allab.config import ConfigError, load_config
 from allab.foliation import compact_leaves
 from allab.render import RenderStyle, render_foliation
 
@@ -58,13 +58,12 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_config(str(bad))
 
 
-def test_thread_cap(monkeypatch):
-    monkeypatch.setenv("ALLAB_THREADS", "3")
-    assert thread_cap() == 3
-    monkeypatch.setenv("ALLAB_THREADS", "0")
-    assert thread_cap() == 1
-    monkeypatch.delenv("ALLAB_THREADS")
-    assert thread_cap() >= 1
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_config_rejects_non_finite_numbers(tmp_path, value):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"[analysis]\ntolerance = {value}\n")
+    with pytest.raises(ConfigError, match="analysis.tolerance: not a finite number"):
+        load_config(str(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +145,22 @@ def test_run_two_reeb_band_foliation_and_render(tmp_path):
     assert (tmp_path / "two-reeb-band.svg").exists()
 
 
+def test_all_on_a_single_foliation_skips_the_pair_stage(tmp_path, capsys):
+    cfg = load_config(cfg_path("two-reeb-band.cfg"))
+    code, report = run(cfg, "all", str(tmp_path))
+    assert code == 0 and report["ok"]
+    pre = report["stages"]["pre-lagrangian"]
+    assert pre["skipped"] == "needs a partner foliation" and pre["ok"]
+    assert report["stages"]["render"]["ok"]
+    assert (tmp_path / "report.json").exists()
+    assert (tmp_path / "two-reeb-band.svg").exists()
+    # asked for by name, the pair stage is still a tool error
+    out = tmp_path / "explicit"
+    assert main(["pre-lagrangian", "--config", cfg_path("two-reeb-band.cfg"),
+                 "--out", str(out)]) == 1
+    assert "needs a partner foliation" in capsys.readouterr().err
+
+
 def test_report_schema_round_trip(tmp_path):
     cfg = load_config(cfg_path("two-reeb-band.cfg"))
     _, report = run(cfg, "foliation", str(tmp_path))
@@ -194,6 +209,12 @@ def test_main_rejects_bad_override(tmp_path, capsys):
         ]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_main_rejects_non_finite_tolerance(tmp_path, value):
+    args = ["check-pair", "--config", cfg_path("cat-map.cfg"), "--out", str(tmp_path)]
+    assert main(args + ["--tolerance", value]) == 1
 
 
 def test_main_scale_override(tmp_path):
