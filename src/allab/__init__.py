@@ -6,3 +6,8 @@ pre-Lagrangian obstruction / construction pipelines.
 """
 
 __version__ = "0.1.0"
+
+
+class AllabError(Exception):
+    """Base of every error allab raises on bad input or a failed check; the
+    CLI reports these as one line and exit code 1."""

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import AllabError
 from . import expr as ex
 from .expr import Expr, ZERO, compile_field, parse_expr
 from .geom import (
@@ -30,7 +31,7 @@ from .contact import FormPair, al_check
 from .foliation import Foliation2, _check_transverse_pair
 
 
-class ModelError(Exception):
+class ModelError(AllabError):
     pass
 
 

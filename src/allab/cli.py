@@ -16,9 +16,9 @@ import time
 
 import jsonschema
 
-from . import __version__, library
+from . import AllabError, __version__, library
 from .anosov import FlowModel, suspension_model, weak_foliations_on_torus
-from .config import ConfigError, RunConfig, load_config
+from .config import RunConfig, load_config
 from .contact import al_check
 from .foliation import Foliation2, SlopeSearch, compact_leaves, reeb_annuli, winding
 from .prelag import pre_lagrangian_certificate
@@ -52,7 +52,7 @@ REPORT_SCHEMA = {
 COMMANDS = ("check-pair", "foliation", "pre-lagrangian", "render", "all")
 
 
-class ToolError(Exception):
+class ToolError(AllabError):
     pass
 
 
@@ -136,13 +136,14 @@ def run(cfg: RunConfig, command: str, out_dir: str) -> tuple[int, dict]:
         stage("check-pair", check_pair)
 
     needs_foliation = {"foliation", "pre-lagrangian", "render"} & set(wants)
-    F = G = None
+    F = G = leaves = None
     if needs_foliation:
         F, G = _build_foliations(cfg, model)
 
     if "foliation" in wants:
 
         def foliation():
+            nonlocal leaves
             leaves = compact_leaves(F)
             annuli = reeb_annuli(F, leaves)
             return {
@@ -196,7 +197,7 @@ def run(cfg: RunConfig, command: str, out_dir: str) -> tuple[int, dict]:
     if "render" in wants:
 
         def render():
-            svg = render_foliation(F)
+            svg = render_foliation(F, leaves)  # the foliation stage's, if it ran
             path = os.path.join(out_dir, cfg.svg_name)
             _atomic_write(path, svg)
             return {"svg": cfg.svg_name, "bytes": len(svg)}, True
@@ -254,7 +255,7 @@ def main(argv=None) -> int:
 
             cfg = replace(cfg, **overrides)
         code, report = run(cfg, args.command, args.out)
-    except (ConfigError, ToolError) as e:
+    except AllabError as e:
         print(f"allab: {e}", file=sys.stderr)
         return 1
     except FileNotFoundError as e:

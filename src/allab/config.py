@@ -10,10 +10,11 @@ import hashlib
 import math
 from dataclasses import dataclass
 
+from . import AllabError
 from .expr import Expr, ExprError, parse_expr
 
 
-class ConfigError(Exception):
+class ConfigError(AllabError):
     def __init__(self, violations):
         self.violations = tuple(violations)
         super().__init__(

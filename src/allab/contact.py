@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import AllabError
 from . import expr as ex
 from .expr import Expr, ZERO, ONE, compile_field, diff, substitute
 from .geom import (
@@ -35,7 +36,7 @@ from .geom import (
 )
 
 
-class ContactError(Exception):
+class ContactError(AllabError):
     pass
 
 

@@ -22,6 +22,8 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
+from . import AllabError
+
 VARIABLES = ("x", "y", "z", "s", "u", "v")
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt", "neg")
 DEFAULT_PARAMETERS = frozenset({"pi"})
@@ -32,7 +34,7 @@ DEFAULT_PARAMETERS = frozenset({"pi"})
 _INTERNAL_FUNCTIONS = ("pos", "step")
 
 
-class ExprError(Exception):
+class ExprError(AllabError):
     """Base class for expression-layer errors."""
 
 

@@ -14,15 +14,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 from scipy.interpolate import PchipInterpolator
 
+from . import AllabError
 from . import expr as ex
 from .expr import Expr, ZERO, compile_field, diff
 from .geom import DifferentialForm, UV, exterior_derivative, torus_samples
 
 
-class FoliationError(Exception):
+class FoliationError(AllabError):
     pass
 
 
@@ -88,23 +89,20 @@ def constant_slope(rho: float, name: str = "") -> Foliation2:
 # ---------------------------------------------------------------------------
 # winding
 
-def _turning_integrand(F: Foliation2, along: str):
-    num = ex.zsub(
-        ex.zmul(F.V1, diff(F.V2, along)), ex.zmul(F.V2, diff(F.V1, along))
-    )
-    den = ex.add(ex.mul(F.V1, F.V1), ex.mul(F.V2, F.V2))
-    return compile_field(ex.div(num, den), UV)
+# nodes of the periodic trapezoidal rule on each loop: the turning integrand
+# is smooth and 1-periodic, so the rule converges geometrically
+_WINDING_NODES = 1024
 
 
 def winding(F: Foliation2, gap: float = 0.3) -> tuple[int, int]:
     """Degrees of V/|V| along the loops v = 0 and u = 0, from the turning
     form (V1 dV2 - V2 dV1)/|V|^2."""
+    t = np.arange(_WINDING_NODES) / _WINDING_NODES
+    den = ex.add(ex.mul(F.V1, F.V1), ex.mul(F.V2, F.V2))
     out = []
-    fu = _turning_integrand(F, "u")
-    fv = _turning_integrand(F, "v")
-    for fn in (lambda t: float(fu(t, 0.0)), lambda t: float(fv(0.0, t))):
-        total, _ = integrate.quad(fn, 0.0, 1.0, limit=200)
-        deg = total / (2.0 * math.pi)
+    for along, loop in (("u", (t, 0.0)), ("v", (0.0, t))):
+        num = ex.zsub(ex.zmul(F.V1, diff(F.V2, along)), ex.zmul(F.V2, diff(F.V1, along)))
+        deg = float(np.mean(compile_field(ex.div(num, den), UV)(*loop))) / (2.0 * math.pi)
         k = round(deg)
         if abs(deg - k) > gap:
             raise WindingError(
@@ -207,15 +205,6 @@ class ReturnMap:
         return abs(self.lift(self.ts[0] + 1.0) - self.lift(self.ts[0]) - 1.0) < tol
 
 
-def _crossing_sign(F: Foliation2, axis: str, n: int = 192, tol: float = 1e-6):
-    """Sign of the transverse component over the whole torus, or None if it
-    vanishes somewhere (no global return map in that direction)."""
-    comp = torus_samples(F.V1 if axis == "u" else F.V2, n)
-    if np.min(np.abs(comp)) <= tol or np.min(comp) * np.max(comp) < 0:
-        return None
-    return 1 if comp.flat[0] > 0 else -1
-
-
 def return_map(
     F: Foliation2,
     transversal: Transversal,
@@ -224,12 +213,13 @@ def return_map(
 ) -> ReturnMap:
     """First-return map of the foliation on an axis circle, tabulated by
     integrating the leaves across one fundamental strip."""
-    sign = _crossing_sign(F, transversal.axis)
-    if sign is None:
+    comp = torus_samples(F.V1 if transversal.axis == "u" else F.V2, 192)
+    if np.min(np.abs(comp)) <= 1e-6 or np.min(comp) * np.max(comp) < 0:
         raise TransversalError(
             f"field is tangent to circles {transversal.axis} = const somewhere; "
             "the foliation carries Reeb bands in this direction"
         )
+    sign = 1 if comp.flat[0] > 0 else -1
     if transversal.axis == "u":  # dy/dx along the leaf, x = u
         slope = compile_field(ex.div(F.V2, F.V1), ("u", "v"))
     else:  # x = v
@@ -328,10 +318,7 @@ def _axis_leaves(F: Foliation2, axis: str, n_scan: int = 2048) -> list[CompactLe
 def _return_map_leaves(
     F: Foliation2, axis: str, max_period: int = 8
 ) -> list[CompactLeaf]:
-    try:
-        R = return_map(F, Transversal(axis, 0.0))
-    except TransversalError:
-        return []
+    R = return_map(F, Transversal(axis, 0.0))
     leaves = []
     seen_orbit_points: list[tuple[int, float]] = []
     ts = np.linspace(0.0, 1.0, 1025)
@@ -395,11 +382,14 @@ def compact_leaves(F: Foliation2, max_period: int = 8) -> list[CompactLeaf]:
     """All compact leaves, from two detectors: axis-parallel circles where the
     transverse component vanishes, and periodic points of the return maps."""
     leaves = list(_axis_leaves(F, "u")) + list(_axis_leaves(F, "v"))
-    if _crossing_sign(F, "u") is not None:
-        # no vertical tangencies: every compact leaf crosses a u-transversal
-        leaves += _return_map_leaves(F, "u", max_period)
-    elif _crossing_sign(F, "v") is not None:
-        leaves += _return_map_leaves(F, "v", max_period)
+    for axis in ("u", "v"):
+        # return_map refuses a field tangent to the circles axis = const; a
+        # field crossing them all has every compact leaf cross the transversal
+        try:
+            leaves += _return_map_leaves(F, axis, max_period)
+            break
+        except TransversalError:
+            pass
     uniq: list[CompactLeaf] = []
     for leaf in leaves:
         # both detectors report an axis-parallel leaf, at the same point
@@ -531,31 +521,36 @@ def cone_separation(
     """Search for two constant directions each transverse to both fields at
     every grid point; None when no candidate pair works at this bound.
 
-    A candidate direction at angle a is transverse to a field direction at
-    angle t iff |sin(a - t)| > tol, so the grid check reduces to an angular
-    distance query against the sorted set of sampled field angles.
+    The torus is connected, so a field's line directions (mod pi) fill one
+    arc of the circle of directions.  Unwrapping the sampled angles along
+    each grid row, then along the first column, lifts them continuously;
+    [lo, hi] of the lift is the arc.  A candidate at angle a is transverse
+    to every direction t of the arc (|sin(a - t)| > tol) iff a lies more
+    than asin(tol) outside [lo, hi] mod pi, so nothing clears once
+    hi - lo + 2 asin(tol) >= pi.  The lift needs a grid that resolves the
+    field: if neighbouring samples turn by more than pi/4, no pair is
+    certified.
     """
     _check_transverse_pair(F, G)
-    fine, coarse = 4 * search.grid_n, max(search.grid_n // 4, 16)
-    angles = []
+    n, margin = search.grid_n, math.asin(min(1.0, search.tol))
+    arcs = []
     for H in (F, G):
-        for n, m in ((fine, coarse), (coarse, fine)):
-            v1, v2 = torus_samples(H.V1, n, m), torus_samples(H.V2, n, m)
-            angles.append(np.arctan2(v2, v1).ravel() % math.pi)
-    thetas = np.sort(np.concatenate(angles))
-    gap_margin = math.asin(min(1.0, search.tol))
-
-    def clear(alpha: float) -> bool:
-        alpha %= math.pi
-        i = int(np.searchsorted(thetas, alpha))
-        below = thetas[i - 1] if i > 0 else thetas[-1] - math.pi
-        above = thetas[i] if i < len(thetas) else thetas[0] + math.pi
-        return min(alpha - below, above - alpha) > gap_margin
-
-    good = []
-    for d in _candidate_directions(search.max_denominator):
-        if clear(math.atan2(d[1], d[0])):
-            good.append(d)
-            if len(good) == 2:
-                return good[0], good[1]
-    return None
+        # line directions in half-turns; steps between all neighbours, across
+        # the seams too, each split into whole half-turns and a rest
+        turns = np.arctan2(torus_samples(H.V2, n), torus_samples(H.V1, n)) / math.pi
+        du = np.diff(turns, axis=0, append=turns[:1])
+        dv = np.diff(turns, axis=1, append=turns[:, :1])
+        ku, kv = np.rint(du), np.rint(dv)
+        if max(np.max(np.abs(du - ku)), np.max(np.abs(dv - kv))) > 0.25:
+            return None
+        turns[:, 1:] -= np.cumsum(kv[:, :-1], axis=1)  # unwrap each row,
+        turns[1:] -= np.cumsum(ku[:-1, :1], axis=0)  # then the first column
+        arcs.append((math.pi * turns.min(), math.pi * turns.max()))
+    good = [
+        d for d in _candidate_directions(search.max_denominator)
+        if all(
+            margin < (math.atan2(d[1], d[0]) - hi) % math.pi < math.pi - (hi - lo) - margin
+            for lo, hi in arcs
+        )
+    ]
+    return (good[0], good[1]) if len(good) >= 2 else None

@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import AllabError
 from . import expr as ex
 from .expr import Expr, ZERO, compile_field, diff, substitute, zadd, zmul, zneg, zsub
 
@@ -23,7 +24,7 @@ SXYZ = ("s", "x", "y", "z")
 UV = ("u", "v")
 
 
-class GeomError(Exception):
+class GeomError(AllabError):
     pass
 
 

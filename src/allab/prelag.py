@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import AllabError
 from . import expr as ex
 from .expr import Const, Expr
 from .anosov import FlowModel, weak_foliations_on_torus
@@ -41,7 +42,7 @@ from .geom import (
 )
 
 
-class PreLagError(Exception):
+class PreLagError(AllabError):
     pass
 
 
@@ -341,45 +342,36 @@ def pre_lagrangian_certificate(
         raise PreLagError("need either an ambient model or a foliation pair")
 
     obst = obstruction_test(F_ws, F_wu)
+    common = dict(obstruction=obst, scale_C=scale_C)
     if obst.verdict == "obstructed":
         return PreLagReport(
             outcome="not_attempted",
             diagnostics=(
                 "nontrivial loop winding: no restricted combination can be closed",
             ),
-            obstruction=obst,
-            scale_C=scale_C,
+            **common,
         )
 
     par = parallel_compact_leaves(F_ws, F_wu)
-    cone = cone_separation(F_ws, F_wu, slope_search)
+    common.update(
+        parallel_verdict=par.verdict,
+        cone_pair=cone_separation(F_ws, F_wu, slope_search),
+    )
     if par.parallel:
         return PreLagReport(
             outcome="failed",
             diagnostics=(
                 "parallel compact leaves: the scaling construction hypothesis fails",
             ),
-            obstruction=obst,
-            parallel_verdict=par.verdict,
-            cone_pair=cone,
-            scale_C=scale_C,
+            **common,
         )
     if model is None:
         return PreLagReport(
             outcome="not_attempted",
             diagnostics=("foliation data only: no ambient pair to rebuild",),
-            obstruction=obst,
-            parallel_verdict=par.verdict,
-            cone_pair=cone,
-            scale_C=scale_C,
+            **common,
         )
 
-    common = dict(
-        obstruction=obst,
-        parallel_verdict=par.verdict,
-        cone_pair=cone,
-        scale_C=scale_C,
-    )
     a = restrict(model.alpha_u, sigma)
     b = restrict(model.alpha_s, sigma)
     sol = scaling_solve(a, b, n=solver_n, tol=tol)
@@ -409,7 +401,7 @@ def pre_lagrangian_certificate(
     try:
         ext_u = _collar_extension(Const(f0), r_u, delta, eps)
         ext_s = _collar_extension(Const(1.0 / g0), ex.zneg(r_s), delta, eps)
-    except Exception as e:
+    except AllabError as e:
         return PreLagReport(
             outcome="failed",
             diagnostics=(f"collar extension failed: {e}",),

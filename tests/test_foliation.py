@@ -334,3 +334,26 @@ def test_cone_separation_fails_with_parallel_leaves():
     F, G = library.franks_williams_pair()
     for bound in (10, 50):
         assert cone_separation(F, G, SlopeSearch(max_denominator=bound)) is None
+
+
+def _quarter_turn_pair(angle):
+    """F at the given angle and G a quarter turn ahead of it."""
+    F = Foliation2(parse_expr(f"cos({angle})"), parse_expr(f"sin({angle})"))
+    G = Foliation2(parse_expr(f"-sin({angle})"), parse_expr(f"cos({angle})"))
+    return F, G
+
+
+def test_cone_separation_none_for_a_field_with_every_direction():
+    # the sampled angles of this Reeb band leave gaps wider than the
+    # clearance, but its line directions fill the whole circle
+    F, G = _quarter_turn_pair("pi/2 + 1.16283*pi*sin(4*pi*u)")
+    assert cone_separation(F, G) is None
+
+
+@pytest.mark.parametrize("angle", ["300*sin(2*pi*u)", "0.5*sin(1000*pi*u)"])
+def test_cone_separation_none_for_an_unresolved_field(angle):
+    # neighbouring grid samples turn by more than pi/4, so the grid cannot
+    # tell the arc of directions; the second field's samples span only
+    # [-0.5, 0.5], and only the resolution guard refuses it
+    F, G = _quarter_turn_pair(angle)
+    assert cone_separation(F, G) is None

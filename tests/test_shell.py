@@ -161,6 +161,15 @@ def test_all_on_a_single_foliation_skips_the_pair_stage(tmp_path, capsys):
     assert "needs a partner foliation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
+def test_all_renders_the_same_svg_as_render(tmp_path, name):
+    cfg = load_config(cfg_path(name))
+    run(cfg, "all", str(tmp_path / "all"))
+    run(cfg, "render", str(tmp_path / "render"))
+    svg = [(tmp_path / d / cfg.svg_name).read_bytes() for d in ("all", "render")]
+    assert svg[0] == svg[1]
+
+
 def test_report_schema_round_trip(tmp_path):
     cfg = load_config(cfg_path("two-reeb-band.cfg"))
     _, report = run(cfg, "foliation", str(tmp_path))
@@ -194,6 +203,24 @@ def test_main_missing_config_is_tool_error(tmp_path, capsys):
     code = main(["foliation", "--config", str(tmp_path / "nope.cfg")])
     assert code == 1
     assert "allab:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[model]\ntype = suspension\nmatrix = 1 1 1 1\n",
+        "[foliation]\nsource = field\nv1 = 0\nv2 = 0\n",
+        "[foliation]\nsource = field\nv1 = 1\nv2 = u\n",
+    ],
+    ids=["degenerate-matrix", "vanishing-field", "non-periodic-field"],
+)
+def test_main_reports_input_errors_in_one_line(tmp_path, capsys, text):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert main(["all", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("allab: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_main_rejects_bad_override(tmp_path, capsys):
