@@ -19,7 +19,7 @@ from scipy.interpolate import PchipInterpolator
 
 from . import AllabError
 from . import expr as ex
-from .expr import Expr, ZERO, compile_field, diff
+from .expr import Expr, ZERO, compile_field
 from .geom import DifferentialForm, UV, exterior_derivative, torus_samples
 
 
@@ -28,7 +28,7 @@ class FoliationError(AllabError):
 
 
 class WindingError(FoliationError):
-    """The turning integral did not land close enough to an integer."""
+    """The loop samples do not resolve the field's direction."""
 
 
 class TransversalError(FoliationError):
@@ -89,26 +89,46 @@ def constant_slope(rho: float, name: str = "") -> Foliation2:
 # ---------------------------------------------------------------------------
 # winding
 
-# nodes of the periodic trapezoidal rule on each loop: the turning integrand
-# is smooth and 1-periodic, so the rule converges geometrically
-_WINDING_NODES = 1024
+# node counts on each loop, from the fewest: winding reads each loop on the
+# first count that resolves the field there
+_WINDING_NODES = tuple(1024 * 4**i for i in range(6))  # up to 2^20
 
 
-def winding(F: Foliation2, gap: float = 0.3) -> tuple[int, int]:
-    """Degrees of V/|V| along the loops v = 0 and u = 0, from the turning
-    form (V1 dV2 - V2 dV1)/|V|^2."""
-    t = np.arange(_WINDING_NODES) / _WINDING_NODES
-    den = ex.add(ex.mul(F.V1, F.V1), ex.mul(F.V2, F.V2))
+def _whole_turns(angle: np.ndarray) -> list[np.ndarray] | None:
+    """For each axis of sampled field angles (from arctan2), the whole turns
+    in each step to the next sample (the last sample steps back to the
+    first).  Taking those off leaves each step's turn, and so a continuous
+    lift of the angle, when the samples resolve the field: None when a step
+    still turns by more than pi/4."""
+    whole = []
+    for axis in range(angle.ndim):
+        step = np.diff(angle, axis=axis, append=np.take(angle, [0], axis=axis))
+        k = np.rint(step / (2.0 * math.pi))
+        if np.max(np.abs(step - 2.0 * math.pi * k)) > math.pi / 4:
+            return None
+        whole.append(k)
+    return whole
+
+
+def winding(F: Foliation2) -> tuple[int, int]:
+    """Degrees of V/|V| along the loops v = 0 and u = 0.  Around a loop the
+    steps add up to zero, so its net turn is minus the whole turns taken off
+    them: an exact integer once no step between neighbours turns by more
+    than pi/4."""
+    f1, f2 = compile_field(F.V1, UV), compile_field(F.V2, UV)
     out = []
-    for along, loop in (("u", (t, 0.0)), ("v", (0.0, t))):
-        num = ex.zsub(ex.zmul(F.V1, diff(F.V2, along)), ex.zmul(F.V2, diff(F.V1, along)))
-        deg = float(np.mean(compile_field(ex.div(num, den), UV)(*loop))) / (2.0 * math.pi)
-        k = round(deg)
-        if abs(deg - k) > gap:
+    for along in ("u", "v"):
+        for n in _WINDING_NODES:
+            t = np.arange(n) / n
+            u, v = (t, 0.0) if along == "u" else (0.0, t)
+            if (whole := _whole_turns(np.arctan2(f2(u, v), f1(u, v)))) is not None:
+                out.append(-int(whole[0].sum()))
+                break
+        else:
             raise WindingError(
-                f"turning integral {deg:.4f} is not within {gap} of an integer"
+                f"the field turns by more than pi/4 between neighbouring "
+                f"nodes of {n} on the loop along {along}"
             )
-        out.append(int(k))
     return out[0], out[1]
 
 
@@ -522,11 +542,11 @@ def cone_separation(
     every grid point; None when no candidate pair works at this bound.
 
     The torus is connected, so a field's line directions (mod pi) fill one
-    arc of the circle of directions.  Unwrapping the sampled angles along
-    each grid row, then along the first column, lifts them continuously;
-    [lo, hi] of the lift is the arc.  A candidate at angle a is transverse
-    to every direction t of the arc (|sin(a - t)| > tol) iff a lies more
-    than asin(tol) outside [lo, hi] mod pi, so nothing clears once
+    arc of the circle of directions.  Lifting the sampled angles along each
+    grid row, then along the first column, makes them continuous; [lo, hi]
+    of the lift is the arc.  A candidate at angle a is transverse to every
+    direction t of the arc (|sin(a - t)| > tol) iff a lies more than
+    asin(tol) outside [lo, hi] mod pi, so nothing clears once
     hi - lo + 2 asin(tol) >= pi.  The lift needs a grid that resolves the
     field: if neighbouring samples turn by more than pi/4, no pair is
     certified.
@@ -535,17 +555,14 @@ def cone_separation(
     n, margin = search.grid_n, math.asin(min(1.0, search.tol))
     arcs = []
     for H in (F, G):
-        # line directions in half-turns; steps between all neighbours, across
-        # the seams too, each split into whole half-turns and a rest
-        turns = np.arctan2(torus_samples(H.V2, n), torus_samples(H.V1, n)) / math.pi
-        du = np.diff(turns, axis=0, append=turns[:1])
-        dv = np.diff(turns, axis=1, append=turns[:, :1])
-        ku, kv = np.rint(du), np.rint(dv)
-        if max(np.max(np.abs(du - ku)), np.max(np.abs(dv - kv))) > 0.25:
+        angle = np.arctan2(torus_samples(H.V2, n), torus_samples(H.V1, n))
+        if (whole := _whole_turns(angle)) is None:
             return None
-        turns[:, 1:] -= np.cumsum(kv[:, :-1], axis=1)  # unwrap each row,
-        turns[1:] -= np.cumsum(ku[:-1, :1], axis=0)  # then the first column
-        arcs.append((math.pi * turns.min(), math.pi * turns.max()))
+        ku, kv = whole
+        # lift each row, then the first column
+        angle[:, 1:] -= 2.0 * math.pi * np.cumsum(kv[:, :-1], axis=1)
+        angle[1:] -= 2.0 * math.pi * np.cumsum(ku[:-1, :1], axis=0)
+        arcs.append((float(angle.min()), float(angle.max())))
     good = [
         d for d in _candidate_directions(search.max_denominator)
         if all(

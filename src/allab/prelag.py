@@ -343,13 +343,14 @@ def pre_lagrangian_certificate(
 
     obst = obstruction_test(F_ws, F_wu)
     common = dict(obstruction=obst, scale_C=scale_C)
+
+    def stop(outcome: str, why: str) -> PreLagReport:
+        return PreLagReport(outcome=outcome, diagnostics=(why,), **common)
+
     if obst.verdict == "obstructed":
-        return PreLagReport(
-            outcome="not_attempted",
-            diagnostics=(
-                "nontrivial loop winding: no restricted combination can be closed",
-            ),
-            **common,
+        return stop(
+            "not_attempted",
+            "nontrivial loop winding: no restricted combination can be closed",
         )
 
     par = parallel_compact_leaves(F_ws, F_wu)
@@ -358,40 +359,23 @@ def pre_lagrangian_certificate(
         cone_pair=cone_separation(F_ws, F_wu, slope_search),
     )
     if par.parallel:
-        return PreLagReport(
-            outcome="failed",
-            diagnostics=(
-                "parallel compact leaves: the scaling construction hypothesis fails",
-            ),
-            **common,
+        return stop(
+            "failed", "parallel compact leaves: the scaling construction hypothesis fails"
         )
     if model is None:
-        return PreLagReport(
-            outcome="not_attempted",
-            diagnostics=("foliation data only: no ambient pair to rebuild",),
-            **common,
-        )
+        return stop("not_attempted", "foliation data only: no ambient pair to rebuild")
 
     a = restrict(model.alpha_u, sigma)
     b = restrict(model.alpha_s, sigma)
     sol = scaling_solve(a, b, n=solver_n, tol=tol)
     common["scaling"] = sol
     if not sol.success:
-        return PreLagReport(
-            outcome="failed",
-            diagnostics=(
-                f"scaling solve stalled at residual {sol.residual:.2e}",
-            ),
-            **common,
-        )
+        return stop("failed", f"scaling solve stalled at residual {sol.residual:.2e}")
     if float(sol.log_f.std()) > 1e-8 or float(sol.log_g.std()) > 1e-8:
-        return PreLagReport(
-            outcome="failed",
-            diagnostics=(
-                "nonconstant scalings: collar data computed but the global "
-                "reassembly is limited to constant solutions",
-            ),
-            **common,
+        return stop(
+            "failed",
+            "nonconstant scalings: collar data computed but the global "
+            "reassembly is limited to constant solutions",
         )
     f0 = math.exp(float(np.mean(sol.log_f)))
     g0 = math.exp(float(np.mean(sol.log_g)))
@@ -402,11 +386,7 @@ def pre_lagrangian_certificate(
         ext_u = _collar_extension(Const(f0), r_u, delta, eps)
         ext_s = _collar_extension(Const(1.0 / g0), ex.zneg(r_s), delta, eps)
     except AllabError as e:
-        return PreLagReport(
-            outcome="failed",
-            diagnostics=(f"collar extension failed: {e}",),
-            **common,
-        )
+        return stop("failed", f"collar extension failed: {e}")
     common["extension_u"] = ExtensionSummary(
         ext_u.delta, ext_u.eps, ext_u.c_lo, ext_u.c_hi, ext_u.positivity_margin()
     )
@@ -414,11 +394,7 @@ def pre_lagrangian_certificate(
         ext_s.delta, ext_s.eps, ext_s.c_lo, ext_s.c_hi, ext_s.positivity_margin()
     )
     if common["extension_u"].margin <= 0 or common["extension_s"].margin <= 0:
-        return PreLagReport(
-            outcome="failed",
-            diagnostics=("collar extension margin is not positive",),
-            **common,
-        )
+        return stop("failed", "collar extension margin is not positive")
 
     alpha_u = model.alpha_u.scale(ex.const(f0))
     alpha_s = model.alpha_s.scale(ex.const(g0))
@@ -431,9 +407,7 @@ def pre_lagrangian_certificate(
     try:
         perturbed = perturb_pair(pair, beta, sigma)
     except PerturbationError as e:
-        return PreLagReport(
-            outcome="failed", diagnostics=(f"collar perturbation failed: {e}",), **common
-        )
+        return stop("failed", f"collar perturbation failed: {e}")
     final_pair = perturbed.pair
 
     final_al = al_check(final_pair, n=grid_n)

@@ -15,6 +15,7 @@ from allab.foliation import (
     SlopeSearch,
     Transversal,
     TransversalError,
+    WindingError,
     compact_leaves,
     cone_separation,
     constant_slope,
@@ -91,6 +92,20 @@ def test_winding_trivial_under_torus_maps():
         }
         G = Foliation2(substitute(V1, sub), substitute(V2, sub))
         assert winding(G) == (0, 0)
+
+
+@pytest.mark.parametrize("a, degree", [(1.0007, (0, 0)), (0.9993, (1, 0))])
+def test_winding_near_a_zero(a, degree):
+    # |V| dips to |a - 1| at u = 1/2, where the direction turns by about pi
+    # within 1e-4 of u: more nodes resolve it
+    F = Foliation2(parse_expr(f"{a} + cos(2*pi*u)"), parse_expr("sin(2*pi*u)"))
+    assert winding(F) == degree
+
+
+def test_winding_refuses_an_unresolved_field():
+    F = Foliation2(parse_expr("1.00000001 + cos(2*pi*u)"), parse_expr("sin(2*pi*u)"))
+    with pytest.raises(WindingError, match="pi/4"):
+        winding(F)
 
 
 def test_winding_of_closed_form_foliations():
@@ -343,17 +358,19 @@ def _quarter_turn_pair(angle):
     return F, G
 
 
-def test_cone_separation_none_for_a_field_with_every_direction():
-    # the sampled angles of this Reeb band leave gaps wider than the
-    # clearance, but its line directions fill the whole circle
-    F, G = _quarter_turn_pair("pi/2 + 1.16283*pi*sin(4*pi*u)")
-    assert cone_separation(F, G) is None
-
-
-@pytest.mark.parametrize("angle", ["300*sin(2*pi*u)", "0.5*sin(1000*pi*u)"])
-def test_cone_separation_none_for_an_unresolved_field(angle):
-    # neighbouring grid samples turn by more than pi/4, so the grid cannot
-    # tell the arc of directions; the second field's samples span only
-    # [-0.5, 0.5], and only the resolution guard refuses it
+@pytest.mark.parametrize(
+    "angle",
+    [
+        # the sampled angles of this Reeb band leave gaps wider than the
+        # clearance, but its line directions fill the whole circle
+        pytest.param("pi/2 + 1.16283*pi*sin(4*pi*u)", id="every-direction"),
+        # neighbouring grid samples turn by more than pi/4, so the grid cannot
+        # tell the arc of directions; the second field's samples span only
+        # [-0.5, 0.5], and only the resolution guard refuses it
+        pytest.param("300*sin(2*pi*u)", id="unresolved"),
+        pytest.param("0.5*sin(1000*pi*u)", id="unresolved-narrow-samples"),
+    ],
+)
+def test_cone_separation_none(angle):
     F, G = _quarter_turn_pair(angle)
     assert cone_separation(F, G) is None
