@@ -96,8 +96,8 @@ def test_winding_trivial_under_torus_maps():
 
 @pytest.mark.parametrize("a, degree", [(1.0007, (0, 0)), (0.9993, (1, 0))])
 def test_winding_near_a_zero(a, degree):
-    # |V| dips to |a - 1| at u = 1/2, where the direction turns by about pi
-    # within 1e-4 of u: more nodes resolve it
+    # |V| dips to |a - 1| at u = 1/2, and the direction turns by about pi
+    # within 2e-4 of it: only more than 1024 nodes resolve that
     F = Foliation2(parse_expr(f"{a} + cos(2*pi*u)"), parse_expr("sin(2*pi*u)"))
     assert winding(F) == degree
 
