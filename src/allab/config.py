@@ -105,7 +105,7 @@ def load_config(path: str) -> RunConfig:
             violations.append(f"{section}.{key}: must be positive, got {v}")
         return v
 
-    def get_int(section, key, default, positive=True):
+    def get_int(section, key, default):  # a positive integer
         raw = get(section, key)
         if raw is None:
             return default
@@ -114,7 +114,7 @@ def load_config(path: str) -> RunConfig:
         except ValueError:
             violations.append(f"{section}.{key}: not an integer: {raw!r}")
             return default
-        if positive and v <= 0:
+        if v <= 0:
             violations.append(f"{section}.{key}: must be positive, got {v}")
         return v
 

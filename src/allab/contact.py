@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -109,7 +108,6 @@ def al_check(
     *,
     n: int = 48,
     points: np.ndarray | None = None,
-    tol: float = 1e-9,
 ) -> ALReport:
     """Pointwise Anosov-Liouville test through the contact volumes.
 
@@ -129,6 +127,7 @@ def al_check(
     f_minus = -_coeff_values(wm, pts) / vol_vals
     f_zero = _coeff_values(w0, pts) / vol_vals
     disc = 4.0 * f_plus * f_minus - f_zero**2
+    tol = 1e-9
     if f_plus.min() > tol and f_minus.min() > tol and disc.min() > tol:
         verdict = "anosov_liouville"
     elif (
@@ -158,13 +157,6 @@ class LiouvilleReport:
     argmin: tuple[float, float, float, float]  # (s, x, y, z)
     passed: bool
 
-    def to_dict(self):
-        return {
-            "min_value": self.min_value,
-            "argmin": list(self.argmin),
-            "passed": self.passed,
-        }
-
 
 def _lift(form3: DifferentialForm) -> DifferentialForm:
     shifted = {
@@ -173,28 +165,20 @@ def _lift(form3: DifferentialForm) -> DifferentialForm:
     return DifferentialForm(SXYZ, form3.degree, shifted)
 
 
-def liouville_direct_check(
-    pair: FormPair,
-    s_samples: Sequence[float] = tuple(np.linspace(-3, 3, 13)),
-    *,
-    n: int = 16,
-    points: np.ndarray | None = None,
-    vol: DifferentialForm | None = None,
-) -> LiouvilleReport:
+def liouville_direct_check(pair: FormPair, *, n: int = 16) -> LiouvilleReport:
     """Builds lambda = e^s a_+ + e^-s a_- and checks d(lambda)^2 > 0 against
-    ds ^ dvol on the sampled cylinder."""
-    vol = vol if vol is not None else volume_form()
-    pts = points if points is not None else pair.grid(n)
+    ds ^ dvol on the sampled cylinder, at 13 levels of s in [-3, 3]."""
+    pts = pair.grid(n)
     es = ex.func("exp", ex.var("s"))
     ems = ex.func("exp", ex.zneg(ex.var("s")))
     lam = _lift(pair.plus).scale(es) + _lift(pair.minus).scale(ems)
     dlam = exterior_derivative(lam)
     top = wedge(dlam, dlam)
     fn = compile_field(top.coeff((0, 1, 2, 3)), SXYZ)
-    vol_vals = _coeff_values(vol, pts)
+    vol_vals = _coeff_values(volume_form(), pts)
     best = math.inf
     arg = (0.0, 0.0, 0.0, 0.0)
-    for s in s_samples:
+    for s in np.linspace(-3, 3, 13):
         vals = fn(float(s), pts[:, 0], pts[:, 1], pts[:, 2]) / vol_vals
         i = int(np.argmin(vals))
         if vals[i] < best:
@@ -207,12 +191,6 @@ def liouville_direct_check(
 # perturbation supported in a collar around a transverse torus
 
 @dataclass(frozen=True)
-class CollarProfile:
-    halfwidth: float = 0.15
-    c1_threshold: float = 1e-2
-
-
-@dataclass(frozen=True)
 class PerturbResult:
     pair: FormPair
     changed: bool
@@ -222,14 +200,14 @@ class PerturbResult:
     warnings: tuple[str, ...] = ()
 
 
-def _curl_residual(beta: DifferentialForm, n: int = 64) -> float:
+def _curl_residual(beta: DifferentialForm) -> float:
     c = exterior_derivative(beta).coeff((0, 1))
-    return float(np.max(np.abs(torus_samples(c, n))))
+    return float(np.max(np.abs(torus_samples(c, 64))))
 
 
-def _c1_norm(beta: DifferentialForm, n: int = 64) -> float:
+def _c1_norm(beta: DifferentialForm) -> float:
     return max(
-        (float(np.max(np.abs(torus_samples(e, n))))
+        (float(np.max(np.abs(torus_samples(e, 64))))
          for c in beta.coeffs.values() for e in (c, diff(c, "u"), diff(c, "v"))),
         default=0.0,
     )
@@ -241,20 +219,15 @@ def quintic_bump(t: Expr) -> Expr:
 
 
 def perturb_pair(
-    pair: FormPair,
-    beta_target: DifferentialForm,
-    sigma: TorusEmbedding,
-    collar: CollarProfile = CollarProfile(),
-    *,
-    n_check: int = 24,
-    closed_tol: float = 1e-9,
+    pair: FormPair, beta_target: DifferentialForm, sigma: TorusEmbedding
 ) -> PerturbResult:
     """Adds the same collar-supported 1-form to both members of the pair so
-    that the restricted sum becomes exactly ``beta_target`` on the torus."""
+    that the restricted sum becomes exactly ``beta_target`` on the torus;
+    the collar has half-width 0.15 in z."""
     if beta_target.coords != UV or beta_target.degree != 1:
         raise ContactError("perturbation target must be a 1-form on the torus")
     res = _curl_residual(beta_target)
-    if res >= closed_tol:
+    if res >= 1e-9:
         raise PerturbationError(
             f"perturbation target is not closed (curl residual {res:.2e})"
         )
@@ -272,10 +245,9 @@ def perturb_pair(
 
     warnings = []
     c1 = _c1_norm(sigma_form)
-    if c1 > collar.c1_threshold:
+    if c1 > 1e-2:
         warnings.append(
-            f"perturbation C1 norm {c1:.3e} exceeds the smallness "
-            f"threshold {collar.c1_threshold:.1e}"
+            f"perturbation C1 norm {c1:.3e} exceeds the smallness threshold 1.0e-02"
         )
 
     e1, e2 = np.array(sigma.e1), np.array(sigma.e2)
@@ -296,7 +268,7 @@ def perturb_pair(
     sv = substitute(sigma_form.coeff((1,)), {"u": u_of, "v": v_of})
     A = ex.zadd(ex.zmul(ex.const(Einv[0, 0]), su), ex.zmul(ex.const(Einv[1, 0]), sv))
     B = ex.zadd(ex.zmul(ex.const(Einv[0, 1]), su), ex.zmul(ex.const(Einv[1, 1]), sv))
-    t = ex.div(ex.sub(ex.var("z"), ex.const(bz)), ex.const(collar.halfwidth))
+    t = ex.div(ex.sub(ex.var("z"), ex.const(bz)), ex.const(0.15))
     bump = quintic_bump(t)
     ambient = one_form(XYZ, ex.zmul(bump, A), ex.zmul(bump, B), ZERO)
 
@@ -311,7 +283,7 @@ def perturb_pair(
         raise PerturbationError(
             f"restricted sum misses the target (residual {resid:.2e})"
         )
-    report = al_check(new_pair, n=n_check)
+    report = al_check(new_pair, n=24)
     if report.verdict != "anosov_liouville":
         raise PerturbationError(
             "AL check failed after perturbation "
@@ -370,8 +342,6 @@ def extend_scaling(
     eps: float,
     c: float,
     C: float,
-    *,
-    grid_n: int = 48,
 ) -> ScalingExtension:
     """Extends a positive scaling f on the torus to the collar so that the
     logarithmic derivative along the flow stays above -r.
@@ -385,6 +355,7 @@ def extend_scaling(
         raise ContactError("collar radii must satisfy 0 < eps < delta")
     if c <= 0 or C <= 0:
         raise ContactError("plateau constants must be positive")
+    grid_n = 48
     f_vals, r_vals = torus_samples(f, grid_n), torus_samples(r, grid_n)
     if f_vals.min() <= 0:
         raise ContactError("scaling f must be positive on the torus")

@@ -82,8 +82,8 @@ class Foliation2:
         )
 
 
-def constant_slope(rho: float, name: str = "") -> Foliation2:
-    return Foliation2(ex.ONE, ex.const(float(rho)), name=name)
+def constant_slope(rho: float) -> Foliation2:
+    return Foliation2(ex.ONE, ex.const(float(rho)))
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +104,7 @@ def _whole_turns(angle: np.ndarray) -> list[np.ndarray] | None:
     for axis in range(angle.ndim):
         step = np.diff(angle, axis=axis, append=np.take(angle, [0], axis=axis))
         k = np.rint(step / (2.0 * math.pi))
-        if np.max(np.abs(step - 2.0 * math.pi * k)) > math.pi / 4:
+        if not np.max(np.abs(step - 2.0 * math.pi * k)) <= math.pi / 4:  # a NaN fails too
             return None
         whole.append(k)
     return whole
@@ -121,7 +121,10 @@ def winding(F: Foliation2) -> tuple[int, int]:
         for n in _WINDING_NODES:
             t = np.arange(n) / n
             u, v = (t, 0.0) if along == "u" else (0.0, t)
-            if (whole := _whole_turns(np.arctan2(f2(u, v), f1(u, v)))) is not None:
+            angle = np.arctan2(f2(u, v), f1(u, v))
+            if not np.isfinite(angle).all():
+                raise WindingError(f"the field is not finite on the loop along {along}")
+            if (whole := _whole_turns(angle)) is not None:
                 out.append(-int(whole[0].sum()))
                 break
         else:
@@ -199,16 +202,14 @@ class ReturnMap:
     _interp: PchipInterpolator = field(repr=False, compare=False)
 
     @staticmethod
-    def from_lift_samples(
-        ts: np.ndarray, lifts: np.ndarray, transversal: Transversal = Transversal("u")
-    ) -> "ReturnMap":
+    def from_lift_samples(ts: np.ndarray, lifts: np.ndarray) -> "ReturnMap":
         ts = np.asarray(ts, dtype=float)
         lifts = np.asarray(lifts, dtype=float)
         if np.any(np.diff(lifts) <= 0):
             raise FoliationError("return-map lift samples are not strictly monotone")
         t_ext = np.concatenate([ts, [ts[0] + 1.0]])
         y_ext = np.concatenate([lifts, [lifts[0] + 1.0]])
-        return ReturnMap(transversal, 1, ts, lifts, PchipInterpolator(t_ext, y_ext))
+        return ReturnMap(Transversal("u"), 1, ts, lifts, PchipInterpolator(t_ext, y_ext))
 
     def lift(self, t):
         t = np.asarray(t, dtype=float)
@@ -221,16 +222,11 @@ class ReturnMap:
             t = self.lift(t)
         return t
 
-    def degree_check(self, tol: float = 1e-6) -> bool:
-        return abs(self.lift(self.ts[0] + 1.0) - self.lift(self.ts[0]) - 1.0) < tol
+    def degree_check(self) -> bool:
+        return abs(self.lift(self.ts[0] + 1.0) - self.lift(self.ts[0]) - 1.0) < 1e-6
 
 
-def return_map(
-    F: Foliation2,
-    transversal: Transversal,
-    n_points: int = 1024,
-    n_steps: int = 2048,
-) -> ReturnMap:
+def return_map(F: Foliation2, transversal: Transversal) -> ReturnMap:
     """First-return map of the foliation on an axis circle, tabulated by
     integrating the leaves across one fundamental strip."""
     comp = torus_samples(F.V1 if transversal.axis == "u" else F.V2, 192)
@@ -244,8 +240,11 @@ def return_map(
         slope = compile_field(ex.div(F.V2, F.V1), ("u", "v"))
     else:  # x = v
         slope = compile_field(ex.div(F.V1, F.V2), ("v", "u"))
-    ts = np.arange(n_points) / n_points
-    y = _rk4(slope, float(transversal.value), ts, sign / float(n_steps), n_steps)
+    ts = np.arange(1024) / 1024
+    y = _rk4(slope, float(transversal.value), ts, sign / 2048.0, 2048)
+    # the checks so far compare samples, and NaN fails no comparison
+    if not (np.isfinite(comp).all() and np.isfinite(y).all()):
+        raise FoliationError("the direction field is not finite off its validation grid")
     if np.any(np.diff(y) <= 0):
         raise FoliationError("tabulated return map lost monotonicity")
     t_ext = np.concatenate([ts, [1.0]])
@@ -281,9 +280,10 @@ def _primitive(p: int, q: int) -> tuple[int, int]:
     return (p // g, q // g) if g else (p, q)
 
 
-def _axis_leaves(F: Foliation2, axis: str, n_scan: int = 2048) -> list[CompactLeaf]:
+def _axis_leaves(F: Foliation2, axis: str) -> list[CompactLeaf]:
     """Leaves parallel to an axis: circles where the transverse component
     vanishes identically."""
+    n_scan = 2048
     e_t, e_a = (F.V1, F.V2) if axis == "u" else (F.V2, F.V1)
     fn_t, fn_a = compile_field(e_t, UV), compile_field(e_a, UV)
 
@@ -335,10 +335,9 @@ def _axis_leaves(F: Foliation2, axis: str, n_scan: int = 2048) -> list[CompactLe
     return leaves
 
 
-def _return_map_leaves(
-    F: Foliation2, axis: str, max_period: int = 8
-) -> list[CompactLeaf]:
+def _return_map_leaves(F: Foliation2, axis: str) -> list[CompactLeaf]:
     R = return_map(F, Transversal(axis, 0.0))
+    max_period = 8
     leaves = []
     seen_orbit_points: list[tuple[int, float]] = []
     ts = np.linspace(0.0, 1.0, 1025)
@@ -398,30 +397,32 @@ def _cls_from_crossings(axis: str, sign: int, q: int, p: int) -> tuple[int, int]
     return _primitive(sign * p, sign * q)
 
 
-def compact_leaves(F: Foliation2, max_period: int = 8) -> list[CompactLeaf]:
+def compact_leaves(F: Foliation2) -> list[CompactLeaf]:
     """All compact leaves, from two detectors: axis-parallel circles where the
     transverse component vanishes, and periodic points of the return maps."""
-    leaves = list(_axis_leaves(F, "u")) + list(_axis_leaves(F, "v"))
+    axis_leaves = _axis_leaves(F, "u") + _axis_leaves(F, "v")
+    map_leaves = []
     for axis in ("u", "v"):
         # return_map refuses a field tangent to the circles axis = const; a
         # field crossing them all has every compact leaf cross the transversal
         try:
-            leaves += _return_map_leaves(F, axis, max_period)
+            map_leaves = _return_map_leaves(F, axis)
             break
         except TransversalError:
             pass
-    uniq: list[CompactLeaf] = []
-    for leaf in leaves:
-        # both detectors report an axis-parallel leaf, at the same point
-        if not any(_same_leaf(leaf, m) for m in uniq):
-            uniq.append(leaf)
-    return uniq
+    # the return map finds again each axis-parallel leaf that crosses its
+    # transversal; where the map is steep, the root of its tabulated lift
+    # misses the axis detector's exact point by up to a cell of the root scan
+    return axis_leaves + [
+        leaf for leaf in map_leaves if not any(_same_leaf(leaf, a) for a in axis_leaves)
+    ]
 
 
 def _same_leaf(a: CompactLeaf, b: CompactLeaf) -> bool:
     if a.cls != b.cls or a.family != b.family:
         return False
-    return a.family or max(_circle_dist(x, y) for x, y in zip(a.point, b.point)) < 1e-6
+    gap = max(_circle_dist(x, y) for x, y in zip(a.point, b.point))
+    return a.family or gap <= 1.0 / 1024
 
 
 # ---------------------------------------------------------------------------
@@ -472,16 +473,15 @@ def reeb_annuli(F: Foliation2, leaves: list[CompactLeaf] | None = None) -> list[
 # ---------------------------------------------------------------------------
 # pairs of foliations
 
-def _check_transverse_pair(F: Foliation2, G: Foliation2, n: int = 128, tol: float = 1e-9):
+def _check_transverse_pair(F: Foliation2, G: Foliation2):
     # offset grid: isolated tangency circles (shared compact leaves) should
     # not fail the check, a tangency on a band should
-    f1, f2, g1, g2 = (torus_samples(e, n, offset=0.382) for e in (F.V1, F.V2, G.V1, G.V2))
+    f1, f2, g1, g2 = (torus_samples(e, 128, offset=0.382) for e in (F.V1, F.V2, G.V1, G.V2))
     det = f1 * g2 - f2 * g1
     worst = float(np.min(np.abs(det)))
-    if worst <= tol:
-        raise FoliationError(
-            f"foliations are tangent somewhere (min |det| = {worst:.2e})"
-        )
+    if not worst > 1e-9:  # NaN refuses too
+        why = "tangent" if np.isfinite(det).all() else "not finite"
+        raise FoliationError(f"foliations are {why} somewhere (min |det| = {worst:.2e})")
 
 
 @dataclass(frozen=True)
@@ -517,7 +517,6 @@ def parallel_compact_leaves(F: Foliation2, G: Foliation2) -> ParallelLeavesVerdi
 class SlopeSearch:
     max_denominator: int = 10
     grid_n: int = 1024
-    tol: float = 4e-3
 
 
 def _candidate_directions(max_denominator: int) -> list[tuple[int, int]]:
@@ -545,14 +544,14 @@ def cone_separation(
     arc of the circle of directions.  Lifting the sampled angles along each
     grid row, then along the first column, makes them continuous; [lo, hi]
     of the lift is the arc.  A candidate at angle a is transverse to every
-    direction t of the arc (|sin(a - t)| > tol) iff a lies more than
-    asin(tol) outside [lo, hi] mod pi, so nothing clears once
-    hi - lo + 2 asin(tol) >= pi.  The lift needs a grid that resolves the
+    direction t of the arc (|sin(a - t)| > 4e-3) iff a lies more than
+    asin(4e-3) outside [lo, hi] mod pi, so nothing clears once
+    hi - lo + 2 asin(4e-3) >= pi.  The lift needs a grid that resolves the
     field: if neighbouring samples turn by more than pi/4, no pair is
     certified.
     """
     _check_transverse_pair(F, G)
-    n, margin = search.grid_n, math.asin(min(1.0, search.tol))
+    n, margin = search.grid_n, math.asin(4e-3)
     arcs = []
     for H in (F, G):
         angle = np.arctan2(torus_samples(H.V2, n), torus_samples(H.V1, n))

@@ -112,9 +112,9 @@ def one_form(coords: tuple[str, ...], *coeffs: Expr) -> DifferentialForm:
     return DifferentialForm(coords, 1, {(i,): c for i, c in enumerate(coeffs)})
 
 
-def volume_form(coords: tuple[str, ...] = XYZ) -> DifferentialForm:
-    n = len(coords)
-    return DifferentialForm(coords, n, {tuple(range(n)): ex.ONE})
+def volume_form() -> DifferentialForm:
+    """dx ^ dy ^ dz."""
+    return DifferentialForm(XYZ, 3, {(0, 1, 2): ex.ONE})
 
 
 def exterior_derivative(omega: DifferentialForm) -> DifferentialForm:
@@ -156,15 +156,16 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
 
 @dataclass(frozen=True)
 class VectorField3:
+    """A vector field over (x, y, z)."""
+
     coeffs: tuple[Expr, Expr, Expr]
-    coords: tuple[str, str, str] = XYZ
 
     def evaluate(self, point: Mapping[str, float]) -> np.ndarray:
         return np.array([ex.evaluate(c, point) for c in self.coeffs])
 
 
 def interior_product(X: VectorField3, omega: DifferentialForm) -> DifferentialForm:
-    if omega.coords != X.coords:
+    if omega.coords != XYZ:
         raise GeomError("vector field and form live over different coordinates")
     if omega.degree == 0:
         raise DegreeError("interior product of a 0-form")
@@ -237,8 +238,10 @@ class Gluing3:
         )
 
 
-def torus3(P=((1.0, 0.0), (0.0, 1.0)), nu: float = 1.0) -> Gluing3:
-    return Gluing3(P=P, D=((1.0, 0.0), (0.0, 1.0)), nu=nu, mapping_torus=False)
+def torus3() -> Gluing3:
+    """The unit cube with opposite faces identified."""
+    ident = ((1.0, 0.0), (0.0, 1.0))
+    return Gluing3(P=ident, D=ident, nu=1.0, mapping_torus=False)
 
 
 @dataclass(frozen=True)
@@ -261,16 +264,16 @@ class TorusEmbedding:
     def chart_point(self, u: float, v: float) -> np.ndarray:
         return np.array(self.base) + u * np.array(self.e1) + v * np.array(self.e2)
 
-    def check_transverse(self, X: VectorField3, n: int = 16, tol: float = 1e-9):
+    def check_transverse(self, X: VectorField3):
         normal = np.cross(self.e1, self.e2)
         normal = normal / np.linalg.norm(normal)
         worst = np.inf
-        for u in np.arange(n) / n:
-            for v in np.arange(n) / n:
+        for u in np.arange(16) / 16:
+            for v in np.arange(16) / 16:
                 p = self.chart_point(u, v)
                 Xp = X.evaluate(dict(zip(XYZ, p)))
                 worst = min(worst, abs(float(normal @ Xp)))
-        if worst <= tol:
+        if worst <= 1e-9:
             raise GeomError(f"flow not transverse to the torus (margin {worst:.2e})")
         return worst
 
@@ -286,13 +289,11 @@ def fiber_embedding(gluing: Gluing3, z: float = 0.0) -> TorusEmbedding:
     )
 
 
-def torus_samples(e: Expr, n: int, m: int | None = None, offset: float = 0.0) -> np.ndarray:
-    """Values of e(u, v) on the torus grid ((i + offset)/n, (j + offset)/m),
-    i < n, j < m, as an n x m array; m defaults to n."""
-    m = n if m is None else m
-    return compile_field(e, UV)(
-        ((np.arange(n) + offset) / n)[:, None], (np.arange(m) + offset) / m
-    )
+def torus_samples(e: Expr, n: int, offset: float = 0.0) -> np.ndarray:
+    """Values of e(u, v) on the torus grid ((i + offset)/n, (j + offset)/n),
+    i, j < n, as an n x n array."""
+    t = (np.arange(n) + offset) / n
+    return compile_field(e, UV)(t[:, None], t)
 
 
 def restrict(omega: DifferentialForm, sigma: TorusEmbedding) -> DifferentialForm:
@@ -364,7 +365,7 @@ def _pullback_residual(omega, pts, offset, jac, subs, fns):
 
 
 def check_periodicity(
-    omega: DifferentialForm, gluing: Gluing3, n: int = 12, tol: float = 1e-9
+    omega: DifferentialForm, gluing: Gluing3, n: int = 12
 ) -> PeriodicityReport:
     """Grid check of invariance under the lattice translations and, for a
     mapping torus, the deck transformation."""
@@ -394,4 +395,4 @@ def check_periodicity(
         res, pt = _pullback_residual(omega, pts, offset, jac, subs, fns)
         if res >= worst:
             worst, worst_pt, worst_name = res, pt, name
-    return PeriodicityReport(worst, worst_pt, worst_name, worst < tol)
+    return PeriodicityReport(worst, worst_pt, worst_name, worst < 1e-9)

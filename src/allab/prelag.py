@@ -125,9 +125,9 @@ def closedness_objective(a: DifferentialForm, b: DifferentialForm, n: int = 64):
     return objective
 
 
-def _truncated_series(values: np.ndarray, drop_tol: float = 1e-12) -> np.ndarray:
+def _truncated_series(values: np.ndarray) -> np.ndarray:
     """Trigonometric interpolant of grid samples, evaluated back on the grid;
-    modes below drop_tol (relative to the sup of the data) are dropped, a
+    modes below 1e-12 (relative to the sup of the data) are dropped, a
     conjugate pair by the amplitude 2|c| of its real term."""
     n = values.shape[0]
     c = np.fft.fft2(values) / (n * n)
@@ -136,7 +136,7 @@ def _truncated_series(values: np.ndarray, drop_tol: float = 1e-12) -> np.ndarray
     fixed = mirror == np.arange(n)
     amp = np.where(fixed[:, None] & fixed, 1.0, 2.0) * np.abs(c)
     scale = max(1.0, float(np.max(np.abs(values))))
-    c[amp <= drop_tol * scale] = 0.0
+    c[amp <= 1e-12 * scale] = 0.0
     return np.real(np.fft.ifft2(c)) * (n * n)
 
 
@@ -158,7 +158,6 @@ def scaling_solve(
     *,
     n: int = 64,
     tol: float = 1e-6,
-    max_iterations: int = 4000,
 ) -> ScalingSolution:
     """Minimizes the mean-square curl of e^phi a - e^gamma b over grid
     functions phi = log f, gamma = log g.
@@ -184,7 +183,7 @@ def scaling_solve(
     it = 0
     step = 1.0 / max(1.0, math.sqrt(float(np.sum(g_phi**2) + np.sum(g_gamma**2))))
     prev = None
-    while history[-1] >= tol and it < max_iterations:
+    while history[-1] >= tol and it < 4000:
         it += 1
         gnorm2 = float(np.sum(g_phi**2) + np.sum(g_gamma**2))
         if gnorm2 == 0.0:
@@ -306,10 +305,10 @@ def _restrict_scalar(r: Expr, sigma: TorusEmbedding) -> Expr:
     return restrict(DifferentialForm(XYZ, 0, {(): r}), sigma).coeff(())
 
 
-def _mean_constant_form(beta: DifferentialForm, n: int = 48) -> DifferentialForm:
+def _mean_constant_form(beta: DifferentialForm) -> DifferentialForm:
     """Constant-coefficient (hence closed) form with the grid-averaged
     coefficients of beta."""
-    coeffs = {idx: ex.const(float(np.mean(torus_samples(beta.coeff(idx), n))))
+    coeffs = {idx: ex.const(float(np.mean(torus_samples(beta.coeff(idx), 48))))
               for idx in ((0,), (1,))}
     return DifferentialForm(UV, 1, coeffs)
 
@@ -323,8 +322,6 @@ def pre_lagrangian_certificate(
     solver_n: int = 64,
     grid_n: int = 12,
     tol: float = 1e-6,
-    delta: float = 0.2,
-    eps: float = 0.1,
     slope_search: SlopeSearch = SlopeSearch(),
 ) -> PreLagReport:
     """Fail-soft pipeline: obstruction test, shared-compact-leaf analysis,
@@ -383,8 +380,8 @@ def pre_lagrangian_certificate(
     r_u = _restrict_scalar(model.r_u, sigma)
     r_s = _restrict_scalar(model.r_s, sigma)
     try:
-        ext_u = _collar_extension(Const(f0), r_u, delta, eps)
-        ext_s = _collar_extension(Const(1.0 / g0), ex.zneg(r_s), delta, eps)
+        ext_u = _collar_extension(Const(f0), r_u)
+        ext_s = _collar_extension(Const(1.0 / g0), ex.zneg(r_s))
     except AllabError as e:
         return stop("failed", f"collar extension failed: {e}")
     common["extension_u"] = ExtensionSummary(
@@ -426,9 +423,10 @@ def pre_lagrangian_certificate(
     )
 
 
-def _collar_extension(f: Expr, r: Expr, delta: float, eps: float):
+def _collar_extension(f: Expr, r: Expr):
     """Collar extension with plateau constants chosen from grid bounds with
     a factor-2 headroom."""
+    delta, eps = 0.2, 0.1
     f_vals = torus_samples(f, 24)
     s_vals = 1.0 - torus_samples(r, 24)  # inner-band exponent
     s_max = float(np.max(np.abs(s_vals)))
@@ -446,20 +444,13 @@ class GraphCheck:
     residual: float
 
 
-def check_graph_lagrangian(
-    pair: FormPair,
-    sigma: TorusEmbedding,
-    f: Expr,
-    *,
-    n: int = 64,
-    tol: float = 1e-6,
-) -> GraphCheck:
-    """Is d[(e^f alpha_+ + e^-f alpha_-)|_Sigma] below tolerance on the grid?"""
+def check_graph_lagrangian(pair: FormPair, sigma: TorusEmbedding, f: Expr) -> GraphCheck:
+    """Is d[(e^f alpha_+ + e^-f alpha_-)|_Sigma] below 1e-6 on the grid?"""
     rep = al_check(pair, n=8)
     if rep.verdict == "fail":
         raise PreLagError("pair fails the AL check")
     beta = restrict(pair.plus, sigma).scale(ex.func("exp", f)) + restrict(
         pair.minus, sigma
     ).scale(ex.func("exp", ex.zneg(f)))
-    res = _curl_residual(beta, n)
-    return GraphCheck(res < tol, res)
+    res = _curl_residual(beta)
+    return GraphCheck(res < 1e-6, res)

@@ -14,14 +14,15 @@ from .foliation import CompactLeaf, Foliation2, compact_leaves, integrate_leaf
 
 @dataclass(frozen=True)
 class RenderStyle:
-    size: int = 480
-    margin: int = 20
     seeds: int = 4
     length: float = 2.5
-    flow_color: str = "#8a8f98"
-    leaf_color: str = "#c0392b"
-    stroke: float = 1.0
-    leaf_stroke: float = 2.5
+    # class constants, not fields: no caller draws at another size or colour
+    size = 480
+    margin = 20
+    flow_color = "#8a8f98"
+    leaf_color = "#c0392b"
+    stroke = 1.0
+    leaf_stroke = 2.5
 
 
 def _wrap_segments(pts: np.ndarray) -> list[np.ndarray]:

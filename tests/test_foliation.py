@@ -108,6 +108,15 @@ def test_winding_refuses_an_unresolved_field():
         winding(F)
 
 
+def test_kernels_refuse_a_field_not_finite_off_the_validation_grid():
+    # V1 is NaN wherever cos(512 pi u) < 0.5, which no point u = i/256 meets
+    F = Foliation2(parse_expr("1 + 0*sqrt(cos(512*pi*u) - 0.5)"), parse_expr("0.3"))
+    with pytest.raises(WindingError, match="not finite"):
+        winding(F)
+    with pytest.raises(FoliationError, match="not finite"):
+        return_map(F, Transversal("u"))
+
+
 def test_winding_of_closed_form_foliations():
     for c_text in ("2*sin(2*pi*u)", "1 - cos(2*pi*u)", "0.5*sin(4*pi*u)"):
         a = one_form(UV, ex.neg(parse_expr(c_text)), ex.ONE)
@@ -266,6 +275,17 @@ def test_same_orientation_leaves_make_no_annuli():
     leaves = compact_leaves(F)
     assert sorted(l.cls for l in leaves) == [(0, 1), (0, 1)]
     assert reeb_annuli(F, leaves) == []
+
+
+def test_axis_leaf_found_by_both_detectors_is_reported_once():
+    # the return map is steep (about e^5.4) at the two repelling leaves, so
+    # the roots of its tabulated lift lie 3e-5 from their exact points
+    F = Foliation2(parse_expr("sin(2*pi*u)^2 - 0.25"), ex.ONE)
+    leaves = compact_leaves(F)
+    assert sorted(l.point[0] for l in leaves) == pytest.approx(
+        [1 / 12, 5 / 12, 7 / 12, 11 / 12], abs=1e-9
+    )
+    assert all(l.cls == (0, 1) for l in leaves)
 
 
 @pytest.mark.parametrize("eps, b", [(0.0446, 0.1209), (0.0154, 0.0825)])

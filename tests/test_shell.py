@@ -211,16 +211,20 @@ def test_main_missing_config_is_tool_error(tmp_path, capsys):
         "[model]\ntype = suspension\nmatrix = 1 1 1 1\n",
         "[foliation]\nsource = field\nv1 = 0\nv2 = 0\n",
         "[foliation]\nsource = field\nv1 = 1\nv2 = u\n",
+        # finite on the 256 validation grid only
+        "[foliation]\nsource = field\nv1 = 1 + 0*sqrt(cos(512*pi*u) - 0.5)\nv2 = 0.3\n"
+        "partner_v1 = 0.2\npartner_v2 = 1\n",
     ],
-    ids=["degenerate-matrix", "vanishing-field", "non-periodic-field"],
+    ids=["degenerate-matrix", "vanishing-field", "non-periodic-field", "nan-off-grid"],
 )
 def test_main_reports_input_errors_in_one_line(tmp_path, capsys, text):
     path = tmp_path / "bad.cfg"
     path.write_text(text)
-    assert main(["all", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("allab: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    for command in ("all", "pre-lagrangian"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("allab: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_main_rejects_bad_override(tmp_path, capsys):
