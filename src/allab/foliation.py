@@ -411,18 +411,26 @@ def compact_leaves(F: Foliation2) -> list[CompactLeaf]:
         except TransversalError:
             pass
     # the return map finds again each axis-parallel leaf that crosses its
-    # transversal; where the map is steep, the root of its tabulated lift
-    # misses the axis detector's exact point by up to a cell of the root scan
-    return axis_leaves + [
-        leaf for leaf in map_leaves if not any(_same_leaf(leaf, a) for a in axis_leaves)
-    ]
+    # transversal, a little off where the map is steep (3.2e-5 for
+    # F = (sin^2 2 pi u - 1/4, 1), whose slope there is about e^5.4).  Each
+    # axis leaf takes the nearest return-map leaf of its class within one
+    # cell of the root scan as its copy and drops it; it takes only one, so
+    # a separate leaf of that class in the same cell is still reported.
+    for a in axis_leaves:
+        gaps = [_leaf_gap(a, m) for m in map_leaves]
+        if gaps and min(gaps) <= 1.0 / 1024:
+            del map_leaves[gaps.index(min(gaps))]
+    return axis_leaves + map_leaves
 
 
-def _same_leaf(a: CompactLeaf, b: CompactLeaf) -> bool:
+def _leaf_gap(a: CompactLeaf, b: CompactLeaf) -> float:
+    """Distance between the points of two leaves that may be one leaf; inf
+    when their class or kind differs, 0 for two families."""
     if a.cls != b.cls or a.family != b.family:
-        return False
-    gap = max(_circle_dist(x, y) for x, y in zip(a.point, b.point))
-    return a.family or gap <= 1.0 / 1024
+        return math.inf
+    if a.family:
+        return 0.0
+    return max(_circle_dist(x, y) for x, y in zip(a.point, b.point))
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +524,7 @@ def parallel_compact_leaves(F: Foliation2, G: Foliation2) -> ParallelLeavesVerdi
 @dataclass(frozen=True)
 class SlopeSearch:
     max_denominator: int = 10
-    grid_n: int = 1024
+    grid_n = 1024  # a constant, not a field: no caller sets it
 
 
 def _candidate_directions(max_denominator: int) -> list[tuple[int, int]]:

@@ -288,6 +288,23 @@ def test_axis_leaf_found_by_both_detectors_is_reported_once():
     assert all(l.cls == (0, 1) for l in leaves)
 
 
+def test_separate_leaf_next_to_an_axis_leaf_is_kept():
+    # u = 0.3 and 0.8 are axis-parallel leaves; beside each, less than one
+    # cell of the return map's root scan away, lies a leaf that is not
+    # axis-parallel, in the same class
+    b = 0.3 + 0.9 / 1024
+    F = Foliation2(
+        parse_expr(f"sin(2*pi*(u - 0.3))*(sin(2*pi*(u - {b})) + 0.1*cos(2*pi*v))"),
+        ex.ONE,
+    )
+    leaves = sorted(compact_leaves(F), key=lambda l: l.point[0])
+    assert [l.point[0] for l in leaves] == pytest.approx(
+        [0.3, b, 0.8, b + 0.5], abs=2e-5
+    )
+    assert [l.point[0] for l in leaves[::2]] == pytest.approx([0.3, 0.8], abs=1e-9)
+    assert all(l.cls == (0, 1) for l in leaves)
+
+
 @pytest.mark.parametrize("eps, b", [(0.0446, 0.1209), (0.0154, 0.0825)])
 def test_exact_zero_of_the_return_map_is_a_leaf(eps, b):
     # four closed leaves v = j/4 + eps sin(2 pi u); on these inputs

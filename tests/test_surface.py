@@ -22,12 +22,6 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CALL_DIRS = ("src", "tests", "perfbench")
 
-# "Owner.name": why the value stays settable though no call sets it
-ALLOWED = {
-    "SlopeSearch.grid_n": "perfbench/tracer.py reads search.grid_n to count "
-    "the angles cone_separation samples",
-}
-
 
 def _parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -152,9 +146,5 @@ def unset_values():
 
 
 def test_every_default_is_set_by_some_call():
-    unset = [k for k in unset_values() if k.split(".", 1)[1] not in ALLOWED]
+    unset = unset_values()
     assert unset == [], "no call sets these; make them constants:\n" + "\n".join(unset)
-
-
-def test_allowlist_is_still_needed():
-    assert set(ALLOWED) <= {k.split(".", 1)[1] for k in unset_values()}
