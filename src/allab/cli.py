@@ -15,6 +15,7 @@ import tempfile
 import time
 
 import jsonschema
+import numpy as np
 
 from . import AllabError, __version__, library
 from .anosov import FlowModel, suspension_model, weak_foliations_on_torus
@@ -104,6 +105,7 @@ def _leaf_dict(leaf):
     }
 
 
+@np.errstate(all="ignore")  # a domain error gives NaN, which the kernels refuse
 def run(cfg: RunConfig, command: str, out_dir: str) -> tuple[int, dict]:
     if command not in COMMANDS:
         raise ToolError(f"unknown command {command!r}")
@@ -135,15 +137,12 @@ def run(cfg: RunConfig, command: str, out_dir: str) -> tuple[int, dict]:
 
         stage("check-pair", check_pair)
 
-    needs_foliation = {"foliation", "pre-lagrangian", "render"} & set(wants)
-    F = G = leaves = None
-    if needs_foliation:
+    if {"foliation", "pre-lagrangian", "render"} & set(wants):
         F, G = _build_foliations(cfg, model)
 
     if "foliation" in wants:
 
         def foliation():
-            nonlocal leaves
             leaves = compact_leaves(F)
             annuli = reeb_annuli(F, leaves)
             return {
@@ -197,7 +196,7 @@ def run(cfg: RunConfig, command: str, out_dir: str) -> tuple[int, dict]:
     if "render" in wants:
 
         def render():
-            svg = render_foliation(F, leaves)  # the foliation stage's, if it ran
+            svg = render_foliation(F)
             path = os.path.join(out_dir, cfg.svg_name)
             _atomic_write(path, svg)
             return {"svg": cfg.svg_name, "bytes": len(svg)}, True

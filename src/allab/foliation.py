@@ -9,13 +9,12 @@ tests used by the pre-Lagrangian pipeline.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import optimize
-from scipy.interpolate import PchipInterpolator
 
 from . import AllabError
 from . import expr as ex
@@ -183,6 +182,56 @@ def integrate_leaf(
 # ---------------------------------------------------------------------------
 # return maps
 
+_STRIP_STEPS = 256  # RK4 steps across one fundamental strip
+_NOT_FINITE = "the direction field is not finite off its validation grid"
+
+
+def _strip_flow(F: Foliation2, axis: str):
+    """The slope of the leaves over the coordinate across the circles
+    axis = const, and the sign in which the leaves cross them."""
+    comp = torus_samples(F.V1 if axis == "u" else F.V2, 192)
+    if not np.isfinite(comp).all():  # NaN fails every comparison below
+        raise FoliationError(_NOT_FINITE)
+    if np.min(np.abs(comp)) <= 1e-6 or np.min(comp) * np.max(comp) < 0:
+        raise TransversalError(
+            f"field is tangent to circles {axis} = const somewhere; "
+            "the foliation carries Reeb bands in this direction"
+        )
+    sign = 1 if comp.flat[0] > 0 else -1
+    if axis == "u":  # dy/dx along the leaf, x = u
+        return compile_field(ex.div(F.V2, F.V1), ("u", "v")), sign
+    return compile_field(ex.div(F.V1, F.V2), ("v", "u")), sign  # x = v
+
+
+def _lifts(flow, x0: float, ts, q: int) -> np.ndarray:
+    """lift^k(ts) for k = 1..q, as a (q, ...) array: the leaves through the
+    points ts of the circle x = x0, integrated across q fundamental strips."""
+    slope, sign = flow
+    out = np.empty((q,) + np.shape(ts))
+    for k in range(q):
+        y = out[k - 1] if k else ts
+        out[k] = _rk4(slope, x0 + sign * k, y, sign / _STRIP_STEPS, _STRIP_STEPS)
+    if not np.isfinite(out).all():
+        raise FoliationError(_NOT_FINITE)
+    return out
+
+
+def _refine(f, lo, hi, flo, fhi) -> np.ndarray:
+    """Roots of f in the brackets [lo, hi], where f takes the values flo and fhi
+    of opposite signs, all at once, by the Illinois method: regula falsi that
+    halves the value at a stale end.  A pair of ends of one sign comes back as hi."""
+    for _ in range(100):
+        live = (flo * fhi <= 0) & (fhi != 0) & (np.abs(hi - lo) > 1e-14)
+        if not live.any():
+            break
+        x = np.where(live, hi - fhi * (hi - lo) / np.where(live, fhi - flo, 1.0), hi)
+        fx = f(x)
+        flip = fx * fhi < 0
+        lo, flo = np.where(flip, hi, lo), np.where(flip, fhi, 0.5 * flo)
+        hi, fhi = x, fx
+    return hi
+
+
 @dataclass(frozen=True)
 class Transversal:
     axis: str  # "u" (circle u = value, parameterized by v) or "v"
@@ -195,32 +244,21 @@ class Transversal:
 
 @dataclass(frozen=True)
 class ReturnMap:
-    transversal: Transversal
-    direction: int  # sign of the crossing component
     ts: np.ndarray
     lift_values: np.ndarray
-    _interp: PchipInterpolator = field(repr=False, compare=False)
 
     @staticmethod
     def from_lift_samples(ts: np.ndarray, lifts: np.ndarray) -> "ReturnMap":
-        ts = np.asarray(ts, dtype=float)
-        lifts = np.asarray(lifts, dtype=float)
+        ts, lifts = np.asarray(ts, dtype=float), np.asarray(lifts, dtype=float)
         if np.any(np.diff(lifts) <= 0):
             raise FoliationError("return-map lift samples are not strictly monotone")
-        t_ext = np.concatenate([ts, [ts[0] + 1.0]])
-        y_ext = np.concatenate([lifts, [lifts[0] + 1.0]])
-        return ReturnMap(Transversal("u"), 1, ts, lifts, PchipInterpolator(t_ext, y_ext))
+        return ReturnMap(ts, lifts)
 
     def lift(self, t):
+        """The lift, interpolating the 1-periodic lift(t) - t linearly."""
         t = np.asarray(t, dtype=float)
-        k = np.floor(t - self.ts[0])
-        out = self._interp(t - k) + k
+        out = t + np.interp(t, self.ts, self.lift_values - self.ts, period=1.0)
         return float(out) if out.ndim == 0 else out
-
-    def iterate_lift(self, t: float, n: int) -> float:
-        for _ in range(n):
-            t = self.lift(t)
-        return t
 
     def degree_check(self) -> bool:
         return abs(self.lift(self.ts[0] + 1.0) - self.lift(self.ts[0]) - 1.0) < 1e-6
@@ -229,39 +267,26 @@ class ReturnMap:
 def return_map(F: Foliation2, transversal: Transversal) -> ReturnMap:
     """First-return map of the foliation on an axis circle, tabulated by
     integrating the leaves across one fundamental strip."""
-    comp = torus_samples(F.V1 if transversal.axis == "u" else F.V2, 192)
-    if np.min(np.abs(comp)) <= 1e-6 or np.min(comp) * np.max(comp) < 0:
-        raise TransversalError(
-            f"field is tangent to circles {transversal.axis} = const somewhere; "
-            "the foliation carries Reeb bands in this direction"
-        )
-    sign = 1 if comp.flat[0] > 0 else -1
-    if transversal.axis == "u":  # dy/dx along the leaf, x = u
-        slope = compile_field(ex.div(F.V2, F.V1), ("u", "v"))
-    else:  # x = v
-        slope = compile_field(ex.div(F.V1, F.V2), ("v", "u"))
     ts = np.arange(1024) / 1024
-    y = _rk4(slope, float(transversal.value), ts, sign / 2048.0, 2048)
-    # the checks so far compare samples, and NaN fails no comparison
-    if not (np.isfinite(comp).all() and np.isfinite(y).all()):
-        raise FoliationError("the direction field is not finite off its validation grid")
-    if np.any(np.diff(y) <= 0):
-        raise FoliationError("tabulated return map lost monotonicity")
-    t_ext = np.concatenate([ts, [1.0]])
-    y_ext = np.concatenate([y, [y[0] + 1.0]])
-    return ReturnMap(transversal, sign, ts, y, PchipInterpolator(t_ext, y_ext))
+    flow = _strip_flow(F, transversal.axis)
+    return ReturnMap.from_lift_samples(ts, _lifts(flow, float(transversal.value), ts, 1)[0])
 
 
 def rotation_number(R: ReturnMap, iterations: int = 10000) -> tuple[float, float]:
     """Birkhoff average of the lift displacement; the error bound 1/n is the
     standard one for monotone circle maps."""
-    t0 = float(R.ts[0])
-    t = R.iterate_lift(t0, iterations)
+    t0 = t = float(R.ts[0])
+    for _ in range(iterations):
+        t = R.lift(t)
     return (t - t0) / iterations, 1.0 / iterations
 
 
 # ---------------------------------------------------------------------------
 # compact leaves
+
+_SAME = 1e-7  # leaf points closer than this are one leaf
+_SCAN = 1024  # cells of the periodic-point scan on the transversal
+
 
 @dataclass(frozen=True)
 class CompactLeaf:
@@ -280,6 +305,11 @@ def _primitive(p: int, q: int) -> tuple[int, int]:
     return (p // g, q // g) if g else (p, q)
 
 
+def _circle_dist(a, b):
+    d = np.abs(a - b) % 1.0
+    return np.minimum(d, 1.0 - d)
+
+
 def _axis_leaves(F: Foliation2, axis: str) -> list[CompactLeaf]:
     """Leaves parallel to an axis: circles where the transverse component
     vanishes identically."""
@@ -290,147 +320,131 @@ def _axis_leaves(F: Foliation2, axis: str) -> list[CompactLeaf]:
     def at(fn, x, y):  # x across the axis, y along it
         return fn(x, y) if axis == "u" else fn(y, x)
 
+    def leaf(x, family):  # the circle axis = x, oriented by the field on it
+        s = 1 if at(fn_a, x, 0.5) > 0 else -1
+        point, cls = ((x, 0.0), (0, s)) if axis == "u" else ((0.0, x), (s, 0))
+        return CompactLeaf(point, cls, 1.0, family)
+
     vs = np.arange(17) / 17.0
     xs = np.arange(n_scan) / n_scan
-
-    def worst(x):
-        return float(np.max(np.abs(at(fn_t, x, vs))))
-
     prof = np.max(np.abs(at(fn_t, xs[:, None], vs)), axis=1)
     if prof.max() < 1e-8:
         # transverse component vanishes identically: every leaf is an
         # axis-parallel circle
-        s = 1 if at(fn_a, 0.0, 0.5) > 0 else -1
-        cls = (0, s) if axis == "u" else (s, 0)
-        return [CompactLeaf((0.0, 0.0), cls, 1.0, family=True)]
-    left = np.roll(prof, 1)
-    right = np.roll(prof, -1)
-    candidates = np.flatnonzero((prof <= left) & (prof <= right) & (prof < 0.05))
-    leaves = []
-    found: list[float] = []
-    def signed(x):
-        return float(at(fn_t, x, 0.37))
+        return [leaf(0.0, True)]
+    i = np.flatnonzero((prof <= np.roll(prof, 1)) & (prof <= np.roll(prof, -1)) & (prof < 0.05))
+    lo, hi = (i - 1) / n_scan, (i + 1) / n_scan
+    # a leaf the field crosses is a sign change of the component; one it
+    # touches is a double root, where the x-derivative changes sign
+    fn_d = compile_field(ex.diff(e_t, axis), UV)
+    simple = at(fn_t, lo, 0.37) * at(fn_t, hi, 0.37) < 0
 
-    for i in candidates:
-        lo = (i - 1) / n_scan
-        hi = (i + 1) / n_scan
-        if signed(lo) * signed(hi) < 0:
-            x = float(optimize.brentq(signed, lo, hi, xtol=1e-14))
-        else:
-            res = optimize.minimize_scalar(
-                worst, bounds=(lo, hi), method="bounded",
-                options={"xatol": 1e-12},
-            )
-            x = float(res.x)
-        if worst(x) > 1e-7:
-            continue
-        x_mod = x % 1.0
-        if any(_circle_dist(x_mod, y) < 1e-6 for y in found):
-            continue
-        found.append(x_mod)
-        s = 1 if at(fn_a, x_mod, 0.5) > 0 else -1
-        cls = (0, s) if axis == "u" else (s, 0)
-        point = (x_mod, 0.0) if axis == "u" else (0.0, x_mod)
-        leaves.append(CompactLeaf(point, cls, 1.0))
+    def f(x):
+        return np.where(simple, at(fn_t, x, 0.37), at(fn_d, x, 0.37))
+
+    flo, fhi = f(lo), f(hi)
+    roots = _refine(f, lo, hi, flo, fhi)[flo * fhi < 0]
+    leaves: list[CompactLeaf] = []
+    for x in roots[np.max(np.abs(at(fn_t, roots[:, None], vs)), axis=1) <= 1e-7]:
+        x = float(x) % 1.0 % 1.0  # a tiny negative x gives 1.0 under one %
+        # each point found is (x, 0) or (0, x), so its sum is its x
+        if not any(_circle_dist(x, sum(l.point)) < _SAME for l in leaves):
+            leaves.append(leaf(x, False))
     return leaves
+
+
+def _dips(h: np.ndarray) -> np.ndarray:
+    """Cells of the periodic scan h (h[-1] repeats h[0]) that may hold two
+    roots: h keeps its sign at a node and its neighbours, is nearest zero at
+    the node, and the parabola through the three reaches zero."""
+    m, l, r = h[:-1], np.roll(h[:-1], 1), np.roll(h[:-1], -1)
+    j = np.flatnonzero(
+        (l * m > 0) & (r * m > 0) & (np.abs(m) <= np.minimum(np.abs(l), np.abs(r)))
+        & ((r - l) ** 2 > 8.0 * m * (l - 2.0 * m + r))  # its extremum has the other sign
+    )
+    return np.unique(np.concatenate([j - 1, j]) % _SCAN)
 
 
 def _return_map_leaves(F: Foliation2, axis: str) -> list[CompactLeaf]:
-    R = return_map(F, Transversal(axis, 0.0))
-    max_period = 8
-    leaves = []
-    seen_orbit_points: list[tuple[int, float]] = []
-    ts = np.linspace(0.0, 1.0, 1025)
-    lifts = {1: R.lift(ts)}
-    for q in range(2, max_period + 1):
-        lifts[q] = R.lift(lifts[q - 1])
-    for q in range(1, max_period + 1):
-        gq = lifts[q] - ts
-        for p in range(math.floor(gq.min()), math.ceil(gq.max()) + 1):
-            h = gq - p
-            if np.max(np.abs(h)) < 1e-9:
-                # whole family of closed leaves
-                cls = _cls_from_crossings(axis, R.direction, q, p)
-                if not any(l.family and l.cls == cls for l in leaves):
-                    leaves.append(CompactLeaf((0.0, 0.0), cls, float(q), family=True))
+    """Periodic points of the return map on the circle axis = 0, of period at
+    most 8: the roots of lift^q(t) - t - p."""
+    flow = _strip_flow(F, axis)
+    ts = np.linspace(0.0, 1.0, _SCAN + 1)
+    scan = _lifts(flow, 0.0, ts, 8) - ts
+
+    def cls(q, p):  # of a leaf crossing the transversal q times as it turns p times
+        s = flow[1]
+        return _primitive(s * q, s * p) if axis == "u" else _primitive(s * p, s * q)
+
+    leaves, known = [], []  # known: (period, point) of each orbit point found
+    for q in range(1, 9):
+        def near(t, radius):  # is a point of a period dividing q within radius?
+            x = np.array([x for qq, x in known if q % qq == 0])
+            return (_circle_dist(np.reshape(t, (-1, 1)), x) <= radius).any(axis=1)
+
+        brackets = []
+        for p in range(math.floor(scan[q - 1].min()), math.ceil(scan[q - 1].max()) + 1):
+            t, h = ts, scan[q - 1] - p
+            if np.max(np.abs(h)) < 1e-9:  # whole family of closed leaves
+                if not any(l.family and l.cls == cls(q, p) for l in leaves):
+                    leaves.append(CompactLeaf((0.0, 0.0), cls(q, p), float(q), family=True))
                 break
-            # exact zeros on the scan grid are roots; the strict sign test
-            # below cannot see them, so nothing is counted twice
-            sgn = np.sign(h)
-            roots = [float(ts[i]) for i in np.flatnonzero(sgn == 0)]
-            for i in np.flatnonzero(sgn[:-1] * sgn[1:] < 0):
-                r = optimize.brentq(
-                    lambda t: R.iterate_lift(float(t), q) - t - p, ts[i], ts[i + 1],
-                    xtol=1e-12,
-                )
-                roots.append(float(r))
-            for r in sorted(roots):
-                if any(
-                    q % qq == 0 and _on_orbit(R, rr, qq, r)
-                    for qq, rr in seen_orbit_points
-                ):
-                    continue
-                seen_orbit_points.append((q, r))
-                cls = _cls_from_crossings(axis, R.direction, q, p)
-                point = (0.0, r % 1.0) if axis == "u" else (r % 1.0, 0.0)
-                leaves.append(CompactLeaf(point, cls, float(q)))
+            cells = ts[_dips(h)]
+            cells = cells[~near(cells + 0.5 / _SCAN, 1.5 / _SCAN)]  # its cell or the next
+            if cells.size:  # two roots may share a cell: re-scan it finer
+                grid = (cells[:, None] + np.arange(1, 64) / (64 * _SCAN)).ravel()
+                t = np.concatenate([ts, grid])
+                h = np.concatenate([h, _lifts(flow, 0.0, grid, q)[-1] - grid - p])
+                t, h = t[np.argsort(t)], h[np.argsort(t)]
+            i = np.flatnonzero(np.sign(h[:-1]) * np.sign(h[1:]) <= 0)  # a node's root: 2 cells
+            # a bracket near a point found at a period dividing q holds its repeat
+            i = i[~near(0.5 * (t[i] + t[i + 1]), 1.5 / _SCAN)]
+            brackets += [(p, t[k], t[k + 1], h[k], h[k + 1]) for k in i]
+        if not brackets:
+            continue
+        ps, *ends = np.array(brackets).T
+        r = _refine(lambda x: _lifts(flow, 0.0, x, q)[-1] - x - ps, *ends)
+        roots = sorted((int(p), float(t)) for p, t in zip(ps, r) if not near(t, _SAME))
+        if not roots:
+            continue
+        r = np.array([t for _, t in roots])
+        for (p, t), orbit in zip(roots, np.vstack([r[None], _lifts(flow, 0.0, r, q - 1)]).T):
+            if near(t, _SAME):  # on the orbit of a leaf found just before
+                continue
+            known += [(q, float(x)) for x in orbit]
+            point = (0.0, t % 1.0) if axis == "u" else (t % 1.0, 0.0)
+            leaves.append(CompactLeaf(point, cls(q, p), float(q)))
     return leaves
-
-
-def _circle_dist(a: float, b: float) -> float:
-    d = abs(a - b) % 1.0
-    return min(d, 1.0 - d)
-
-
-def _on_orbit(R: ReturnMap, root: float, period: int, t: float) -> bool:
-    x = root
-    for _ in range(period):
-        if _circle_dist(x, t) < 1e-6:
-            return True
-        x = R.lift(x)
-    return False
-
-
-def _cls_from_crossings(axis: str, sign: int, q: int, p: int) -> tuple[int, int]:
-    if axis == "u":
-        return _primitive(sign * q, sign * p)
-    return _primitive(sign * p, sign * q)
 
 
 def compact_leaves(F: Foliation2) -> list[CompactLeaf]:
     """All compact leaves, from two detectors: axis-parallel circles where the
     transverse component vanishes, and periodic points of the return maps."""
+    return list(_compact_leaves(F))
+
+
+@functools.lru_cache(maxsize=2)  # the pair of foliations under analysis
+def _compact_leaves(F: Foliation2) -> tuple[CompactLeaf, ...]:
     axis_leaves = _axis_leaves(F, "u") + _axis_leaves(F, "v")
     map_leaves = []
     for axis in ("u", "v"):
-        # return_map refuses a field tangent to the circles axis = const; a
+        # _strip_flow refuses a field tangent to the circles axis = const; a
         # field crossing them all has every compact leaf cross the transversal
         try:
             map_leaves = _return_map_leaves(F, axis)
             break
         except TransversalError:
             pass
-    # the return map finds again each axis-parallel leaf that crosses its
-    # transversal, a little off where the map is steep (3.2e-5 for
-    # F = (sin^2 2 pi u - 1/4, 1), whose slope there is about e^5.4).  Each
-    # axis leaf takes the nearest return-map leaf of its class within one
-    # cell of the root scan as its copy and drops it; it takes only one, so
-    # a separate leaf of that class in the same cell is still reported.
-    for a in axis_leaves:
-        gaps = [_leaf_gap(a, m) for m in map_leaves]
-        if gaps and min(gaps) <= 1.0 / 1024:
-            del map_leaves[gaps.index(min(gaps))]
-    return axis_leaves + map_leaves
+    # the return map finds again each axis leaf that crosses its transversal
+    return tuple(axis_leaves) + tuple(
+        m for m in map_leaves if not any(_same_leaf(a, m) for a in axis_leaves)
+    )
 
 
-def _leaf_gap(a: CompactLeaf, b: CompactLeaf) -> float:
-    """Distance between the points of two leaves that may be one leaf; inf
-    when their class or kind differs, 0 for two families."""
-    if a.cls != b.cls or a.family != b.family:
-        return math.inf
-    if a.family:
-        return 0.0
-    return max(_circle_dist(x, y) for x, y in zip(a.point, b.point))
+def _same_leaf(a: CompactLeaf, b: CompactLeaf) -> bool:
+    return (a.cls, a.family) == (b.cls, b.family) and (
+        a.family or np.max(_circle_dist(np.subtract(a.point, b.point), 0.0)) < _SAME
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +467,7 @@ def reeb_annuli(F: Foliation2, leaves: list[CompactLeaf] | None = None) -> list[
     out = []
     for axis in ("u", "v"):
         want = (0, 1) if axis == "u" else (1, 0)
-        axis_leaves = [
-            l for l in leaves if (abs(l.cls[0]), abs(l.cls[1])) == (abs(want[0]), abs(want[1]))
-        ]
+        axis_leaves = [l for l in leaves if (abs(l.cls[0]), abs(l.cls[1])) == want]
         if len(axis_leaves) < 2:
             continue
         coord = 0 if axis == "u" else 1
@@ -464,17 +476,12 @@ def reeb_annuli(F: Foliation2, leaves: list[CompactLeaf] | None = None) -> list[
         m = len(axis_leaves)
         for i in range(m):
             a, b = axis_leaves[i], axis_leaves[(i + 1) % m]
-            lo = a.point[coord]
-            hi = b.point[coord] if i + 1 < m else b.point[coord] + 1.0
-            if a.orientation() == b.orientation():
-                continue
-            inside = any(
+            lo, hi = a.point[coord], b.point[coord] + (1.0 if i + 1 == m else 0.0)
+            if a.orientation() != b.orientation() and not any(
                 lo + 1e-9 < (l.point[coord] + (1.0 if l.point[coord] < lo else 0.0)) < hi - 1e-9
                 for l in others
-            )
-            if inside:
-                continue
-            out.append(ReebAnnulus(a, b, axis, (lo, hi)))
+            ):
+                out.append(ReebAnnulus(a, b, axis, (lo, hi)))
     return out
 
 
@@ -507,18 +514,11 @@ def parallel_compact_leaves(F: Foliation2, G: Foliation2) -> ParallelLeavesVerdi
     """Do F and G carry compact leaves in the same class, up to sign?"""
     _check_transverse_pair(F, G)
     lf, lg = compact_leaves(F), compact_leaves(G)
-    witnesses = []
-    exact = False
-    for a in lf:
-        for b in lg:
-            if a.cls == b.cls:
-                witnesses.append((a, b))
-                exact = True
-            elif a.cls == (-b.cls[0], -b.cls[1]):
-                witnesses.append((a, b))
-    return ParallelLeavesVerdict(
-        bool(witnesses), tuple(witnesses), bool(witnesses) and not exact
+    witnesses = tuple(
+        (a, b) for a in lf for b in lg if a.cls in (b.cls, (-b.cls[0], -b.cls[1]))
     )
+    exact = any(a.cls == b.cls for a, b in witnesses)
+    return ParallelLeavesVerdict(bool(witnesses), witnesses, bool(witnesses) and not exact)
 
 
 @dataclass(frozen=True)

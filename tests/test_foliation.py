@@ -278,8 +278,9 @@ def test_same_orientation_leaves_make_no_annuli():
 
 
 def test_axis_leaf_found_by_both_detectors_is_reported_once():
-    # the return map is steep (about e^5.4) at the two repelling leaves, so
-    # the roots of its tabulated lift lie 3e-5 from their exact points
+    # the return map is steep (about e^5.4) at the two repelling leaves; the
+    # roots of lift(t) - t, refined on the integrated flow, still lie within
+    # 1e-9 of the axis leaves, so each of the four is reported once
     F = Foliation2(parse_expr("sin(2*pi*u)^2 - 0.25"), ex.ONE)
     leaves = compact_leaves(F)
     assert sorted(l.point[0] for l in leaves) == pytest.approx(
@@ -288,20 +289,50 @@ def test_axis_leaf_found_by_both_detectors_is_reported_once():
     assert all(l.cls == (0, 1) for l in leaves)
 
 
-def test_separate_leaf_next_to_an_axis_leaf_is_kept():
+def _reference_fixed_points(slope, guesses):
+    """Fixed points of the return map of du/dv = slope(v, u) on the circle
+    v = 0, one within 1e-5 of each guess: lift(u) - u on a grid of step 1e-7
+    by a 2048-step RK4, and the root by linear interpolation in its cell."""
+    u0 = np.add.outer(guesses, np.linspace(-1e-5, 1e-5, 201))
+    u, h = u0.copy(), 1.0 / 2048
+    for i in range(2048):
+        v = i * h
+        k1 = slope(v, u)
+        k2 = slope(v + h / 2, u + h / 2 * k1)
+        k3 = slope(v + h / 2, u + h / 2 * k2)
+        k4 = slope(v + h, u + h * k3)
+        u = u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    d = u - u0
+    out = []
+    for row, drow in zip(u0, d):
+        (k,) = np.flatnonzero(np.sign(drow[:-1]) != np.sign(drow[1:]))
+        out.append(row[k] - drow[k] * (row[k + 1] - row[k]) / (drow[k + 1] - drow[k]))
+    return out
+
+
+@pytest.mark.parametrize("cells", [0.6, 0.9])
+def test_separate_leaf_next_to_an_axis_leaf_is_kept(cells):
     # u = 0.3 and 0.8 are axis-parallel leaves; beside each, less than one
-    # cell of the return map's root scan away, lies a leaf that is not
-    # axis-parallel, in the same class
-    b = 0.3 + 0.9 / 1024
+    # cell of the return map's 1/1024 root scan away, lies a leaf that is not
+    # axis-parallel, in the same class.  At 0.6 cells both leaves lie in one
+    # scan cell, where lift(t) - t keeps its sign at both ends.  The separate
+    # leaves lie about 2e-6 from b and b + 1/2, not on them.
+    b = 0.3 + cells / 1024
     F = Foliation2(
         parse_expr(f"sin(2*pi*(u - 0.3))*(sin(2*pi*(u - {b})) + 0.1*cos(2*pi*v))"),
         ex.ONE,
     )
+
+    def slope(v, u):
+        tau = 2 * np.pi
+        return np.sin(tau * (u - 0.3)) * (np.sin(tau * (u - b)) + 0.1 * np.cos(tau * v))
+
     leaves = sorted(compact_leaves(F), key=lambda l: l.point[0])
-    assert [l.point[0] for l in leaves] == pytest.approx(
-        [0.3, b, 0.8, b + 0.5], abs=2e-5
-    )
+    assert [l.point[0] for l in leaves] == pytest.approx([0.3, b, 0.8, b + 0.5], abs=1e-5)
     assert [l.point[0] for l in leaves[::2]] == pytest.approx([0.3, 0.8], abs=1e-9)
+    assert [l.point[0] for l in leaves[1::2]] == pytest.approx(
+        _reference_fixed_points(slope, [b, b + 0.5]), abs=1e-9
+    )
     assert all(l.cls == (0, 1) for l in leaves)
 
 

@@ -217,7 +217,7 @@ def test_main_missing_config_is_tool_error(tmp_path, capsys):
     ],
     ids=["degenerate-matrix", "vanishing-field", "non-periodic-field", "nan-off-grid"],
 )
-def test_main_reports_input_errors_in_one_line(tmp_path, capsys, text):
+def test_main_reports_input_errors_in_one_line(tmp_path, capsys, recwarn, text):
     path = tmp_path / "bad.cfg"
     path.write_text(text)
     for command in ("all", "pre-lagrangian"):
@@ -225,6 +225,8 @@ def test_main_reports_input_errors_in_one_line(tmp_path, capsys, text):
         err = capsys.readouterr().err
         assert err.startswith("allab: ") and err.count("\n") == 1
         assert "Traceback" not in err
+    # numpy's warnings go to stderr outside capsys, ahead of the one line
+    assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_main_rejects_bad_override(tmp_path, capsys):
