@@ -42,6 +42,7 @@ class Foliation2:
     closed_form: bool = False  # set when built from a closed defining 1-form
     name: str = ""
 
+    @np.errstate(all="ignore")  # a domain error gives NaN, refused below
     def __post_init__(self):
         n = 256
         v1, v2 = torus_samples(self.V1, n), torus_samples(self.V2, n)
@@ -109,6 +110,7 @@ def _whole_turns(angle: np.ndarray) -> list[np.ndarray] | None:
     return whole
 
 
+@np.errstate(all="ignore")  # a domain error gives NaN, refused below
 def winding(F: Foliation2) -> tuple[int, int]:
     """Degrees of V/|V| along the loops v = 0 and u = 0.  Around a loop the
     steps add up to zero, so its net turn is minus the whole turns taken off
@@ -264,6 +266,7 @@ class ReturnMap:
         return abs(self.lift(self.ts[0] + 1.0) - self.lift(self.ts[0]) - 1.0) < 1e-6
 
 
+@np.errstate(all="ignore")  # a domain error gives NaN, refused in _strip_flow, _lifts
 def return_map(F: Foliation2, transversal: Transversal) -> ReturnMap:
     """First-return map of the foliation on an axis circle, tabulated by
     integrating the leaves across one fundamental strip."""
@@ -417,6 +420,7 @@ def _return_map_leaves(F: Foliation2, axis: str) -> list[CompactLeaf]:
     return leaves
 
 
+@np.errstate(all="ignore")  # a domain error gives NaN, refused in _strip_flow, _lifts
 def compact_leaves(F: Foliation2) -> list[CompactLeaf]:
     """All compact leaves, from two detectors: axis-parallel circles where the
     transverse component vanishes, and periodic points of the return maps."""
@@ -488,6 +492,7 @@ def reeb_annuli(F: Foliation2, leaves: list[CompactLeaf] | None = None) -> list[
 # ---------------------------------------------------------------------------
 # pairs of foliations
 
+@np.errstate(all="ignore")  # a domain error gives NaN, refused below
 def _check_transverse_pair(F: Foliation2, G: Foliation2):
     # offset grid: isolated tangency circles (shared compact leaves) should
     # not fail the check, a tangency on a band should

@@ -117,6 +117,13 @@ def test_kernels_refuse_a_field_not_finite_off_the_validation_grid():
         return_map(F, Transversal("u"))
 
 
+def test_compact_leaves_refuse_a_field_not_finite_off_the_validation_grid():
+    # the axis scan meets the NaN before the return map refuses it
+    F = Foliation2(parse_expr("1 + 0*sqrt(cos(512*pi*u) - 0.5)"), parse_expr("0.3"))
+    with pytest.raises(FoliationError, match="not finite"):
+        compact_leaves(F)
+
+
 def test_winding_of_closed_form_foliations():
     for c_text in ("2*sin(2*pi*u)", "1 - cos(2*pi*u)", "0.5*sin(4*pi*u)"):
         a = one_form(UV, ex.neg(parse_expr(c_text)), ex.ONE)

@@ -13,6 +13,8 @@ from allab.geom import UV, XYZ, one_form
 from allab.prelag import (
     GraphCheck,
     PreLagError,
+    PreLagReport,
+    ScalingSolution,
     check_graph_lagrangian,
     closedness_objective,
     obstruction_test,
@@ -106,6 +108,20 @@ def test_scaling_solve_history_non_increasing(planted_solution):
     hist = np.array(sol.residual_history)
     assert np.all(np.diff(hist) <= 1e-15)
     assert len(hist) == sol.iterations + 1
+
+
+def test_scaling_solve_iterations_flat_in_n():
+    # H^1 descent: the grid's stiff high modes do not slow the iteration
+    a = one_form(UV, ex.ZERO, parse_expr("exp(0.3*sin(2*pi*u))"))
+    b = one_form(UV, ex.ONE, ex.ZERO)
+    for n in (32, 64, 128):
+        sol = scaling_solve(a, b, n=n, tol=1e-6)
+        assert sol.success
+        assert sol.iterations <= 20
+    h = 0.3 * np.sin(2 * np.pi * np.arange(128) / 128.0)
+    ratio = np.exp(sol.log_f) / np.exp(sol.log_f).mean()
+    target = np.exp(-h)[:, None] * np.ones((128, 128))
+    assert np.max(np.abs(ratio - target / target.mean())) < 1e-3
 
 
 def test_scaling_interpolant_matches_grid_residual(planted_solution):
@@ -205,6 +221,22 @@ def test_certificate_report_serializes(cat):
     assert d["outcome"] == "certificate"
     assert d["obstruction"]["verdict"] == "passes_obstruction"
     assert isinstance(d["final_residual"], float)
+
+
+def test_report_carries_a_decimated_residual_history():
+    def reported(m):
+        hist = tuple(1.0 / np.arange(1, m + 1))
+        zero = np.zeros((8, 8))
+        sol = ScalingSolution(8, zero, zero, hist[-1], hist, m - 1, False, hist[-1])
+        return hist, PreLagReport("failed", (), scaling=sol).to_dict()["scaling"]["residual_history"]
+
+    hist, d = reported(32)
+    assert d == list(hist)
+    for m in (33, 100, 4001):
+        hist, d = reported(m)
+        assert len(d) == 32 and d[0] == hist[0] and d[-1] == hist[-1]
+        assert np.all(np.diff(d) < 0)  # distinct entries of the history, in order
+        assert set(d) <= set(hist)
 
 
 def test_certificate_requires_input():
