@@ -63,6 +63,7 @@ class FlowModel:
     def fiber(self, z: float = 0.0) -> TorusEmbedding:
         return fiber_embedding(self.gluing, z)
 
+    @np.errstate(all="ignore")  # a domain error gives NaN, refused below
     def validate(self):
         """Defining-pair identities: L_X a = r a for both forms at 100 seeded
         random points, expansion rates of the right signs, and the standard
@@ -72,24 +73,26 @@ class FlowModel:
             (self.alpha_u, self.r_u),
             (self.alpha_s, self.r_s),
         ]
+        nu = self.gluing.nu
         for alpha, r in checks:
             resid = lie_derivative(self.X, alpha) - alpha.scale(r)
-            for _ in range(100):
-                p = {
-                    "x": rng.uniform(-1, 1),
-                    "y": rng.uniform(-1, 1),
-                    "z": rng.uniform(-0.5 * self.gluing.nu, 0.5 * self.gluing.nu),
-                }
-                worst = max(
-                    (abs(v) for v in resid.evaluate(p).values()), default=0.0
+            pts = np.array([
+                (rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-0.5 * nu, 0.5 * nu))
+                for _ in range(100)
+            ])
+            worst = np.zeros(len(pts))
+            for c in resid.coeffs.values():
+                worst = np.maximum(worst, np.abs(compile_field(c, XYZ)(*pts.T)))
+            bad = np.flatnonzero(~(worst <= 1e-9))  # NaN fails too
+            if bad.size:
+                i = bad[0]
+                raise ModelError(
+                    f"defining-pair identity fails at (x, y, z) = "
+                    f"{tuple(map(float, pts[i]))} (residual {worst[i]:.2e})"
                 )
-                if worst > 1e-9:
-                    raise ModelError(
-                        f"defining-pair identity fails at {p} (residual {worst:.2e})"
-                    )
-        pts = self.gluing.sample_points(12)
+        grid = self.gluing.sample_points(12)
         for r, positive in ((self.r_u, True), (self.r_s, False)):
-            vals = compile_field(r, XYZ)(pts[:, 0], pts[:, 1], pts[:, 2])
+            vals = compile_field(r, XYZ)(*grid)
             ok = vals.min() > 0 if positive else vals.max() < 0
             if not ok:
                 raise ModelError("expansion rates have the wrong sign")
@@ -253,37 +256,22 @@ def chart_to_ambient(m: FlowModel, direction) -> np.ndarray:
 # Reeb fields
 
 def reeb_field_numeric(alpha: DifferentialForm):
-    """Pointwise Reeb field of a contact form: the solution of
-    i_R d(alpha) = 0, alpha(R) = 1, via least squares at each point."""
+    """Pointwise Reeb field of a contact form: with d(alpha) = c01 dx^dy +
+    c02 dx^dz + c12 dy^dz, the vector w = (c12, -c02, c01) spans the kernel
+    of d(alpha), and R = w / alpha(w).  The returned callable takes an
+    (x, y, z) triple of broadcastable arrays and gives the three components
+    stacked on the first axis."""
     da = exterior_derivative(alpha)
     a_fns = [compile_field(alpha.coeff((i,)), XYZ) for i in range(3)]
-    da_fns = {
-        idx: compile_field(da.coeff(idx), XYZ) for idx in ((0, 1), (0, 2), (1, 2))
-    }
+    da_fns = [compile_field(da.coeff(idx), XYZ) for idx in ((1, 2), (0, 2), (0, 1))]
 
-    def at(points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty((len(points), 3))
-        for i, (x, y, z) in enumerate(points):
-            c01 = float(da_fns[(0, 1)](x, y, z))
-            c02 = float(da_fns[(0, 2)](x, y, z))
-            c12 = float(da_fns[(1, 2)](x, y, z))
-            # rows of i_R da in the basis dx, dy, dz, then the alpha row
-            mat = np.array(
-                [
-                    [0.0, c01, c02],
-                    [-c01, 0.0, c12],
-                    [-c02, -c12, 0.0],
-                    [
-                        float(a_fns[0](x, y, z)),
-                        float(a_fns[1](x, y, z)),
-                        float(a_fns[2](x, y, z)),
-                    ],
-                ]
-            )
-            rhs = np.array([0.0, 0.0, 0.0, 1.0])
-            sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-            out[i] = sol
-        return out
+    @np.errstate(all="ignore")  # a domain error gives NaN, refused below
+    def at(points) -> np.ndarray:
+        c12, c02, c01 = (fn(*points) for fn in da_fns)
+        w = np.array([c12, -c02, c01])
+        alpha_w = sum(fn(*points) * wk for fn, wk in zip(a_fns, w))
+        if not np.all(np.abs(alpha_w) > 0):  # NaN refuses too
+            raise ModelError("alpha ^ d(alpha) vanishes: the form is not contact there")
+        return w / alpha_w
 
     return at

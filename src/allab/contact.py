@@ -10,6 +10,7 @@ tests d(lambda)^2 directly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,11 +22,14 @@ from .expr import Expr, ZERO, ONE, compile_field, diff, substitute
 from .geom import (
     DifferentialForm,
     Gluing3,
+    Grid3,
     SXYZ,
     TorusEmbedding,
     UV,
     XYZ,
+    curl_residual,
     exterior_derivative,
+    grid_point,
     one_form,
     restrict,
     torus3,
@@ -55,7 +59,7 @@ class FormPair:
         if self.plus.degree != 1 or self.minus.degree != 1:
             raise ContactError("pair forms must be 1-forms")
 
-    def grid(self, n: int) -> np.ndarray:
+    def grid(self, n: int) -> Grid3:
         if self.gluing is not None:
             return self.gluing.sample_points(n)
         return torus3().sample_points(n, z_lo=0.0)
@@ -91,28 +95,28 @@ class ALReport:
         }
 
 
-def _stats(values: np.ndarray, pts: np.ndarray) -> QuantityStats:
+def _stats(values: np.ndarray, grid: Grid3) -> QuantityStats:
     i = int(np.argmin(values))
-    return QuantityStats(
-        float(values[i]), float(np.max(values)), tuple(float(c) for c in pts[i])
-    )
+    return QuantityStats(float(values.flat[i]), float(np.max(values)), grid_point(grid, i))
 
 
-def _coeff_values(form3: DifferentialForm, pts: np.ndarray) -> np.ndarray:
-    return compile_field(form3.coeff((0, 1, 2)), XYZ)(pts[:, 0], pts[:, 1], pts[:, 2])
+def _coeff_values(form3: DifferentialForm, grid: Grid3) -> np.ndarray:
+    return compile_field(form3.coeff((0, 1, 2)), XYZ)(*grid)
 
 
+@np.errstate(all="ignore")  # a domain error gives NaN, which fails the verdict
 def al_check(
     pair: FormPair,
     vol: DifferentialForm | None = None,
     *,
     n: int = 48,
-    points: np.ndarray | None = None,
+    points: Grid3 | None = None,
 ) -> ALReport:
     """Pointwise Anosov-Liouville test through the contact volumes.
 
     Writes a_+ ^ da_+ = f_+ dvol, a_- ^ da_- = -f_- dvol and
-    d(a_- ^ a_+) = f_0 dvol, then aggregates extrema over the grid.
+    d(a_- ^ a_+) = f_0 dvol, then aggregates extrema over the grid, or over
+    ``points``, an (x, y, z) triple of broadcastable arrays.
     """
     vol = vol if vol is not None else volume_form()
     pts = points if points is not None else pair.grid(n)
@@ -139,7 +143,7 @@ def al_check(
     else:
         verdict = "fail"
     return ALReport(
-        grid_n=n if points is None else len(pts),
+        grid_n=n if points is None else vol_vals.size,
         f_plus=_stats(f_plus, pts),
         f_minus=_stats(f_minus, pts),
         f_zero=_stats(f_zero, pts),
@@ -165,26 +169,22 @@ def _lift(form3: DifferentialForm) -> DifferentialForm:
     return DifferentialForm(SXYZ, form3.degree, shifted)
 
 
+@np.errstate(all="ignore")  # a domain error gives NaN, which fails the check
 def liouville_direct_check(pair: FormPair, *, n: int = 16) -> LiouvilleReport:
     """Builds lambda = e^s a_+ + e^-s a_- and checks d(lambda)^2 > 0 against
     ds ^ dvol on the sampled cylinder, at 13 levels of s in [-3, 3]."""
-    pts = pair.grid(n)
+    x, y, z = pair.grid(n)
+    s = np.linspace(-3, 3, 13)[:, None, None, None]
     es = ex.func("exp", ex.var("s"))
     ems = ex.func("exp", ex.zneg(ex.var("s")))
     lam = _lift(pair.plus).scale(es) + _lift(pair.minus).scale(ems)
     dlam = exterior_derivative(lam)
     top = wedge(dlam, dlam)
-    fn = compile_field(top.coeff((0, 1, 2, 3)), SXYZ)
-    vol_vals = _coeff_values(volume_form(), pts)
-    best = math.inf
-    arg = (0.0, 0.0, 0.0, 0.0)
-    for s in np.linspace(-3, 3, 13):
-        vals = fn(float(s), pts[:, 0], pts[:, 1], pts[:, 2]) / vol_vals
-        i = int(np.argmin(vals))
-        if vals[i] < best:
-            best = float(vals[i])
-            arg = (float(s), *(float(q) for q in pts[i]))
-    return LiouvilleReport(best, arg, best > 0.0)
+    vals = compile_field(top.coeff((0, 1, 2, 3)), SXYZ)(s, x, y, z)
+    vals /= _coeff_values(volume_form(), (x, y, z))
+    i = int(np.argmin(vals))
+    best = float(vals.flat[i])
+    return LiouvilleReport(best, grid_point((s, x, y, z), i), best > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +198,6 @@ class PerturbResult:
     restriction_residual: float
     al_report: ALReport | None
     warnings: tuple[str, ...] = ()
-
-
-def _curl_residual(beta: DifferentialForm) -> float:
-    c = exterior_derivative(beta).coeff((0, 1))
-    return float(np.max(np.abs(torus_samples(c, 64))))
 
 
 def _c1_norm(beta: DifferentialForm) -> float:
@@ -226,8 +221,8 @@ def perturb_pair(
     the collar has half-width 0.15 in z."""
     if beta_target.coords != UV or beta_target.degree != 1:
         raise ContactError("perturbation target must be a 1-form on the torus")
-    res = _curl_residual(beta_target)
-    if res >= 1e-9:
+    res = curl_residual(beta_target)
+    if not res < 1e-9:  # NaN refuses too
         raise PerturbationError(
             f"perturbation target is not closed (curl residual {res:.2e})"
         )
@@ -321,6 +316,20 @@ class ScalingExtension:
     c_hi: float
     mu: Expr  # in variables (u, v, z)
     dz_log_mu: Expr
+
+    @functools.cached_property
+    def margin(self) -> float:
+        """The positivity margin on the default grid, computed once."""
+        return self.positivity_margin()
+
+    def to_dict(self):
+        return {
+            "delta": self.delta,
+            "eps": self.eps,
+            "c_lo": self.c_lo,
+            "c_hi": self.c_hi,
+            "margin": self.margin,
+        }
 
     def mu_fn(self):
         return compile_field(self.mu, ("u", "v", "z"))
@@ -424,9 +433,8 @@ def extend_scaling(
         mu=mu,
         dz_log_mu=diff(S, "z"),
     )
-    margin = extension.positivity_margin()
-    if margin <= 0:
-        raise ContactError(f"positivity margin {margin:.3e} not positive")
+    if not extension.margin > 0:  # NaN refuses too
+        raise ContactError(f"positivity margin {extension.margin:.3e} not positive")
     return extension
 
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import AllabError
 from . import expr as ex
-from .expr import Expr, ZERO, compile_field
-from .geom import DifferentialForm, UV, exterior_derivative, torus_samples
+from .expr import Expr, compile_field
+from .geom import DifferentialForm, UV, curl_residual, torus_samples
 
 
 class FoliationError(AllabError):
@@ -73,10 +73,7 @@ class Foliation2:
         the coefficient vector a quarter turn."""
         if a.coords != UV or a.degree != 1:
             raise FoliationError("defining form must be a 1-form on (u, v)")
-        da = exterior_derivative(a).coeff((0, 1))
-        closed = True
-        if da != ZERO:
-            closed = float(np.max(np.abs(torus_samples(da, 64)))) < 1e-9
+        closed = curl_residual(a) < 1e-9
         return Foliation2(
             ex.zneg(a.coeff((1,))), a.coeff((0,)), closed_form=closed, name=name
         )
@@ -139,6 +136,9 @@ def winding(F: Foliation2) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # leaf integration
 
+_NOT_FINITE = "the direction field is not finite off its validation grid"
+
+
 def _rk4(rhs, x: float, y: np.ndarray, h: float, n: int, out=None) -> np.ndarray:
     """n classical RK4 steps of dy/dx = rhs(x, y) for an array of states y;
     returns the last state, and writes every state to ``out[0..n]`` if given."""
@@ -156,6 +156,7 @@ def _rk4(rhs, x: float, y: np.ndarray, h: float, n: int, out=None) -> np.ndarray
     return y
 
 
+@np.errstate(all="ignore")  # a domain error gives NaN, refused below
 def integrate_leaf(
     F: Foliation2,
     start: tuple[float, float] | np.ndarray,
@@ -177,6 +178,8 @@ def integrate_leaf(
     n = max(1, math.ceil(length / max_step))
     pts = np.empty((n + 1, 2, starts.size // 2))
     _rk4(rhs, 0.0, starts.reshape(-1, 2).T, length / n, n, pts)
+    if not np.isfinite(pts).all():
+        raise FoliationError(_NOT_FINITE)
     pts = pts.transpose(2, 0, 1)
     return pts[0] if starts.ndim == 1 else pts
 
@@ -185,7 +188,6 @@ def integrate_leaf(
 # return maps
 
 _STRIP_STEPS = 256  # RK4 steps across one fundamental strip
-_NOT_FINITE = "the direction field is not finite off its validation grid"
 
 
 def _strip_flow(F: Foliation2, axis: str):
@@ -508,7 +510,6 @@ def _check_transverse_pair(F: Foliation2, G: Foliation2):
 class ParallelLeavesVerdict:
     parallel: bool
     witnesses: tuple[tuple[CompactLeaf, CompactLeaf], ...]
-    strict_orientation_differs: bool  # True when only sign-flipped matches exist
 
     @property
     def verdict(self) -> str:
@@ -522,8 +523,7 @@ def parallel_compact_leaves(F: Foliation2, G: Foliation2) -> ParallelLeavesVerdi
     witnesses = tuple(
         (a, b) for a in lf for b in lg if a.cls in (b.cls, (-b.cls[0], -b.cls[1]))
     )
-    exact = any(a.cls == b.cls for a, b in witnesses)
-    return ParallelLeavesVerdict(bool(witnesses), witnesses, bool(witnesses) and not exact)
+    return ParallelLeavesVerdict(bool(witnesses), witnesses)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,8 @@ XYZ = ("x", "y", "z")
 SXYZ = ("s", "x", "y", "z")
 UV = ("u", "v")
 
+Grid3 = tuple[np.ndarray, np.ndarray, np.ndarray]  # (x, y, z), broadcastable
+
 
 class GeomError(AllabError):
     pass
@@ -160,9 +162,6 @@ class VectorField3:
 
     coeffs: tuple[Expr, Expr, Expr]
 
-    def evaluate(self, point: Mapping[str, float]) -> np.ndarray:
-        return np.array([ex.evaluate(c, point) for c in self.coeffs])
-
 
 def interior_product(X: VectorField3, omega: DifferentialForm) -> DifferentialForm:
     if omega.coords != XYZ:
@@ -224,18 +223,15 @@ class Gluing3:
         P = self.P_mat
         return [P[:, 0].copy(), P[:, 1].copy()]
 
-    def sample_points(self, n: int, z_lo: float | None = None) -> np.ndarray:
-        """Row-major grid of chart points covering one fundamental domain."""
+    def sample_points(self, n: int, z_lo: float | None = None) -> Grid3:
+        """Open grid of chart points covering one fundamental domain: x and y
+        of shape (n, n, 1) over the lattice steps i/n, j/n, and z of shape
+        (n,); they broadcast to the n^3 points in (i, j, k) order."""
         a = np.arange(n) / n
-        A, B, C = np.meshgrid(a, a, a, indexing="ij")
+        A, B = a[:, None, None], a[None, :, None]
         P = self.P_mat
-        xs = P[0, 0] * A + P[0, 1] * B
-        ys = P[1, 0] * A + P[1, 1] * B
         lo = -0.5 * self.nu if z_lo is None else z_lo
-        zs = lo + C * self.nu
-        return np.stack(
-            [xs.ravel(), ys.ravel(), zs.ravel()], axis=1
-        )
+        return (P[0, 0] * A + P[0, 1] * B, P[1, 0] * A + P[1, 1] * B, lo + a * self.nu)
 
 
 def torus3() -> Gluing3:
@@ -261,19 +257,17 @@ class TorusEmbedding:
         if np.linalg.matrix_rank(self.frame, tol=1e-12) < 2:
             raise GeomError("embedding directions are linearly dependent")
 
-    def chart_point(self, u: float, v: float) -> np.ndarray:
-        return np.array(self.base) + u * np.array(self.e1) + v * np.array(self.e2)
-
+    @np.errstate(all="ignore")  # a domain error gives NaN, refused below
     def check_transverse(self, X: VectorField3):
+        """min |normal . X| over the 16 x 16 torus grid (i/16, j/16)."""
         normal = np.cross(self.e1, self.e2)
         normal = normal / np.linalg.norm(normal)
-        worst = np.inf
-        for u in np.arange(16) / 16:
-            for v in np.arange(16) / 16:
-                p = self.chart_point(u, v)
-                Xp = X.evaluate(dict(zip(XYZ, p)))
-                worst = min(worst, abs(float(normal @ Xp)))
-        if worst <= 1e-9:
+        t = np.arange(16) / 16
+        u, v = t[:, None], t
+        p = [b + u * d1 + v * d2 for b, d1, d2 in zip(self.base, self.e1, self.e2)]
+        flux = sum(nk * compile_field(c, XYZ)(*p) for nk, c in zip(normal, X.coeffs))
+        worst = float(np.min(np.abs(flux)))
+        if not worst > 1e-9:  # NaN refuses too
             raise GeomError(f"flow not transverse to the torus (margin {worst:.2e})")
         return worst
 
@@ -294,6 +288,20 @@ def torus_samples(e: Expr, n: int, offset: float = 0.0) -> np.ndarray:
     i, j < n, as an n x n array."""
     t = (np.arange(n) + offset) / n
     return compile_field(e, UV)(t[:, None], t)
+
+
+def grid_point(grid: Sequence[np.ndarray], k: int) -> tuple[float, ...]:
+    """The point at flat index k of the broadcast grid, as np.argmin and
+    np.argmax give it for values over the grid."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in grid))
+    i = np.unravel_index(k, shape)
+    return tuple(float(np.broadcast_to(c, shape)[i]) for c in grid)
+
+
+def curl_residual(beta: DifferentialForm) -> float:
+    """max |d beta| for a 1-form beta on the torus, over the 64 x 64 grid."""
+    c = exterior_derivative(beta).coeff((0, 1))
+    return float(np.max(np.abs(torus_samples(c, 64))))
 
 
 def restrict(omega: DifferentialForm, sigma: TorusEmbedding) -> DifferentialForm:
@@ -339,10 +347,11 @@ class PeriodicityReport:
     passed: bool
 
 
-def _pullback_residual(omega, pts, offset, jac, subs, fns):
-    """max |psi* omega - omega| coefficient-wise over the sample points."""
+def _pullback_residual(omega, grid, offset, jac, subs, fns):
+    """max |psi* omega - omega| coefficient-wise over the sample grid; a
+    residual that is not finite counts as infinite."""
     n = len(omega.coords)
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    x, y, z = grid
     tx = subs[0][0] * x + subs[0][1] * y + offset[0]
     ty = subs[1][0] * x + subs[1][1] * y + offset[1]
     tz = z + offset[2]
@@ -357,13 +366,15 @@ def _pullback_residual(omega, pts, offset, jac, subs, fns):
                 continue
             pulled = pulled + det * fn(tx, ty, tz)
         res = np.abs(pulled - compile_field(omega.coeff(idx), XYZ)(x, y, z))
+        res = np.nan_to_num(res, nan=np.inf)
         k = int(np.argmax(res))
-        if res[k] > worst:
-            worst = float(res[k])
+        if res.flat[k] > worst:
+            worst = float(res.flat[k])
             worst_i = k
-    return worst, tuple(float(c) for c in pts[worst_i])
+    return worst, grid_point(grid, worst_i)
 
 
+@np.errstate(all="ignore")  # a domain error gives NaN, refused as infinite
 def check_periodicity(
     omega: DifferentialForm, gluing: Gluing3, n: int = 12
 ) -> PeriodicityReport:
@@ -371,7 +382,7 @@ def check_periodicity(
     mapping torus, the deck transformation."""
     if n <= 0:
         raise GeomError("empty sampling grid")
-    pts = gluing.sample_points(n, z_lo=0.0)
+    grid = gluing.sample_points(n, z_lo=0.0)
     fns = {idx: compile_field(c, XYZ) for idx, c in omega.coeffs.items()}
     ident = np.eye(3)
     transforms = []
@@ -392,7 +403,7 @@ def check_periodicity(
     worst_pt = (0.0, 0.0, 0.0)
     worst_name = ""
     for name, offset, jac, subs in transforms:
-        res, pt = _pullback_residual(omega, pts, offset, jac, subs, fns)
+        res, pt = _pullback_residual(omega, grid, offset, jac, subs, fns)
         if res >= worst:
             worst, worst_pt, worst_name = res, pt, name
     return PeriodicityReport(worst, worst_pt, worst_name, worst < 1e-9)

@@ -19,7 +19,7 @@ from .contact import (
     ALReport,
     FormPair,
     PerturbationError,
-    _curl_residual,
+    ScalingExtension,
     al_check,
     extend_scaling,
     perturb_pair,
@@ -37,6 +37,7 @@ from .geom import (
     TorusEmbedding,
     UV,
     XYZ,
+    curl_residual,
     restrict,
     torus_samples,
 )
@@ -245,24 +246,6 @@ def scaling_solve(
 # ---------------------------------------------------------------------------
 # certificate pipeline
 
-@dataclass(frozen=True)
-class ExtensionSummary:
-    delta: float
-    eps: float
-    c_lo: float
-    c_hi: float
-    margin: float
-
-    def to_dict(self):
-        return {
-            "delta": self.delta,
-            "eps": self.eps,
-            "c_lo": self.c_lo,
-            "c_hi": self.c_hi,
-            "margin": self.margin,
-        }
-
-
 def _decimated(values: tuple[float, ...]) -> list[float]:
     """At most 32 evenly spaced entries, the first and the last among them."""
     m = len(values) - 1
@@ -277,8 +260,8 @@ class PreLagReport:
     parallel_verdict: str | None = None
     cone_pair: tuple | None = None
     scaling: ScalingSolution | None = None
-    extension_u: ExtensionSummary | None = None
-    extension_s: ExtensionSummary | None = None
+    extension_u: ScalingExtension | None = None
+    extension_s: ScalingExtension | None = None
     scale_C: float = 1.0
     c1_distance: float | None = None
     final_residual: float | None = None
@@ -395,14 +378,7 @@ def pre_lagrangian_certificate(
         ext_s = _collar_extension(Const(1.0 / g0), ex.zneg(r_s))
     except AllabError as e:
         return stop("failed", f"collar extension failed: {e}")
-    common["extension_u"] = ExtensionSummary(
-        ext_u.delta, ext_u.eps, ext_u.c_lo, ext_u.c_hi, ext_u.positivity_margin()
-    )
-    common["extension_s"] = ExtensionSummary(
-        ext_s.delta, ext_s.eps, ext_s.c_lo, ext_s.c_hi, ext_s.positivity_margin()
-    )
-    if common["extension_u"].margin <= 0 or common["extension_s"].margin <= 0:
-        return stop("failed", "collar extension margin is not positive")
+    common.update(extension_u=ext_u, extension_s=ext_s)
 
     alpha_u = model.alpha_u.scale(ex.const(f0))
     alpha_s = model.alpha_s.scale(ex.const(g0))
@@ -419,7 +395,7 @@ def pre_lagrangian_certificate(
     final_pair = perturbed.pair
 
     final_al = al_check(final_pair, n=grid_n)
-    final_res = _curl_residual(restrict(final_pair.plus + final_pair.minus, sigma))
+    final_res = curl_residual(restrict(final_pair.plus + final_pair.minus, sigma))
     ok = final_al.verdict == "anosov_liouville" and final_res < tol
     return PreLagReport(
         outcome="certificate" if ok else "failed",
@@ -463,5 +439,5 @@ def check_graph_lagrangian(pair: FormPair, sigma: TorusEmbedding, f: Expr) -> Gr
     beta = restrict(pair.plus, sigma).scale(ex.func("exp", f)) + restrict(
         pair.minus, sigma
     ).scale(ex.func("exp", ex.zneg(f)))
-    res = _curl_residual(beta)
+    res = curl_residual(beta)
     return GraphCheck(res < 1e-6, res)

@@ -94,7 +94,7 @@ def test_criterion_3_fiber_graph_instance(cat):
     res = check_graph_lagrangian(cat.standard_pair(), cat.fiber(0.0), ex.ZERO)
     reeb = reeb_field_numeric(cat.alpha_plus)
     vals = reeb(cat.gluing.sample_points(4))
-    tangency = float(np.max(np.abs(vals[:, 2])))
+    tangency = float(np.max(np.abs(vals[2])))
     ok = res.ok and res.residual < 1e-12 and tangency < 1e-9
     _verdict(3, "fiber graph instance and Reeb tangency", ok)
 

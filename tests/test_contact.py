@@ -96,7 +96,7 @@ def test_scaling_leaves_discriminant_ratio_invariant():
 
 def test_al_check_rejects_vanishing_volume():
     vol = DifferentialForm(XYZ, 3, {(0, 1, 2): parse_expr("x - 1/3")})
-    pts = np.array([[1.0 / 3.0, 0.0, 0.0]])
+    pts = (np.array([1.0 / 3.0]), np.array([0.0]), np.array([0.0]))
     with pytest.raises(ContactError):
         al_check(standard_pair(), vol, points=pts)
 

@@ -115,6 +115,8 @@ def test_kernels_refuse_a_field_not_finite_off_the_validation_grid():
         winding(F)
     with pytest.raises(FoliationError, match="not finite"):
         return_map(F, Transversal("u"))
+    with pytest.raises(FoliationError, match="not finite"):
+        integrate_leaf(F, (0.1, 0.2), 1.0)
 
 
 def test_compact_leaves_refuse_a_field_not_finite_off_the_validation_grid():
