@@ -553,15 +553,30 @@ _NAMESPACE = {
 
 
 @functools.lru_cache(maxsize=4096)
+def compile_kernel(e: Expr, names: tuple[str, ...]) -> Callable:
+    """Compile to the raw numpy expression of the given variables.
+
+    The kernel evaluates the tree and nothing more: it returns a Python
+    float for a constant tree, an array of the broadcast shape of only the
+    variables the tree uses, or one of its own arguments for a bare
+    variable.  So only a caller that broadcasts the result into its own
+    arithmetic, and never writes to it, may use it; everyone else calls
+    ``compile_field``.  Equal trees share one kernel.
+    """
+    src = "lambda " + ", ".join(f"_v_{n}" for n in names) + ": " + _codegen(e)
+    return eval(src, dict(_NAMESPACE))  # noqa: S307 - generated from our own AST
+
+
+@functools.lru_cache(maxsize=4096)
 def compile_field(e: Expr, names: tuple[str, ...]) -> Callable:
     """Compile to a numpy-vectorized callable of the given variables.
 
     The callable returns a fresh float array of the broadcast shape of its
     arguments, also for trees that do not use every variable.  Equal trees
-    share one callable.  Domain violations give NaN or inf, as in numpy.
+    share one callable, which wraps their ``compile_kernel``.  Domain
+    violations give NaN or inf, as in numpy.
     """
-    src = "lambda " + ", ".join(f"_v_{n}" for n in names) + ": " + _codegen(e)
-    fn = eval(src, dict(_NAMESPACE))  # noqa: S307 - generated from our own AST
+    fn = compile_kernel(e, names)
 
     def field(*args):
         args = [np.asarray(a, dtype=float) for a in args]

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import AllabError
 from . import expr as ex
-from .expr import Expr, compile_field
+from .expr import Expr, compile_field, compile_kernel
 from .geom import DifferentialForm, UV, curl_residual, torus_samples
 
 
@@ -89,6 +89,7 @@ def constant_slope(rho: float) -> Foliation2:
 # node counts on each loop, from the fewest: winding reads each loop on the
 # first count that resolves the field there
 _WINDING_NODES = tuple(1024 * 4**i for i in range(6))  # up to 2^20
+_TURN = 2.0 * math.pi
 
 
 def _whole_turns(angle: np.ndarray) -> list[np.ndarray] | None:
@@ -98,10 +99,14 @@ def _whole_turns(angle: np.ndarray) -> list[np.ndarray] | None:
     lift of the angle, when the samples resolve the field: None when a step
     still turns by more than pi/4."""
     whole = []
+    step, turns = np.empty_like(angle), np.empty_like(angle)
     for axis in range(angle.ndim):
-        step = np.diff(angle, axis=axis, append=np.take(angle, [0], axis=axis))
-        k = np.rint(step / (2.0 * math.pi))
-        if not np.max(np.abs(step - 2.0 * math.pi * k)) <= math.pi / 4:  # a NaN fails too
+        a, s = np.moveaxis(angle, axis, 0), np.moveaxis(step, axis, 0)
+        np.subtract(a[1:], a[:-1], out=s[:-1])
+        np.subtract(a[:1], a[-1:], out=s[-1:])
+        k = np.rint(np.divide(step, _TURN))
+        np.abs(np.subtract(step, np.multiply(_TURN, k, out=turns), out=step), out=step)
+        if not step.max() <= math.pi / 4:  # a NaN fails too
             return None
         whole.append(k)
     return whole
@@ -168,11 +173,12 @@ def integrate_leaf(
     array of k polylines for a (k, 2) array of starts."""
     if length <= 0:
         raise FoliationError("leaf length must be positive")
-    f1, f2 = compile_field(F.V1, UV), compile_field(F.V2, UV)
+    f1, f2 = compile_kernel(F.V1, UV), compile_kernel(F.V2, UV)
 
     def rhs(_, y):  # y[0], y[1]: the u and v rows
-        a, b = f1(y[0], y[1]), f2(y[0], y[1])
-        return np.array((a, b)) / np.hypot(a, b)
+        d = np.empty_like(y)  # a kernel may return a float or a lower-rank array
+        d[0], d[1] = f1(y[0], y[1]), f2(y[0], y[1])
+        return d / np.hypot(d[0], d[1])
 
     starts = np.asarray(start, dtype=float)
     n = max(1, math.ceil(length / max_step))
@@ -192,7 +198,8 @@ _STRIP_STEPS = 256  # RK4 steps across one fundamental strip
 
 def _strip_flow(F: Foliation2, axis: str):
     """The slope of the leaves over the coordinate across the circles
-    axis = const, and the sign in which the leaves cross them."""
+    axis = const, as a raw kernel of (x, y), and the sign in which the leaves
+    cross them."""
     comp = torus_samples(F.V1 if axis == "u" else F.V2, 192)
     if not np.isfinite(comp).all():  # NaN fails every comparison below
         raise FoliationError(_NOT_FINITE)
@@ -203,18 +210,20 @@ def _strip_flow(F: Foliation2, axis: str):
         )
     sign = 1 if comp.flat[0] > 0 else -1
     if axis == "u":  # dy/dx along the leaf, x = u
-        return compile_field(ex.div(F.V2, F.V1), ("u", "v")), sign
-    return compile_field(ex.div(F.V1, F.V2), ("v", "u")), sign  # x = v
+        return compile_kernel(ex.div(F.V2, F.V1), ("u", "v")), sign
+    return compile_kernel(ex.div(F.V1, F.V2), ("v", "u")), sign  # x = v
 
 
 def _lifts(flow, x0: float, ts, q: int) -> np.ndarray:
     """lift^k(ts) for k = 1..q, as a (q, ...) array: the leaves through the
-    points ts of the circle x = x0, integrated across q fundamental strips."""
+    points ts of the circle x = x0, integrated across q fundamental strips.
+    x goes in as a numpy float, so the slope kernel keeps numpy's semantics
+    (a pole gives inf, not ZeroDivisionError) on terms of x alone."""
     slope, sign = flow
     out = np.empty((q,) + np.shape(ts))
     for k in range(q):
         y = out[k - 1] if k else ts
-        out[k] = _rk4(slope, x0 + sign * k, y, sign / _STRIP_STEPS, _STRIP_STEPS)
+        out[k] = _rk4(slope, np.float64(x0 + sign * k), y, sign / _STRIP_STEPS, _STRIP_STEPS)
     if not np.isfinite(out).all():
         raise FoliationError(_NOT_FINITE)
     return out
@@ -547,34 +556,48 @@ def _candidate_directions(max_denominator: int) -> list[tuple[int, int]]:
     return dirs
 
 
+def _direction_arc(H: Foliation2, t: np.ndarray) -> tuple[float, float] | None:
+    """[lo, hi] of the lifted angle of H on the torus grid (t_i, t_j), or None
+    when neighbouring samples turn by more than pi/4.
+
+    The angle is evaluated on the open grid (u as a column, v as a row), so
+    an axis that H does not use keeps length 1: it is neither sampled nor
+    lifted along it, and the arc is the one the full grid gives.  Lifting
+    along each row, then along the first column, makes the angle continuous.
+    """
+    v1, v2 = compile_kernel(H.V1, UV), compile_kernel(H.V2, UV)
+    angle = np.atleast_2d(np.arctan2(v2(t[:, None], t[None]), v1(t[:, None], t[None])))
+    if (whole := _whole_turns(angle)) is None:
+        return None
+    ku, kv = whole
+    angle[:, 1:] -= _TURN * np.cumsum(kv[:, :-1], axis=1)
+    angle[1:] -= _TURN * np.cumsum(ku[:-1, :1], axis=0)
+    return float(angle.min()), float(angle.max())
+
+
 def cone_separation(
     F: Foliation2, G: Foliation2, search: SlopeSearch = SlopeSearch()
 ) -> tuple[tuple[int, int], tuple[int, int]] | None:
     """Search for two constant directions each transverse to both fields at
-    every grid point; None when no candidate pair works at this bound.
+    every point of the grid_n x grid_n torus grid; None when no candidate pair
+    works at this bound.
 
     The torus is connected, so a field's line directions (mod pi) fill one
-    arc of the circle of directions.  Lifting the sampled angles along each
-    grid row, then along the first column, makes them continuous; [lo, hi]
-    of the lift is the arc.  A candidate at angle a is transverse to every
-    direction t of the arc (|sin(a - t)| > 4e-3) iff a lies more than
-    asin(4e-3) outside [lo, hi] mod pi, so nothing clears once
-    hi - lo + 2 asin(4e-3) >= pi.  The lift needs a grid that resolves the
-    field: if neighbouring samples turn by more than pi/4, no pair is
-    certified.
+    arc of the circle of directions, [lo, hi] of its lifted angle on the grid
+    (``_direction_arc``, which samples only the axes the field uses).  A
+    candidate at angle a is transverse to every direction t of the arc
+    (|sin(a - t)| > 4e-3) iff a lies more than asin(4e-3) outside [lo, hi]
+    mod pi, so nothing clears once hi - lo + 2 asin(4e-3) >= pi.  The lift
+    needs a grid that resolves the field: if neighbouring samples turn by
+    more than pi/4, no pair is certified.
     """
     _check_transverse_pair(F, G)
-    n, margin = search.grid_n, math.asin(4e-3)
+    t, margin = np.arange(search.grid_n) / search.grid_n, math.asin(4e-3)
     arcs = []
     for H in (F, G):
-        angle = np.arctan2(torus_samples(H.V2, n), torus_samples(H.V1, n))
-        if (whole := _whole_turns(angle)) is None:
+        if (arc := _direction_arc(H, t)) is None:
             return None
-        ku, kv = whole
-        # lift each row, then the first column
-        angle[:, 1:] -= 2.0 * math.pi * np.cumsum(kv[:, :-1], axis=1)
-        angle[1:] -= 2.0 * math.pi * np.cumsum(ku[:-1, :1], axis=0)
-        arcs.append((float(angle.min()), float(angle.max())))
+        arcs.append(arc)
     good = [
         d for d in _candidate_directions(search.max_denominator)
         if all(

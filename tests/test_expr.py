@@ -9,6 +9,7 @@ from allab.expr import (
     Func,
     Var,
     compile_field,
+    compile_kernel,
     diff,
     evaluate,
     parse_expr,
@@ -211,6 +212,21 @@ def test_compile_field_is_shared_by_equal_trees():
     a = compile_field(parse_expr("sin(2*pi*u) + v"), ("u", "v"))
     assert compile_field(parse_expr("sin(2*pi*u) + v"), ("u", "v")) is a
     assert compile_field(parse_expr("sin(2*pi*u) + v"), ("v", "u")) is not a
+
+
+def test_compile_kernel_returns_only_what_the_tree_uses():
+    import numpy as np
+
+    u, v = np.arange(3.0)[:, None], np.arange(4.0)
+    assert type(compile_kernel(parse_expr("2*pi"), ("u", "v"))(u, v)) is float
+    assert compile_kernel(parse_expr("sin(2*pi*u)"), ("u", "v"))(u, v).shape == (3, 1)
+    assert compile_kernel(parse_expr("v"), ("u", "v"))(u, v) is v
+    for text in ("2*pi", "sin(2*pi*u)", "v", "u*v"):
+        e = parse_expr(text)
+        want = compile_field(e, ("u", "v"))(u, v)
+        assert np.array_equal(np.broadcast_to(compile_kernel(e, ("u", "v"))(u, v), (3, 4)), want)
+    assert compile_kernel(parse_expr("u*v"), ("u", "v")) is compile_kernel(
+        parse_expr("u*v"), ("u", "v"))
 
 
 @pytest.mark.parametrize("text", ["1e400*u", "u - 1e400", "u + 1e400*0"])

@@ -1,10 +1,12 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
 from allab import expr as ex
+from allab import foliation as fol
 from allab import library
 from allab.expr import Const, parse_expr, substitute
 from allab.foliation import (
@@ -156,6 +158,55 @@ def test_leaf_batch_matches_single_starts():
     assert batch.shape == (3, 301, 2)
     for start, pts in zip(starts, batch):
         assert np.max(np.abs(pts - integrate_leaf(F, tuple(start), 1.5, max_step=5e-3))) < 1e-12
+
+
+def _through_compile_field(monkeypatch, fn, *args):
+    """fn(*args) with every raw kernel replaced by its compile_field, which
+    evaluates every field on the full broadcast grid of its arguments."""
+    fol._compact_leaves.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(fol, "compile_kernel", ex.compile_field)
+        out = fn(*args)
+    fol._compact_leaves.cache_clear()
+    return out
+
+
+@pytest.mark.parametrize(
+    "v1, v2",
+    [
+        pytest.param("1", "0.3", id="constant"),  # every kernel returns a float
+        # V2, and the slope V2/V1, are arrays of u alone
+        pytest.param("1", "1/3 + 2*pi*0.03*cos(2*pi*u)", id="u-only"),
+    ],
+)
+def test_integrators_on_low_rank_kernels_match_compile_field(monkeypatch, v1, v2):
+    F = Foliation2(parse_expr(v1), parse_expr(v2))
+    starts = np.array([(0.1, 0.2), (0.5, 0.5), (0.9, 0.3)])
+    for start in ((0.1, 0.2), starts):
+        pts = integrate_leaf(F, start, 1.5, max_step=5e-3)
+        assert pts.shape == np.shape(start)[:-1] + (301, 2)
+        assert np.array_equal(pts, _through_compile_field(
+            monkeypatch, integrate_leaf, F, start, 1.5, 5e-3))
+    for axis in ("u", "v"):
+        R = return_map(F, Transversal(axis))
+        ref = _through_compile_field(monkeypatch, return_map, F, Transversal(axis))
+        assert R.lift_values.shape == (1024,)
+        assert np.array_equal(R.lift_values, ref.lift_values)
+    assert compact_leaves(F) == _through_compile_field(monkeypatch, compact_leaves, F)
+
+
+def test_integrators_refuse_non_finite_kernels_without_a_warning():
+    # NaN off the validation grid, and a pole at u = 255/512, which no
+    # validation point meets but an RK4 stage of the return map does
+    nan = Foliation2(parse_expr("1 + 0*sqrt(cos(512*pi*u) - 0.5)"), parse_expr("0.3"))
+    pole = Foliation2(ex.ONE, parse_expr("0.3 + 0*(1/(u - 255/512))"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for F in (nan, pole):
+            with pytest.raises(FoliationError, match="not finite"):
+                return_map(F, Transversal("u"))
+        with pytest.raises(FoliationError, match="not finite"):
+            integrate_leaf(nan, np.array([(0.1, 0.2), (0.5, 0.5)]), 1.0)
 
 
 def test_irrational_leaf_never_closes():
@@ -451,3 +502,44 @@ def _quarter_turn_pair(angle):
 def test_cone_separation_none(angle):
     F, G = _quarter_turn_pair(angle)
     assert cone_separation(F, G) is None
+
+
+
+@pytest.mark.parametrize(
+    "angle, shape, expected",
+    [
+        pytest.param("0.4", (1, 1), ((1, 0), (0, 1)), id="constant"),
+        pytest.param("0.4 + 0.3*sin(2*pi*u)", (1024, 1), ((1, 0), (0, 1)), id="u-only"),
+        pytest.param("1 + 0.2*cos(2*pi*v)", (1, 1024), ((1, 0), (0, 1)), id="v-only"),
+        pytest.param("0.3*sin(2*pi*(u + 2*v))", (1024, 1024), ((1, -3), (1, -2)),
+                     id="two-variable"),
+        pytest.param("2*pi*u", (1024, 1), None, id="u-winding"),
+        pytest.param("300*sin(2*pi*u)", (1024, 1), None, id="unresolved"),
+        # FOUND, left open: every grid point sits on a zero of the sine, so
+        # the samples miss that this field takes every direction
+        pytest.param("1.7*sin(2048*pi*u)", (1024, 1), ((1, -10), (1, -9)), id="aliased"),
+    ],
+)
+def test_cone_separation_on_the_open_grid_matches_the_full_grid(
+        monkeypatch, angle, shape, expected):
+    F, G = _quarter_turn_pair(angle)
+    t = np.arange(1024) / 1024
+    shapes = []
+    whole_turns = fol._whole_turns
+    monkeypatch.setattr(fol, "_whole_turns", lambda a: shapes.append(a.shape) or whole_turns(a))
+    arcs = [fol._direction_arc(H, t) for H in (F, G)]
+    assert shapes == [shape, shape]  # an axis the field does not use is not sampled
+    assert cone_separation(F, G) == expected
+    with monkeypatch.context() as m:  # every field on the full 1024 x 1024 grid
+        m.setattr(fol, "compile_kernel", ex.compile_field)
+        assert arcs == [fol._direction_arc(H, t) for H in (F, G)]
+        assert cone_separation(F, G) == expected
+
+
+def test_direction_arc_of_a_field_with_one_variable_per_component(monkeypatch):
+    F = Foliation2(parse_expr("2 + sin(2*pi*u)"), parse_expr("0.5*cos(2*pi*v)"))
+    t = np.arange(1024) / 1024
+    arc = fol._direction_arc(F, t)
+    monkeypatch.setattr(fol, "compile_kernel", ex.compile_field)
+    assert arc == fol._direction_arc(F, t)
+    assert arc[0] == -arc[1] == pytest.approx(-math.atan(0.5))
