@@ -1,7 +1,7 @@
 """Command-line front end: load a run configuration, execute the requested
-analysis stages, and write a schema-validated JSON report plus optional SVG
-renderings.  Exit code 0 when every requested verdict passes, 2 when a
-verdict is obstructed or failed, 1 for tool errors.
+analysis stages, and write a JSON report, checked against ``REPORT_SCHEMA``,
+plus optional SVG renderings.  Exit code 0 when every requested verdict
+passes, 2 when a verdict is obstructed or failed, 1 for tool errors.
 """
 
 from __future__ import annotations
@@ -9,12 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 import tempfile
 import time
 
-import jsonschema
 import numpy as np
 
 from . import AllabError, __version__, library
@@ -55,6 +55,50 @@ COMMANDS = ("check-pair", "foliation", "pre-lagrangian", "render", "all")
 
 class ToolError(AllabError):
     pass
+
+
+# JSON Schema's types, as the draft 2020-12 validators decide them: a bool is
+# neither an integer nor a number, and a float with no fractional part is an
+# integer
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: not isinstance(v, bool)
+    and (isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+}
+_KEYWORDS = {"$schema", "type", "required", "properties", "additionalProperties", "minimum"}
+
+
+def _validate(value, schema: dict, where: str = "report"):
+    """Check value against schema as JSON Schema would, for the keywords
+    ``REPORT_SCHEMA`` uses (``$schema`` is an annotation); any other keyword
+    is refused, so that it cannot go unchecked.  Raises ToolError naming the
+    path of the first violation."""
+    if unknown := schema.keys() - _KEYWORDS:
+        raise ToolError(f"the schema at {where} uses unsupported keywords {sorted(unknown)}")
+    if "type" in schema:
+        kind = schema["type"]
+        if not isinstance(kind, str) or kind not in _TYPES:
+            raise ToolError(f"the schema at {where} uses the unsupported type {kind!r}")
+        if not _TYPES[kind](value):
+            raise ToolError(f"{where} is not of type {kind!r}")
+    if "minimum" in schema and _TYPES["number"](value) and value < schema["minimum"]:
+        raise ToolError(f"{where} is less than the minimum of {schema['minimum']!r}")
+    if not isinstance(value, dict):
+        return
+    for key in schema.get("required", ()):
+        if key not in value:
+            raise ToolError(f"{where} lacks {key!r}")
+    properties, extra = schema.get("properties", {}), schema.get("additionalProperties", True)
+    for key, item in value.items():
+        if key in properties:
+            _validate(item, properties[key], f"{where}.{key}")
+        elif extra is False:
+            raise ToolError(f"{where} has the unexpected key {key!r}")
+        elif extra is not True:
+            _validate(item, extra, f"{where}.{key}")
 
 
 def _atomic_write(path: str, text: str):
@@ -212,7 +256,7 @@ def run(cfg: RunConfig, command: str, out_dir: str) -> tuple[int, dict]:
         "ok": ok,
         "stages": stages,
     }
-    jsonschema.validate(report, REPORT_SCHEMA)
+    _validate(report, REPORT_SCHEMA)
     _atomic_write(
         os.path.join(out_dir, cfg.report_name),
         json.dumps(report, indent=2, sort_keys=True) + "\n",

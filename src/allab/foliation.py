@@ -144,9 +144,12 @@ def winding(F: Foliation2) -> tuple[int, int]:
 _NOT_FINITE = "the direction field is not finite off its validation grid"
 
 
-def _rk4(rhs, x: float, y: np.ndarray, h: float, n: int, out=None) -> np.ndarray:
+def _rk4(rhs, x: float, y: np.ndarray, h, n: int, out=None) -> np.ndarray:
     """n classical RK4 steps of dy/dx = rhs(x, y) for an array of states y;
-    returns the last state, and writes every state to ``out[0..n]`` if given."""
+    returns the last state, and writes every state to ``out[0..n]`` if given.
+    The step h is a float, or for an autonomous rhs an array of steps, one
+    per state along the last axis of y: every operation on h is elementwise,
+    so each state gets exactly the steps a float h would give it."""
     if out is not None:
         out[0] = y
     for i in range(n):
@@ -162,6 +165,38 @@ def _rk4(rhs, x: float, y: np.ndarray, h: float, n: int, out=None) -> np.ndarray
 
 
 @np.errstate(all="ignore")  # a domain error gives NaN, refused below
+def integrate_tracks(
+    F: Foliation2, starts: np.ndarray, lengths, max_steps
+) -> tuple[np.ndarray, np.ndarray]:
+    """Arc-length RK4 trajectories of V/|V| in the universal cover, all in one
+    pass: track i runs from the point starts[i] of a (k, 2) array over
+    lengths[i] in n[i] = max(1, ceil(lengths[i] / max_steps[i])) equal steps.
+    A float length or step serves every track.
+
+    Returns a (k, max(n) + 1, 2) array of points and n: track i is
+    ``pts[i, :n[i] + 1]``.  Its later points are steps past its own length,
+    not part of it, and may be anything, NaN too."""
+    lengths, max_steps = np.asarray(lengths, dtype=float), np.asarray(max_steps, dtype=float)
+    if not ((lengths > 0) & (lengths < math.inf)).all():
+        raise FoliationError("leaf length must be positive and finite")
+    f1, f2 = compile_kernel(F.V1, UV), compile_kernel(F.V2, UV)
+
+    def rhs(_, y):  # y[0], y[1]: the u and v rows
+        d = np.empty_like(y)  # a kernel may return a float or a lower-rank array
+        d[0], d[1] = f1(y[0], y[1]), f2(y[0], y[1])
+        return d / np.hypot(d[0], d[1])
+
+    n = np.maximum(1, np.ceil(lengths / max_steps)).astype(int)
+    steps = int(n.max())
+    y = np.reshape(starts, (-1, 2)).T
+    pts = np.empty((steps + 1,) + y.shape)
+    _rk4(rhs, 0.0, y, lengths / n, steps, pts)
+    own = np.arange(steps + 1)[:, None] <= n
+    if not (np.isfinite(pts).all(axis=1) | ~own).all():
+        raise FoliationError(_NOT_FINITE)
+    return pts.transpose(2, 0, 1), n
+
+
 def integrate_leaf(
     F: Foliation2,
     start: tuple[float, float] | np.ndarray,
@@ -171,22 +206,8 @@ def integrate_leaf(
     """Arc-length RK4 trajectory of V/|V| in the universal cover; returns the
     polyline as an (n+1, 2) array starting at ``start``, or a (k, n+1, 2)
     array of k polylines for a (k, 2) array of starts."""
-    if length <= 0:
-        raise FoliationError("leaf length must be positive")
-    f1, f2 = compile_kernel(F.V1, UV), compile_kernel(F.V2, UV)
-
-    def rhs(_, y):  # y[0], y[1]: the u and v rows
-        d = np.empty_like(y)  # a kernel may return a float or a lower-rank array
-        d[0], d[1] = f1(y[0], y[1]), f2(y[0], y[1])
-        return d / np.hypot(d[0], d[1])
-
     starts = np.asarray(start, dtype=float)
-    n = max(1, math.ceil(length / max_step))
-    pts = np.empty((n + 1, 2, starts.size // 2))
-    _rk4(rhs, 0.0, starts.reshape(-1, 2).T, length / n, n, pts)
-    if not np.isfinite(pts).all():
-        raise FoliationError(_NOT_FINITE)
-    pts = pts.transpose(2, 0, 1)
+    pts, _ = integrate_tracks(F, starts, length, max_step)
     return pts[0] if starts.ndim == 1 else pts
 
 
@@ -558,7 +579,8 @@ def _candidate_directions(max_denominator: int) -> list[tuple[int, int]]:
 
 def _direction_arc(H: Foliation2, t: np.ndarray) -> tuple[float, float] | None:
     """[lo, hi] of the lifted angle of H on the torus grid (t_i, t_j), or None
-    when neighbouring samples turn by more than pi/4.
+    when neighbouring samples turn by more than pi/4; FoliationError when a
+    sample is not finite.
 
     The angle is evaluated on the open grid (u as a column, v as a row), so
     an axis that H does not use keeps length 1: it is neither sampled nor
@@ -567,6 +589,8 @@ def _direction_arc(H: Foliation2, t: np.ndarray) -> tuple[float, float] | None:
     """
     v1, v2 = compile_kernel(H.V1, UV), compile_kernel(H.V2, UV)
     angle = np.atleast_2d(np.arctan2(v2(t[:, None], t[None]), v1(t[:, None], t[None])))
+    if not np.isfinite(angle).all():
+        raise FoliationError(_NOT_FINITE)
     if (whole := _whole_turns(angle)) is None:
         return None
     ku, kv = whole
@@ -575,6 +599,7 @@ def _direction_arc(H: Foliation2, t: np.ndarray) -> tuple[float, float] | None:
     return float(angle.min()), float(angle.max())
 
 
+@np.errstate(all="ignore")  # a domain error gives NaN, refused in _direction_arc
 def cone_separation(
     F: Foliation2, G: Foliation2, search: SlopeSearch = SlopeSearch()
 ) -> tuple[tuple[int, int], tuple[int, int]] | None:

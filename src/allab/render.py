@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .foliation import CompactLeaf, Foliation2, compact_leaves, integrate_leaf
+from .foliation import CompactLeaf, Foliation2, compact_leaves, integrate_tracks
 
 
 @dataclass(frozen=True)
@@ -97,22 +97,24 @@ def render_foliation(
 
     n = style.seeds
     seeds = [((i + 0.5) / n, (j + 0.5) / n) for i in range(n) for j in range(n)]
-    for pts in integrate_leaf(F, np.reshape(seeds, (-1, 2)), style.length, max_step=5e-3):
+    leaves = sorted(leaves, key=lambda l: (l.point, l.cls))
+    # every track in one RK4 pass, each with its own step
+    tracks, ends = integrate_tracks(
+        F,
+        np.reshape(seeds + [l.point for l in leaves], (-1, 2)),
+        [style.length] * len(seeds)
+        + [(l.period_length or float(np.hypot(*l.cls)) or 1.0) * 1.001 for l in leaves],
+        [5e-3] * len(seeds) + [2e-3] * len(leaves),
+    )
+    tracks = [pts[: end + 1] for pts, end in zip(tracks, ends)]
+    for pts in tracks[: len(seeds)]:
         segs = _wrap_segments(pts[::4])
         for seg in segs:
             canvas.polyline(seg, style.flow_color, style.stroke)
         if segs:
             canvas.arrowhead(max(segs, key=len), style.flow_color)
-
-    leaves = sorted(leaves, key=lambda l: (l.point, l.cls))
-    lengths = [l.period_length or float(np.hypot(*l.cls)) or 1.0 for l in leaves]
-    tracks = {}
-    for length in sorted(set(lengths)):  # one integration per period length
-        idx = [i for i, m in enumerate(lengths) if m == length]
-        starts = np.array([leaves[i].point for i in idx])
-        tracks.update(zip(idx, integrate_leaf(F, starts, length * 1.001, max_step=2e-3)))
-    for i in range(len(leaves)):
-        for seg in _wrap_segments(tracks[i][::2]):
+    for pts in tracks[len(seeds) :]:
+        for seg in _wrap_segments(pts[::2]):
             canvas.polyline(seg, style.leaf_color, style.leaf_stroke)
 
     return canvas.document()

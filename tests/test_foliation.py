@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import warnings
@@ -8,6 +9,7 @@ import pytest
 from allab import expr as ex
 from allab import foliation as fol
 from allab import library
+from allab import render
 from allab.expr import Const, parse_expr, substitute
 from allab.foliation import (
     CompactLeaf,
@@ -22,6 +24,7 @@ from allab.foliation import (
     cone_separation,
     constant_slope,
     integrate_leaf,
+    integrate_tracks,
     parallel_compact_leaves,
     reeb_annuli,
     return_map,
@@ -158,6 +161,50 @@ def test_leaf_batch_matches_single_starts():
     assert batch.shape == (3, 301, 2)
     for start, pts in zip(starts, batch):
         assert np.max(np.abs(pts - integrate_leaf(F, tuple(start), 1.5, max_step=5e-3))) < 1e-12
+
+
+# an isolated pair of leaves v = 0.2 + 0.05 sin 2 pi u + k/2, of period 1
+_ISOLATED = ("1", "2*pi*0.05*cos(2*pi*u) + 0.1*sin(2*pi*(v - 0.2 - 0.05*sin(2*pi*u)))")
+
+
+@pytest.mark.parametrize("name", ["eight-band", "isolated"])
+def test_render_tracks_match_integrate_leaf_alone(monkeypatch, name):
+    F = library.eight_band_pair()[0] if name == "eight-band" else Foliation2(
+        *map(parse_expr, _ISOLATED)
+    )
+    leaves = compact_leaves(F)
+    # the same points drawn with other period lengths: 2, sqrt(5) from the
+    # class, and 1 in place of a zero class; with the seeds' 2.5, four lengths
+    leaves += [dataclasses.replace(leaves[0], period_length=2.0),
+               dataclasses.replace(leaves[-1], period_length=0.0, cls=(2, 1)),
+               dataclasses.replace(leaves[-1], period_length=0.0, cls=(0, 0))]
+    calls = []
+
+    def recorded(*args):
+        calls.append((args, integrate_tracks(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(render, "integrate_tracks", recorded)
+    render.render_foliation(F, leaves)
+    [((_, starts, lengths, max_steps), (pts, n))] = calls  # one RK4 pass
+    assert len(starts) == 16 + len(leaves) and len(set(lengths)) == 4
+    for start, length, step, track, end in zip(starts, lengths, max_steps, pts, n):
+        assert np.array_equal(track[: end + 1], integrate_leaf(F, start, length, step))
+
+
+def test_steps_past_a_track_that_leave_the_domain_are_not_refused():
+    # V1 is NaN wherever |u - k/256| > 1/1536; both tracks move by about 1e-3
+    # of their length in u.  The short one ends inside at u = 6.1e-4, the
+    # steps past its end leave, and the long one stays inside to its end.
+    F = Foliation2(parse_expr("1e-3*(1 + 0*sqrt(cos(512*pi*u) - 0.5))"), parse_expr("1"))
+    starts = np.array([(0.0, 0.0), (6e-4, 0.0)])
+    pts, n = integrate_tracks(F, starts, [0.5, 0.01], 1e-2)
+    assert list(n) == [50, 1]
+    assert not np.isfinite(pts[1, 2:]).all()
+    for start, length, track, end in zip(starts, [0.5, 0.01], pts, n):
+        assert np.array_equal(track[: end + 1], integrate_leaf(F, start, length, 1e-2))
+    with pytest.raises(FoliationError, match="not finite"):
+        integrate_leaf(F, starts[1], 0.5, 1e-2)
 
 
 def _through_compile_field(monkeypatch, fn, *args):
@@ -534,6 +581,15 @@ def test_cone_separation_on_the_open_grid_matches_the_full_grid(
         m.setattr(fol, "compile_kernel", ex.compile_field)
         assert arcs == [fol._direction_arc(H, t) for H in (F, G)]
         assert cone_separation(F, G) == expected
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cone_separation_refuses_a_field_not_finite_on_its_grid():
+    # finite on the validation grids, NaN at u = 1/1024 on the cone grid
+    F = Foliation2(parse_expr("1 + 0*sqrt(cos(4608*pi*u) - 0.5)"), parse_expr("0.3"))
+    G = Foliation2(parse_expr("-0.3"), parse_expr("1"))
+    with pytest.raises(FoliationError, match="not finite"):
+        cone_separation(F, G)
 
 
 def test_direction_arc_of_a_field_with_one_variable_per_component(monkeypatch):

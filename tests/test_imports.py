@@ -1,6 +1,6 @@
 """The CLI loads no module beyond the standard library, allab itself and
-what its declared dependencies, numpy and jsonschema, load: imports are most
-of its start-up time."""
+what its one declared dependency, numpy, loads: imports are most of its
+start-up time."""
 
 import os
 import pathlib
@@ -21,6 +21,6 @@ def _top_level_modules(statement):
 
 def test_cli_imports_only_its_declared_dependencies():
     extra = (_top_level_modules("import allab.cli")
-             - _top_level_modules("import numpy, jsonschema")
+             - _top_level_modules("import numpy")
              - set(sys.stdlib_module_names))
     assert extra == {"allab"}

@@ -5,7 +5,7 @@ import jsonschema
 import pytest
 
 from allab import library
-from allab.cli import REPORT_SCHEMA, main, run
+from allab.cli import COMMANDS, REPORT_SCHEMA, ToolError, _validate, main, run
 from allab.config import ConfigError, load_config
 from allab.foliation import compact_leaves
 from allab.render import RenderStyle, render_foliation
@@ -177,6 +177,65 @@ def test_report_schema_round_trip(tmp_path):
     parsed = json.loads(text)
     jsonschema.validate(parsed, REPORT_SCHEMA)
     assert parsed == report
+
+
+@pytest.fixture(scope="module")
+def reports(tmp_path_factory):
+    """The in-process report of every command that runs on a shipped config."""
+    out = []
+    for name in sorted(os.listdir(CONFIGS)):
+        cfg = load_config(cfg_path(name))
+        for command in COMMANDS:
+            try:
+                out.append(run(cfg, command, str(tmp_path_factory.mktemp(command)))[1])
+            except ToolError as e:  # check-pair with no model, pre-lagrangian with no partner
+                assert "needs" in str(e)
+    return out
+
+
+def _mutations(report):
+    """report and copies of it that break or bend the schema."""
+    yield report
+    for key in REPORT_SCHEMA["required"]:
+        yield {k: v for k, v in report.items() if k != key}
+    yield {**report, "extra": 1}
+    for value in (0, True, 2.0):
+        yield {**report, "threads": value}
+    yield {**report, "ok": 1}
+    name, stage = next(iter(report["stages"].items()))
+    yield {**report, "stages": {name: {k: v for k, v in stage.items() if k != "seconds"}}}
+    yield {**report, "stages": {name: {**stage, "ok": "yes"}}}
+    yield {**report, "stages": list(report["stages"].values())}
+
+
+def _accepts(doc) -> bool:
+    try:
+        _validate(doc, REPORT_SCHEMA)
+    except ToolError:
+        return False
+    return True
+
+
+def test_validator_agrees_with_jsonschema(reports):
+    assert len(reports) == 16  # 4 configs x 5 commands, less 4 that need what a config lacks
+    reference = jsonschema.Draft202012Validator(REPORT_SCHEMA)
+    verdicts = [
+        (_accepts(doc), reference.is_valid(doc))
+        for report in reports for doc in _mutations(report)
+    ]
+    assert all(ours == theirs for ours, theirs in verdicts)
+    # each report and its threads = 2.0 copy pass; the 13 others fail
+    assert sum(ours for ours, _ in verdicts) == 2 * len(reports)
+    stage = {k: v for k, v in reports[0]["stages"]["check-pair"].items() if k != "ok"}
+    with pytest.raises(ToolError, match=r"^report\.stages\.check-pair lacks 'ok'$"):
+        _validate({**reports[0], "stages": {"check-pair": stage}}, REPORT_SCHEMA)
+
+
+def test_validator_refuses_a_keyword_it_does_not_implement(reports):
+    schema = {**REPORT_SCHEMA, "properties": {
+        **REPORT_SCHEMA["properties"], "command": {"type": "string", "enum": list(COMMANDS)}}}
+    with pytest.raises(ToolError, match=r"report\.command uses unsupported keywords \['enum'\]"):
+        _validate(reports[0], schema)
 
 
 # ---------------------------------------------------------------------------
