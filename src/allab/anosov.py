@@ -54,11 +54,9 @@ class FlowModel:
         return self.alpha_u + self.alpha_s
 
     def standard_pair(self, C: float = 1.0) -> FormPair:
+        """(C alpha_plus, alpha_minus / C) on the gluing."""
         plus, minus = self.alpha_plus, self.alpha_minus
-        if C != 1.0:
-            plus = plus.scale(ex.const(C))
-            minus = minus.scale(ex.const(1.0 / C))
-        return FormPair(plus, minus, self.gluing)
+        return FormPair(plus.scale(ex.const(C)), minus.scale(ex.const(1.0 / C)), self.gluing)
 
     def fiber(self, z: float = 0.0) -> TorusEmbedding:
         return fiber_embedding(self.gluing, z)

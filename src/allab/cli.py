@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import numbers
 import os
 import sys
@@ -115,7 +114,7 @@ def _atomic_write(path: str, text: str):
 
 
 def _build_model(cfg: RunConfig) -> FlowModel | None:
-    if cfg.model_type == "none":
+    if cfg.matrix is None:
         return None
     A = ((cfg.matrix[0], cfg.matrix[1]), (cfg.matrix[2], cfg.matrix[3]))
     return suspension_model(A)
@@ -129,11 +128,7 @@ def _build_foliations(
             raise ToolError("foliation source 'model' but no model is configured")
         return weak_foliations_on_torus(model, model.fiber(cfg.fiber_z))
     if cfg.foliation_source == "builtin":
-        if cfg.builtin == "two-reeb-band":
-            return library.two_reeb_band(), None
-        if cfg.builtin == "franks-williams":
-            return library.franks_williams_pair()
-        return library.eight_band_pair()
+        return library.BUILTINS[cfg.builtin]()
     F = Foliation2(cfg.v1, cfg.v2)
     G = None
     if cfg.partner_v1 is not None:
@@ -264,8 +259,13 @@ def run(cfg: RunConfig, command: str, out_dir: str) -> tuple[int, dict]:
     return (0 if ok else 2), report
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1, as any tool error does
+        raise ToolError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="allab",
         description="bicontact pair checks, torus foliation analysis, and "
         "pre-Lagrangian certificates",
@@ -273,35 +273,20 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default="out")
-    parser.add_argument("--grid", type=int)
-    parser.add_argument("--scale-C", dest="scale_c", type=float)
-    parser.add_argument("--tolerance", type=float)
-    args = parser.parse_args(argv)
+    parser.add_argument("--grid")
+    parser.add_argument("--scale-C", dest="scale_c")
+    parser.add_argument("--tolerance")
 
     try:
-        cfg = load_config(args.config)
-        overrides = {}
-        if args.grid is not None:
-            if args.grid <= 0:
-                raise ToolError("--grid must be positive")
-            overrides["grid"] = args.grid
-        if args.scale_c is not None:
-            if not 0 < args.scale_c < math.inf:
-                raise ToolError("--scale-C must be positive and finite")
-            overrides["scale_c"] = args.scale_c
-        if args.tolerance is not None:
-            if not 0 < args.tolerance < math.inf:
-                raise ToolError("--tolerance must be positive and finite")
-            overrides["tolerance"] = args.tolerance
-        if overrides:
-            from dataclasses import replace
-
-            cfg = replace(cfg, **overrides)
+        args = parser.parse_args(argv)
+        # a flag replaces the [analysis] key it is named after, and is
+        # checked as that key
+        analysis = {
+            k: v for k in ("grid", "scale_c", "tolerance") if (v := getattr(args, k)) is not None
+        }
+        cfg = load_config(args.config, analysis)
         code, report = run(cfg, args.command, args.out)
-    except AllabError as e:
-        print(f"allab: {e}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as e:
+    except (AllabError, OSError) as e:
         print(f"allab: {e}", file=sys.stderr)
         return 1
     for name, s in report["stages"].items():

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from . import AllabError
 from .expr import Expr, ExprError, parse_expr
+from .library import BUILTINS
 
 
 class ConfigError(AllabError):
@@ -21,8 +22,6 @@ class ConfigError(AllabError):
             "invalid configuration:\n" + "\n".join(f"  - {v}" for v in self.violations)
         )
 
-
-_BUILTIN_FOLIATIONS = ("two-reeb-band", "franks-williams", "eight-band")
 
 _SECTIONS = {
     "model": {"type", "matrix", "fiber_z"},
@@ -40,39 +39,42 @@ _SECTIONS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    path: str
     digest: str
-    model_type: str = "none"  # none | suspension
-    matrix: tuple[int, int, int, int] | None = None
-    fiber_z: float = 0.0
-    foliation_source: str = "model"  # model | builtin | field
-    builtin: str | None = None
-    v1: Expr | None = None
-    v2: Expr | None = None
-    partner_v1: Expr | None = None
-    partner_v2: Expr | None = None
-    grid: int = 12
-    solver_grid: int = 32
-    scale_c: float = 10.0
-    tolerance: float = 1e-6
-    max_denominator: int = 10
-    report_name: str = "report.json"
-    svg_name: str = "foliation.svg"
+    matrix: tuple[int, int, int, int] | None  # None: no suspension model
+    fiber_z: float
+    foliation_source: str  # model | builtin | field
+    builtin: str | None
+    v1: Expr | None
+    v2: Expr | None
+    partner_v1: Expr | None
+    partner_v2: Expr | None
+    grid: int
+    solver_grid: int
+    scale_c: float
+    tolerance: float
+    max_denominator: int
+    report_name: str
+    svg_name: str
 
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, analysis: dict[str, str] | None = None) -> RunConfig:
+    """Read and check the file at path.  ``analysis`` holds ``[analysis]``
+    values, such as the command line's flags, that replace the file's before
+    the check, so they are checked and reported as the keys they replace."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     violations: list[str] = []
     try:
         parser.read_string(text, source=path)
     except configparser.Error as e:
         raise ConfigError([f"parse error: {e}"]) from e
+    if analysis:
+        parser.read_dict({"analysis": analysis})
 
     for section in parser.sections():
         if section not in _SECTIONS:
@@ -81,8 +83,6 @@ def load_config(path: str) -> RunConfig:
         for key in parser[section]:
             if key not in _SECTIONS[section]:
                 violations.append(f"unknown key {section}.{key}")
-
-    values: dict = {}
 
     def get(section, key, default=None):
         if parser.has_option(section, key):
@@ -139,12 +139,8 @@ def load_config(path: str) -> RunConfig:
             violations.append("model.matrix: required for a suspension model")
         else:
             parts = raw.replace(",", " ").split()
-            if len(parts) != 4 or not all(
-                p.lstrip("-").isdigit() for p in parts
-            ):
-                violations.append(
-                    f"model.matrix: expected four integers, got {raw!r}"
-                )
+            if len(parts) != 4 or not all(p.lstrip("-").isdigit() for p in parts):
+                violations.append(f"model.matrix: expected four integers, got {raw!r}")
             else:
                 matrix = tuple(int(p) for p in parts)
     fiber_z = get_float("model", "fiber_z", 0.0)
@@ -161,10 +157,10 @@ def load_config(path: str) -> RunConfig:
     if source == "builtin":
         if builtin is None:
             violations.append("foliation.builtin: required when source = builtin")
-        elif builtin not in _BUILTIN_FOLIATIONS:
+        elif builtin not in BUILTINS:
             violations.append(
                 f"foliation.builtin: unknown name {builtin!r}; "
-                f"choose from {', '.join(_BUILTIN_FOLIATIONS)}"
+                f"choose from {', '.join(BUILTINS)}"
             )
     v1 = get_expr("foliation", "v1")
     v2 = get_expr("foliation", "v2")
@@ -177,8 +173,7 @@ def load_config(path: str) -> RunConfig:
     if source == "model" and model_type == "none":
         violations.append("foliation.source: 'model' needs a [model] section")
 
-    values.update(
-        model_type=model_type,
+    values = dict(
         matrix=matrix,
         fiber_z=fiber_z,
         foliation_source=source or "model",
@@ -198,8 +193,4 @@ def load_config(path: str) -> RunConfig:
 
     if violations:
         raise ConfigError(violations)
-    return RunConfig(
-        path=path,
-        digest=_digest(text),
-        **values,
-    )
+    return RunConfig(digest=_digest(text), **values)

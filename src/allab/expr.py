@@ -8,14 +8,15 @@ every other identifier must be a declared named parameter (``pi`` is
 predefined).  See docs/grammar.md for the EBNF.
 
 Expressions are immutable trees.  The only simplification performed by the
-parser is constant folding of literal-only subtrees; derivatives are
-returned unsimplified.
+parser is constant folding of literal-only subtrees, to the value that
+``evaluate`` gives; derivatives are returned unsimplified.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
@@ -27,12 +28,6 @@ from . import AllabError
 VARIABLES = ("x", "y", "z", "s", "u", "v")
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt", "neg")
 DEFAULT_PARAMETERS = frozenset({"pi"})
-
-# Internal-only node kinds used by collar bumps and plateau blends.  They are
-# constructed programmatically (see allab.contact) and are not part of the
-# published text grammar.
-_INTERNAL_FUNCTIONS = ("pos", "step")
-
 
 class ExprError(AllabError):
     """Base class for expression-layer errors."""
@@ -105,43 +100,23 @@ ONE = Const(1.0)
 
 def _fold_bin(op: str, a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
-        x, y = a.value, b.value
-        if op == "+":
-            return Const(x + y)
-        if op == "-":
-            return Const(x - y)
-        if op == "*":
-            return Const(x * y)
-        if op == "/":
-            if y != 0.0:
-                return Const(x / y)
-        if op == "^":
-            try:
-                return Const(float(x**y))
-            except (OverflowError, ValueError, ZeroDivisionError):
-                pass
+        return _fold(BinOp(op, a, b), a.value, b.value)
     return BinOp(op, a, b)
-
-
-_FUNC_EVAL: dict[str, Callable[[float], float]] = {
-    "exp": math.exp,
-    "log": math.log,
-    "sin": math.sin,
-    "cos": math.cos,
-    "sqrt": math.sqrt,
-    "neg": lambda t: -t,
-    "pos": lambda t: t if t > 0.0 else 0.0,
-    "step": lambda t: 1.0 if t > 0.0 else 0.0,
-}
 
 
 def _fold_func(name: str, a: Expr) -> Expr:
     if isinstance(a, Const):
-        try:
-            return Const(float(_FUNC_EVAL[name](a.value)))
-        except (ValueError, OverflowError):
-            pass
+        return _fold(Func(name, a), a.value)
     return Func(name, a)
+
+
+def _fold(node: Expr, *values: float) -> Expr:
+    """The constant that ``evaluate`` gives node, whose arguments are
+    constants of the given values; node itself where ``evaluate`` refuses it."""
+    try:
+        return Const(_apply(node, values))
+    except DomainError:
+        return node
 
 
 def add(a: Expr, b: Expr) -> Expr:
@@ -347,10 +322,14 @@ def parse_expr(text: str, parameters: Iterable[str] = DEFAULT_PARAMETERS) -> Exp
     """Parse ``text`` into an expression tree.
 
     ``parameters`` is the set of allowed named parameters besides the fixed
-    coordinate variables; it always includes ``pi``.
+    coordinate variables; it always includes ``pi``.  Input nested too
+    deeply for the recursive descent is a ParseError too.
     """
-    params = frozenset(parameters) | DEFAULT_PARAMETERS
-    return _Parser(text, params).parse()
+    parser = _Parser(text, frozenset(parameters) | DEFAULT_PARAMETERS)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("nested too deeply", parser.peek()[2]) from None
 
 
 # ---------------------------------------------------------------------------
@@ -467,11 +446,34 @@ def diff(e: Expr, w: str) -> Expr:
 # ---------------------------------------------------------------------------
 # evaluation
 
+_BIN_EVAL: dict[str, Callable[[float, float], float]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": operator.pow,
+}
+
+_FUNC_EVAL: dict[str, Callable[[float], float]] = {
+    "exp": math.exp,
+    "log": math.log,
+    "sin": math.sin,
+    "cos": math.cos,
+    "sqrt": math.sqrt,
+    "neg": operator.neg,
+    "pos": lambda t: t if t > 0.0 else 0.0,
+    "step": lambda t: 1.0 if t > 0.0 else 0.0,
+}
+
+
 def evaluate(e: Expr, env: Mapping[str, float]) -> float:
     """Evaluate at a point.  ``pi`` defaults to math.pi unless rebound.
 
-    Raises UnboundVariableError for missing bindings and DomainError for
-    numeric domain violations instead of returning NaN.
+    The one definition of scalar semantics: the parser folds a constant
+    subtree to exactly this value.  Raises UnboundVariableError for missing
+    bindings and DomainError for numeric domain violations (division by
+    zero, log or sqrt out of range, overflow, a complex power) instead of
+    returning NaN.
     """
     if isinstance(e, Const):
         return e.value
@@ -482,31 +484,21 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
             return math.pi
         raise UnboundVariableError(e.name)
     if isinstance(e, BinOp):
-        a = evaluate(e.left, env)
-        b = evaluate(e.right, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0.0:
-                raise DomainError("division by zero", e)
-            return a / b
-        try:
-            return float(a**b)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"invalid power: {exc}", e) from exc
-    x = evaluate(e.arg, env)
-    if e.name == "log" and x <= 0.0:
-        raise DomainError("log of non-positive value", e)
-    if e.name == "sqrt" and x < 0.0:
-        raise DomainError("sqrt of negative value", e)
+        return _apply(e, (evaluate(e.left, env), evaluate(e.right, env)))
+    return _apply(e, (evaluate(e.arg, env),))
+
+
+def _apply(e: BinOp | Func, args: tuple[float, ...]) -> float:
+    """The operator or function at the root of e applied to the values of
+    its arguments, for ``evaluate`` and the constant folding alike."""
+    fn = _BIN_EVAL[e.op] if isinstance(e, BinOp) else _FUNC_EVAL[e.name]
     try:
-        return float(_FUNC_EVAL[e.name](x))
-    except OverflowError as exc:
-        raise DomainError(f"overflow: {exc}", e) from exc
+        value = fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        raise DomainError("overflow" if isinstance(exc, OverflowError) else str(exc), e) from exc
+    if isinstance(value, complex):
+        raise DomainError("complex result", e)
+    return float(value)
 
 
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
@@ -527,11 +519,16 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
 
 def _codegen(e: Expr) -> str:
     if isinstance(e, Const):
-        return repr(e.value)  # 'inf' and 'nan' are bound in _NAMESPACE
+        text = repr(e.value)  # 'inf' and 'nan' are bound in _NAMESPACE
+        return f"({text})" if text.startswith("-") else text
     if isinstance(e, Var):
         return f"_v_{e.name}" if e.name != "pi" else repr(math.pi)
     if isinstance(e, BinOp):
         a, b = _codegen(e.left), _codegen(e.right)
+        if e.op in _UFUNCS and isinstance(e.left, Const) and isinstance(e.right, Const):
+            # left unfolded because evaluate refused it, so Python float
+            # arithmetic would raise: numpy gives inf or NaN instead
+            return f"_np.{_UFUNCS[e.op]}({a}, {b})"
         op = "**" if e.op == "^" else e.op
         return f"({a}{op}{b})"
     if e.name == "neg":
@@ -539,7 +536,10 @@ def _codegen(e: Expr) -> str:
     return f"_f_{e.name}({_codegen(e.arg)})"
 
 
+_UFUNCS = {"/": "divide", "^": "power"}  # the operators evaluate can refuse
+
 _NAMESPACE = {
+    "_np": np,
     "inf": math.inf,
     "nan": math.nan,
     "_f_exp": np.exp,

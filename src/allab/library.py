@@ -53,3 +53,12 @@ def eight_band_pair() -> tuple[Foliation2, Foliation2]:
         name="eight-band-partner",
     )
     return F, G
+
+
+# each name a config may give as ``foliation.builtin``, and the foliation and
+# partner (or None) it builds
+BUILTINS = {
+    "two-reeb-band": lambda: (two_reeb_band(), None),
+    "franks-williams": franks_williams_pair,
+    "eight-band": eight_band_pair,
+}

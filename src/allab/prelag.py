@@ -7,7 +7,7 @@ rebuilds a form pair whose restricted sum is exactly closed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -380,11 +380,11 @@ def pre_lagrangian_certificate(
         return stop("failed", f"collar extension failed: {e}")
     common.update(extension_u=ext_u, extension_s=ext_s)
 
-    alpha_u = model.alpha_u.scale(ex.const(f0))
-    alpha_s = model.alpha_s.scale(ex.const(g0))
-    plus = (alpha_u - alpha_s).scale(ex.const(scale_C))
-    minus = (alpha_u + alpha_s).scale(ex.const(1.0 / scale_C))
-    pair = FormPair(plus, minus, model.gluing)
+    pair = replace(
+        model,
+        alpha_u=model.alpha_u.scale(ex.const(f0)),
+        alpha_s=model.alpha_s.scale(ex.const(g0)),
+    ).standard_pair(scale_C)
 
     restricted = restrict(pair.plus + pair.minus, sigma)
     beta = _mean_constant_form(restricted)

@@ -77,6 +77,27 @@ def test_eval_errors():
         evaluate(parse_expr("1/x"), {"x": 0.0})
 
 
+@pytest.mark.parametrize("text", ["(-8)^(1/3)", "sin(1e400)", "2^10000", "exp(1000)", "log(0)", "1/0"])
+def test_parse_leaves_a_constant_evaluate_refuses_unfolded(text):
+    e = parse_expr(text)
+    assert not isinstance(e, Const)
+    with pytest.raises(ex.DomainError):
+        evaluate(e, {})
+
+
+@pytest.mark.parametrize(
+    "text, u", [("u^0.5", -1.0), ("u^10000", 2.0), ("sin(u)", math.inf)]
+)
+def test_evaluate_raises_only_domain_errors(text, u):
+    with pytest.raises(ex.DomainError):
+        evaluate(parse_expr(text), {"u": u})
+
+
+def test_parse_refuses_deep_nesting():
+    with pytest.raises(ex.ParseError, match="nested too deeply"):
+        parse_expr("sin(" * 250 + "u" + ")" * 250)
+
+
 def test_eval_examples():
     assert evaluate(parse_expr("exp(z)"), {"z": 0.0}) == 1.0
     v = evaluate(parse_expr("exp(z)*exp(-z)"), {"z": 7.3})
@@ -251,3 +272,20 @@ def test_internal_bump_primitives():
     for z0 in (0.3, -0.7, 1.5):
         fd = (evaluate(bump, {"z": z0 + h}) - evaluate(bump, {"z": z0 - h})) / (2 * h)
         assert evaluate(d, {"z": z0}) == pytest.approx(fd, abs=1e-6)
+
+
+def test_compile_field_keeps_a_negative_constant_base():
+    fn = compile_field(parse_expr("(-2)^u"), ("u",))
+    for u in (2.0, 3.0):
+        assert fn(u) == evaluate(parse_expr("(-2)^u"), {"u": u})
+
+
+@pytest.mark.parametrize(
+    "text, want", [("u + 1/0", math.inf), ("2 + 2^10000*u", math.inf), ("(-8)^(1/3) + 1", math.nan)]
+)
+def test_compile_field_gives_numpys_value_for_a_constant_evaluate_refuses(text, want):
+    import numpy as np
+
+    with np.errstate(all="ignore"):
+        got = compile_field(parse_expr(text), ("u",))(np.array([0.5, 1.0]))
+    assert np.array_equal(got, [want, want], equal_nan=True)

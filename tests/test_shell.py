@@ -22,7 +22,6 @@ def cfg_path(name):
 
 def test_load_cat_map_config():
     cfg = load_config(cfg_path("cat-map.cfg"))
-    assert cfg.model_type == "suspension"
     assert cfg.matrix == (2, 1, 1, 1)
     assert cfg.scale_c == 10.0
     assert cfg.foliation_source == "model"
@@ -55,6 +54,23 @@ def test_config_rejects_unknown_keys(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[analysis]\ngrid = 8\nspeed = fast\n")
     with pytest.raises(ConfigError, match="unknown key analysis.speed"):
+        load_config(str(bad))
+
+
+def test_config_lists_the_builtin_names(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("[foliation]\nsource = builtin\nbuiltin = nine-band\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(str(bad))
+    assert "unknown name 'nine-band'; choose from " + ", ".join(library.BUILTINS) in str(err.value)
+    assert sorted(library.BUILTINS) == ["eight-band", "franks-williams", "two-reeb-band"]
+
+
+def test_config_refuses_deeply_nested_input(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("[foliation]\nsource = field\nv1 = " + "sin(" * 250 + "u" + ")" * 250
+                   + "\nv2 = 1\n")
+    with pytest.raises(ConfigError, match="foliation.v1: does not parse: nested too deeply"):
         load_config(str(bad))
 
 
@@ -264,6 +280,14 @@ def test_main_missing_config_is_tool_error(tmp_path, capsys):
     assert "allab:" in capsys.readouterr().err
 
 
+def test_main_out_on_a_file_is_tool_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["foliation", "--config", cfg_path("two-reeb-band.cfg"), "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("allab: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -301,12 +325,59 @@ def test_main_rejects_bad_override(tmp_path, capsys):
         ]
     )
     assert code == 1
+    assert "analysis.grid: must be positive, got -4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--grid", "abc", "analysis.grid: not an integer: 'abc'"),
+        ("--scale-C", "0", "analysis.scale_c: must be positive, got 0.0"),
+        ("--tolerance", "1e-6%", "analysis.tolerance: not a number: '1e-6%'"),
+    ],
+)
+def test_main_checks_a_flag_as_the_key_it_replaces(tmp_path, capsys, flag, value, message):
+    args = ["check-pair", "--config", cfg_path("cat-map.cfg"), "--out", str(tmp_path)]
+    assert main(args + [flag, value]) == 1
+    assert f"  - {message}\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
-def test_main_rejects_non_finite_tolerance(tmp_path, value):
+def test_main_rejects_non_finite_tolerance(tmp_path, capsys, value):
     args = ["check-pair", "--config", cfg_path("cat-map.cfg"), "--out", str(tmp_path)]
     assert main(args + ["--tolerance", value]) == 1
+    assert f"analysis.tolerance: not a finite number: '{value}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["nope", "--config", cfg_path("cat-map.cfg")], "argument command: invalid choice: 'nope'"),
+        (["foliation"], "the following arguments are required: --config"),
+        (["foliation", "--config", cfg_path("cat-map.cfg"), "--speed", "2"],
+         "unrecognized arguments: --speed 2"),
+    ],
+)
+def test_main_usage_errors_exit_1_in_one_line(capsys, args, message):
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("allab: " + message) and err.count("\n") == 1
+
+
+def test_main_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    assert "--scale-C SCALE_C" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("v1", ["u + 1/0", "2 + 2^10000*u", "(-8)^(1/3) + 1"])
+def test_main_refuses_a_constant_evaluate_refuses_as_not_finite(tmp_path, capsys, v1):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"[foliation]\nsource = field\nv1 = {v1}\nv2 = 1\n")
+    assert main(["foliation", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("allab: direction field is not finite") and err.count("\n") == 1
 
 
 def test_main_scale_override(tmp_path):
