@@ -57,10 +57,6 @@ class RunConfig:
     svg_name: str
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def load_config(path: str, analysis: dict[str, str] | None = None) -> RunConfig:
     """Read and check the file at path.  ``analysis`` holds ``[analysis]``
     values, such as the command line's flags, that replace the file's before
@@ -193,4 +189,6 @@ def load_config(path: str, analysis: dict[str, str] | None = None) -> RunConfig:
 
     if violations:
         raise ConfigError(violations)
-    return RunConfig(digest=_digest(text), **values)
+    if analysis:  # after a NUL; with none, the digest is the file's own
+        text += "\0" + "\n".join(f"{k} = {v}" for k, v in sorted(analysis.items()))
+    return RunConfig(digest=hashlib.sha256(text.encode()).hexdigest(), **values)

@@ -564,7 +564,10 @@ def compile_kernel(e: Expr, names: tuple[str, ...]) -> Callable:
     ``compile_field``.  Equal trees share one kernel.
     """
     src = "lambda " + ", ".join(f"_v_{n}" for n in names) + ": " + _codegen(e)
-    return eval(src, dict(_NAMESPACE))  # noqa: S307 - generated from our own AST
+    try:
+        return eval(src, dict(_NAMESPACE))  # noqa: S307 - generated from our own AST
+    except (SyntaxError, RecursionError, MemoryError):
+        raise ExprError("expression is nested too deeply to compile") from None
 
 
 @functools.lru_cache(maxsize=4096)

@@ -402,24 +402,37 @@ def _dips(h: np.ndarray) -> np.ndarray:
 
 def _return_map_leaves(F: Foliation2, axis: str) -> list[CompactLeaf]:
     """Periodic points of the return map on the circle axis = 0, of period at
-    most 8: the roots of lift^q(t) - t - p."""
-    flow = _strip_flow(F, axis)
+    most 8: the roots of lift^q(t) - t - p, scanning one strip q at a time.
+    Poincare: an increasing degree-one lift has periodic points only if its
+    rotation number rho is rational, all of the minimal period q of rho = p/q.
+    Between nodes, lift^q(t) - t leaves its sampled range by at most one cell
+    1/_SCAN, which bounds q rho.  While the scan increases, it stops after a
+    period with a leaf, or once no untried reduced p/q' (q' <= 8) is in bounds."""
+    s = (flow := _strip_flow(F, axis))[1]
     ts = np.linspace(0.0, 1.0, _SCAN + 1)
-    scan = _lifts(flow, 0.0, ts, 8) - ts
+    lift, lo, hi, monotone = ts, -math.inf, math.inf, True
 
     def cls(q, p):  # of a leaf crossing the transversal q times as it turns p times
-        s = flow[1]
         return _primitive(s * q, s * p) if axis == "u" else _primitive(s * p, s * q)
 
     leaves, known = [], []  # known: (period, point) of each orbit point found
     for q in range(1, 9):
+        if q > 1 and monotone and (leaves or not any(
+                math.gcd(p, k) == 1 for k in range(q, 9)
+                for p in range(math.ceil(lo * k), math.floor(hi * k) + 1))):
+            break
+        lift = _lifts(flow, float(s * (q - 1)), lift, 1)[0]  # the strip q
+        scan = lift - ts
+        if monotone := monotone and bool((np.diff(lift) > 0).all()):
+            lo, hi = max(lo, (scan.min() - 1 / _SCAN) / q), min(hi, (scan.max() + 1 / _SCAN) / q)
+
         def near(t, radius):  # is a point of a period dividing q within radius?
             x = np.array([x for qq, x in known if q % qq == 0])
             return (_circle_dist(np.reshape(t, (-1, 1)), x) <= radius).any(axis=1)
 
         brackets = []
-        for p in range(math.floor(scan[q - 1].min()), math.ceil(scan[q - 1].max()) + 1):
-            t, h = ts, scan[q - 1] - p
+        for p in range(math.floor(scan.min()), math.ceil(scan.max()) + 1):
+            t, h = ts, scan - p
             if np.max(np.abs(h)) < 1e-9:  # whole family of closed leaves
                 if not any(l.family and l.cls == cls(q, p) for l in leaves):
                     leaves.append(CompactLeaf((0.0, 0.0), cls(q, p), float(q), family=True))
@@ -455,7 +468,9 @@ def _return_map_leaves(F: Foliation2, axis: str) -> list[CompactLeaf]:
 @np.errstate(all="ignore")  # a domain error gives NaN, refused in _strip_flow, _lifts
 def compact_leaves(F: Foliation2) -> list[CompactLeaf]:
     """All compact leaves, from two detectors: axis-parallel circles where the
-    transverse component vanishes, and periodic points of the return maps."""
+    transverse component vanishes, and periodic points of the return maps,
+    scanned only up to the period their rotation number allows (Poincare's
+    theorem, ``_return_map_leaves``)."""
     return list(_compact_leaves(F))
 
 

@@ -351,6 +351,39 @@ def test_rational_slope_family():
     assert leaves[0].cls == (1, 2)
 
 
+@pytest.mark.parametrize(
+    "p, q", [(p, q) for q in range(1, 9) for p in range(q) if math.gcd(p, q) == 1]
+)
+def test_periodic_orbits_of_every_period_up_to_8(p, q):
+    # the lines q v - p u = 0 and 1/2 (mod 1) are the two closed leaves; the
+    # scan must not stop before their period q
+    F = Foliation2(ex.ONE, parse_expr(f"{p}/{q} + 0.02*sin(2*pi*({q}*v - {p}*u))"))
+    leaves = compact_leaves(F)
+    assert [l.cls for l in leaves] == [(q, p), (q, p)]
+
+
+def _count_rk4(monkeypatch):
+    calls = []
+    rk4 = fol._rk4
+    monkeypatch.setattr(fol, "_rk4", lambda *a: calls.append(1) or rk4(*a))
+    return calls
+
+
+def test_scan_stops_once_no_period_can_hold_a_leaf(monkeypatch):
+    # the first strip puts rho within 1/1024 of 0.618..., where no p/q with
+    # q <= 8 lies, so no further strip is integrated
+    calls = _count_rk4(monkeypatch)
+    assert compact_leaves(constant_slope(0.6180339887)) == []
+    assert len(calls) == 1
+
+
+def test_scan_stops_at_the_period_of_a_family(monkeypatch):
+    calls = _count_rk4(monkeypatch)
+    leaves = compact_leaves(constant_slope(0.4))
+    assert [(l.cls, l.family) for l in leaves] == [((5, 2), True)]
+    assert len(calls) == 5
+
+
 def test_leaf_class_matches_displacement():
     F = Foliation2(parse_expr("sin(2*pi*u)"), parse_expr("cos(2*pi*u)"))
     for leaf in compact_leaves(F):

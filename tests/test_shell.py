@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -72,6 +73,18 @@ def test_config_refuses_deeply_nested_input(tmp_path):
                    + "\nv2 = 1\n")
     with pytest.raises(ConfigError, match="foliation.v1: does not parse: nested too deeply"):
         load_config(str(bad))
+
+
+def test_main_refuses_a_field_nested_too_deeply_to_compile(tmp_path, capsys):
+    # it parses, but its generated source nests past Python's 200 parentheses
+    e = "u"
+    for _ in range(100):
+        e = f"sin(1+{e})"
+    path = tmp_path / "deep.cfg"
+    path.write_text(f"[foliation]\nsource = field\nv1 = 1\nv2 = 0.3 + 0.01*{e}\n")
+    assert load_config(str(path)).v2 is not None
+    assert main(["foliation", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "allab: expression is nested too deeply to compile\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -326,6 +339,18 @@ def test_main_rejects_bad_override(tmp_path, capsys):
     )
     assert code == 1
     assert "analysis.grid: must be positive, got -4" in capsys.readouterr().err
+
+
+def test_config_digest_covers_the_overrides(tmp_path):
+    reports = {}
+    for flags in ([], ["--grid", "8"]):
+        out = tmp_path / str(len(flags))
+        assert main(["check-pair", "--config", cfg_path("cat-map.cfg"), "--out", str(out)]
+                    + flags) == 0
+        reports[len(flags)] = json.loads((out / "report.json").read_text())
+    assert reports[0]["config_digest"] != reports[2]["config_digest"]
+    with open(cfg_path("cat-map.cfg"), "rb") as fh:  # no flag: the file's own digest
+        assert reports[0]["config_digest"] == hashlib.sha256(fh.read()).hexdigest()
 
 
 @pytest.mark.parametrize(
