@@ -14,7 +14,7 @@ import numpy as np
 
 from . import AllabError
 from . import expr as ex
-from .expr import Expr, ZERO, compile_field, parse_expr
+from .expr import Expr, ZERO, compile_field, compile_kernel, parse_expr
 from .geom import (
     DifferentialForm,
     Gluing3,
@@ -90,7 +90,7 @@ class FlowModel:
                 )
         grid = self.gluing.sample_points(12)
         for r, positive in ((self.r_u, True), (self.r_s, False)):
-            vals = compile_field(r, XYZ)(*grid)
+            vals = np.asarray(compile_kernel(r, XYZ)(*grid), dtype=float)
             ok = vals.min() > 0 if positive else vals.max() < 0
             if not ok:
                 raise ModelError("expansion rates have the wrong sign")

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import AllabError
 from . import expr as ex
-from .expr import Expr, ZERO, ONE, compile_field, diff, substitute
+from .expr import Expr, ZERO, ONE, compile_field, compile_kernel, diff, substitute
 from .geom import (
     DifferentialForm,
     Gluing3,
@@ -29,7 +29,7 @@ from .geom import (
     XYZ,
     curl_residual,
     exterior_derivative,
-    grid_point,
+    grid_argmin,
     one_form,
     restrict,
     torus3,
@@ -96,12 +96,13 @@ class ALReport:
 
 
 def _stats(values: np.ndarray, grid: Grid3) -> QuantityStats:
-    i = int(np.argmin(values))
-    return QuantityStats(float(values.flat[i]), float(np.max(values)), grid_point(grid, i))
+    low, at = grid_argmin(values, grid)
+    return QuantityStats(low, float(np.max(values)), at)
 
 
 def _coeff_values(form3: DifferentialForm, grid: Grid3) -> np.ndarray:
-    return compile_field(form3.coeff((0, 1, 2)), XYZ)(*grid)
+    """The top coefficient at the shape of the grid axes it varies along."""
+    return np.asarray(compile_kernel(form3.coeff((0, 1, 2)), XYZ)(*grid), dtype=float)
 
 
 @np.errstate(all="ignore")  # a domain error gives NaN, which fails the verdict
@@ -116,10 +117,13 @@ def al_check(
 
     Writes a_+ ^ da_+ = f_+ dvol, a_- ^ da_- = -f_- dvol and
     d(a_- ^ a_+) = f_0 dvol, then aggregates extrema over the grid, or over
-    ``points``, an (x, y, z) triple of broadcastable arrays.
+    ``points``, an (x, y, z) triple of broadcastable arrays.  Each density is
+    evaluated at the shape of the variables it uses (a z-only density has n
+    values, not n^3), and each argmin is the first point of the full (i, j, k)
+    grid that attains the minimum, as over the broadcast values.
     """
     vol = vol if vol is not None else volume_form()
-    pts = points if points is not None else pair.grid(n)
+    pts = [np.asarray(c, dtype=float) for c in (points if points is not None else pair.grid(n))]
     vol_vals = _coeff_values(vol, pts)
     bad = np.abs(vol_vals) < 1e-300
     if np.any(bad):
@@ -130,7 +134,8 @@ def al_check(
     f_plus = _coeff_values(wp, pts) / vol_vals
     f_minus = -_coeff_values(wm, pts) / vol_vals
     f_zero = _coeff_values(w0, pts) / vol_vals
-    disc = 4.0 * f_plus * f_minus - f_zero**2
+    # not f_zero**2: that calls pow on a constant's numpy scalar, off by an ulp at times
+    disc = 4.0 * f_plus * f_minus - f_zero * f_zero
     tol = 1e-9
     if f_plus.min() > tol and f_minus.min() > tol and disc.min() > tol:
         verdict = "anosov_liouville"
@@ -143,7 +148,7 @@ def al_check(
     else:
         verdict = "fail"
     return ALReport(
-        grid_n=n if points is None else vol_vals.size,
+        grid_n=n if points is None else np.broadcast(*pts).size,
         f_plus=_stats(f_plus, pts),
         f_minus=_stats(f_minus, pts),
         f_zero=_stats(f_zero, pts),
@@ -180,11 +185,9 @@ def liouville_direct_check(pair: FormPair, *, n: int = 16) -> LiouvilleReport:
     lam = _lift(pair.plus).scale(es) + _lift(pair.minus).scale(ems)
     dlam = exterior_derivative(lam)
     top = wedge(dlam, dlam)
-    vals = compile_field(top.coeff((0, 1, 2, 3)), SXYZ)(s, x, y, z)
-    vals /= _coeff_values(volume_form(), (x, y, z))
-    i = int(np.argmin(vals))
-    best = float(vals.flat[i])
-    return LiouvilleReport(best, grid_point((s, x, y, z), i), best > 0.0)
+    vals = compile_kernel(top.coeff((0, 1, 2, 3)), SXYZ)(s, x, y, z)
+    best, at = grid_argmin(vals / _coeff_values(volume_form(), (x, y, z)), (s, x, y, z))
+    return LiouvilleReport(best, at, best > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +337,11 @@ class ScalingExtension:
     def mu_fn(self):
         return compile_field(self.mu, ("u", "v", "z"))
 
-    def margin_fn(self):
-        total = ex.zadd(self.dz_log_mu, self.r)
-        return compile_field(total, ("u", "v", "z"))
-
     def positivity_margin(self, n_uv: int = 24, n_z: int = 64) -> float:
         a = np.arange(n_uv) / n_uv
         zs = np.linspace(-2 * self.delta, 2 * self.delta, n_z)
-        return float(np.min(self.margin_fn()(*np.ix_(a, a, zs))))
+        fn = compile_kernel(ex.zadd(self.dz_log_mu, self.r), ("u", "v", "z"))
+        return float(np.min(fn(*np.ix_(a, a, zs))))
 
 
 def extend_scaling(

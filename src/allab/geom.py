@@ -298,6 +298,21 @@ def grid_point(grid: Sequence[np.ndarray], k: int) -> tuple[float, ...]:
     return tuple(float(np.broadcast_to(c, shape)[i]) for c in grid)
 
 
+def grid_argmin(values, grid: Sequence[np.ndarray]) -> tuple[float, tuple[float, ...]]:
+    """The minimum of ``values`` over the broadcast grid and its grid point.
+
+    ``values`` may have the shape of only the grid axes it varies along, or
+    none for a constant.  The point is still the first of the full (i, j, k)
+    grid, as np.argmin over the values broadcast to it gives: the first
+    minimum of the reduced array in C order, with index 0 on every broadcast
+    axis, raveled into the full shape.  A NaN is the first NaN alike."""
+    values = np.asarray(values)
+    shape = np.broadcast_shapes(values.shape, *(np.shape(c) for c in grid))
+    i = int(np.argmin(values))
+    at = np.unravel_index(i, (1,) * (len(shape) - values.ndim) + values.shape)
+    return float(values.flat[i]), grid_point(grid, int(np.ravel_multi_index(at, shape)))
+
+
 def curl_residual(beta: DifferentialForm) -> float:
     """max |d beta| for a 1-form beta on the torus, over the 64 x 64 grid."""
     c = exterior_derivative(beta).coeff((0, 1))

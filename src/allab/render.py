@@ -48,9 +48,9 @@ class _Canvas:
         return m + u * s, m + (1.0 - v) * s
 
     def polyline(self, seg: np.ndarray, color: str, width: float):
-        pts = " ".join(
-            f"{_fmt(x)},{_fmt(y)}" for x, y in (self.pixel(u, v) for u, v in seg)
-        )
+        m, s = self.style.margin, self.inner
+        px, py = m + seg[:, 0] * s, m + (1.0 - seg[:, 1]) * s  # as in pixel
+        pts = " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
         self.parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{width:g}"/>'

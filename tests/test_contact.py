@@ -1,11 +1,14 @@
+import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from allab import expr as ex
 from allab import contact
+from allab.anosov import suspension_model
 from allab.contact import (
     ALReport,
     ContactError,
@@ -22,10 +25,14 @@ from allab.geom import (
     DifferentialForm,
     UV,
     XYZ,
+    exterior_derivative,
     fiber_embedding,
+    grid_point,
     one_form,
     restrict,
     torus3,
+    volume_form,
+    wedge,
 )
 
 
@@ -135,6 +142,75 @@ def test_cross_oracle_agreement_on_random_pairs():
         assert rep.verdict == rep_f.verdict
         direct = liouville_direct_check(pair, n=10)
         assert direct.passed == (rep.verdict == "anosov_liouville")
+
+
+@np.errstate(all="ignore")
+def _full_grid_report(pair, pts):
+    """al_check's numbers with every density broadcast to all points of the
+    grid before the arithmetic, and np.argmin / np.max taken over those."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in pts))
+
+    def density(form3):
+        return np.broadcast_to(compile_field(form3.coeff((0, 1, 2)), XYZ)(*pts), shape)
+
+    vol = density(volume_form())
+    f_plus = density(wedge(pair.plus, exterior_derivative(pair.plus))) / vol
+    f_minus = -density(wedge(pair.minus, exterior_derivative(pair.minus))) / vol
+    f_zero = density(exterior_derivative(wedge(pair.minus, pair.plus))) / vol
+    disc = 4.0 * f_plus * f_minus - f_zero**2
+
+    def stats(v):
+        i = int(np.argmin(v))
+        return {"min": float(v.flat[i]), "max": float(np.max(v)),
+                "argmin": list(grid_point(pts, i))}
+
+    return {"grid_n": int(np.prod(shape)), "f_plus": stats(f_plus),
+            "f_minus": stats(f_minus), "f_zero": stats(f_zero),
+            "discriminant": stats(disc)}
+
+
+def test_al_check_matches_the_full_grid():
+    cat = suspension_model(((2, 1), (1, 1))).standard_pair()  # z only
+    wobbly = _randomly_perturbed_pair(random.Random(3))  # x, y and z
+    nan_pair = FormPair(  # f_+ is NaN for z >= 0, where d sqrt(-z) is infinite or NaN
+        standard_pair().plus.scale(parse_expr("1 + sqrt(-z)")),
+        standard_pair().minus,
+        torus3(),
+    )
+    scattered = (np.array([0.1, 0.7, 0.3, 0.9, 0.45]),
+                 np.array([0.2, 0.5, 0.9, 0.05, 0.6]),
+                 np.array([-0.3, 0.0, 0.25, 0.4, -0.1]))
+    cases = [(cat, 12), (wobbly, 10), (fail_pair(), 6), (nan_pair, 8), (wobbly, scattered)]
+    for pair, grid in cases:
+        if isinstance(grid, int):
+            rep, ref = al_check(pair, n=grid), _full_grid_report(pair, pair.grid(grid))
+            ref["grid_n"] = grid
+        else:
+            rep, ref = al_check(pair, points=grid), _full_grid_report(pair, grid)
+        got = rep.to_dict()
+        del got["verdict"]
+        # json keeps NaN and the sign of zero, which == on floats would not
+        assert json.dumps(got) == json.dumps(ref)
+    # a constant density ties everywhere: the first grid point
+    closed = al_check(fail_pair(), n=6)
+    assert closed.f_plus.argmin == grid_point(fail_pair().grid(6), 0)
+    nan_rep = al_check(nan_pair, n=8)
+    assert nan_rep.verdict == "fail"
+    assert math.isnan(nan_rep.f_plus.min)
+    assert nan_rep.f_plus.argmin == (0.0, 0.0, 0.0)  # the first z = -0.5 + k/8 >= 0
+    assert al_check(wobbly, points=scattered).grid_n == 5
+
+
+def test_al_check_memory_stays_at_the_shape_of_the_densities():
+    # z-only densities: 96 values each, not 96^3 (43.5 MB traced on the full grid)
+    pair = suspension_model(((2, 1), (1, 1))).standard_pair()
+    tracemalloc.start()
+    try:
+        al_check(pair, n=96)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # ---------------------------------------------------------------------------
