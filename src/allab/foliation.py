@@ -144,21 +144,29 @@ def winding(F: Foliation2) -> tuple[int, int]:
 _NOT_FINITE = "the direction field is not finite off its validation grid"
 
 
-def _rk4(rhs, x: float, y: np.ndarray, h, n: int, out=None) -> np.ndarray:
+def _rk4(rhs, x: float | None, y: np.ndarray, h, n: int, out=None) -> np.ndarray:
     """n classical RK4 steps of dy/dx = rhs(x, y) for an array of states y;
     returns the last state, and writes every state to ``out[0..n]`` if given.
-    The step h is a float, or for an autonomous rhs an array of steps, one
-    per state along the last axis of y: every operation on h is elementwise,
-    so each state gets exactly the steps a float h would give it."""
+    With x None the rhs is autonomous and called as rhs(y); its step h may
+    then be an array of steps, one per state along the last axis of y: every
+    operation on h is elementwise, so each state gets exactly the steps a
+    float h would give it."""
+    h2, h6 = 0.5 * h, h / 6.0  # 0.5 * h * k already evaluates as (0.5 * h) * k
     if out is not None:
         out[0] = y
     for i in range(n):
-        k1 = rhs(x, y)
-        k2 = rhs(x + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(x + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(x + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        x += h
+        if x is None:
+            k1 = rhs(y)
+            k2 = rhs(y + h2 * k1)
+            k3 = rhs(y + h2 * k2)
+            k4 = rhs(y + h * k3)
+        else:
+            k1 = rhs(x, y)
+            k2 = rhs(x + h2, y + h2 * k1)
+            k3 = rhs(x + h2, y + h2 * k2)
+            k4 = rhs(x + h, y + h * k3)
+            x += h
+        y = y + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
         if out is not None:
             out[i + 1] = y
     return y
@@ -181,16 +189,19 @@ def integrate_tracks(
         raise FoliationError("leaf length must be positive and finite")
     f1, f2 = compile_kernel(F.V1, UV), compile_kernel(F.V2, UV)
 
-    def rhs(_, y):  # y[0], y[1]: the u and v rows
+    def rhs(y):  # y[0], y[1]: the u and v rows
         d = np.empty_like(y)  # a kernel may return a float or a lower-rank array
-        d[0], d[1] = f1(y[0], y[1]), f2(y[0], y[1])
-        return d / np.hypot(d[0], d[1])
+        a, b = f1(y[0], y[1]), f2(y[0], y[1])
+        r = np.hypot(a, b)
+        np.divide(a, r, out=d[0])
+        np.divide(b, r, out=d[1])
+        return d
 
     n = np.maximum(1, np.ceil(lengths / max_steps)).astype(int)
     steps = int(n.max())
     y = np.reshape(starts, (-1, 2)).T
     pts = np.empty((steps + 1,) + y.shape)
-    _rk4(rhs, 0.0, y, lengths / n, steps, pts)
+    _rk4(rhs, None, y, lengths / n, steps, pts)
     own = np.arange(steps + 1)[:, None] <= n
     if not (np.isfinite(pts).all(axis=1) | ~own).all():
         raise FoliationError(_NOT_FINITE)
@@ -235,19 +246,24 @@ def _strip_flow(F: Foliation2, axis: str):
     return compile_kernel(ex.div(F.V1, F.V2), ("v", "u")), sign  # x = v
 
 
-def _lifts(flow, x0: float, ts, q: int) -> np.ndarray:
+def _lifts(flow, x0: float, ts, q: int, out=None) -> np.ndarray:
     """lift^k(ts) for k = 1..q, as a (q, ...) array: the leaves through the
     points ts of the circle x = x0, integrated across q fundamental strips.
+    With ``out``, a (q * _STRIP_STEPS + 1, ...) array, every RK4 state goes
+    there too: state i lies on the circle x = x0 + sign * i / _STRIP_STEPS.
     x goes in as a numpy float, so the slope kernel keeps numpy's semantics
     (a pole gives inf, not ZeroDivisionError) on terms of x alone."""
     slope, sign = flow
-    out = np.empty((q,) + np.shape(ts))
+    lifts = np.empty((q,) + np.shape(ts))
     for k in range(q):
-        y = out[k - 1] if k else ts
-        out[k] = _rk4(slope, np.float64(x0 + sign * k), y, sign / _STRIP_STEPS, _STRIP_STEPS)
-    if not np.isfinite(out).all():
+        y = lifts[k - 1] if k else ts
+        states = None if out is None else out[k * _STRIP_STEPS : (k + 1) * _STRIP_STEPS + 1]
+        lifts[k] = _rk4(
+            slope, np.float64(x0 + sign * k), y, sign / _STRIP_STEPS, _STRIP_STEPS, states
+        )
+    if not np.isfinite(lifts).all():
         raise FoliationError(_NOT_FINITE)
-    return out
+    return lifts
 
 
 def _refine(f, lo, hi, flo, fhi) -> np.ndarray:
@@ -327,7 +343,9 @@ _SCAN = 1024  # cells of the periodic-point scan on the transversal
 class CompactLeaf:
     point: tuple[float, float]
     cls: tuple[int, int]  # primitive homology class, oriented along the leaf
-    period_length: float
+    # the return map that found the leaf: "u" or "v" for the circle axis = 0,
+    # on which the point lies; "" for a circle parallel to an axis
+    axis: str
     family: bool = False  # every leaf compact (linear rational foliation)
 
     def orientation(self) -> int:
@@ -358,7 +376,7 @@ def _axis_leaves(F: Foliation2, axis: str) -> list[CompactLeaf]:
     def leaf(x, family):  # the circle axis = x, oriented by the field on it
         s = 1 if at(fn_a, x, 0.5) > 0 else -1
         point, cls = ((x, 0.0), (0, s)) if axis == "u" else ((0.0, x), (s, 0))
-        return CompactLeaf(point, cls, 1.0, family)
+        return CompactLeaf(point, cls, "", family)
 
     vs = np.arange(17) / 17.0
     xs = np.arange(n_scan) / n_scan
@@ -435,7 +453,7 @@ def _return_map_leaves(F: Foliation2, axis: str) -> list[CompactLeaf]:
             t, h = ts, scan - p
             if np.max(np.abs(h)) < 1e-9:  # whole family of closed leaves
                 if not any(l.family and l.cls == cls(q, p) for l in leaves):
-                    leaves.append(CompactLeaf((0.0, 0.0), cls(q, p), float(q), family=True))
+                    leaves.append(CompactLeaf((0.0, 0.0), cls(q, p), axis, family=True))
                 break
             cells = ts[_dips(h)]
             cells = cells[~near(cells + 0.5 / _SCAN, 1.5 / _SCAN)]  # its cell or the next
@@ -461,7 +479,7 @@ def _return_map_leaves(F: Foliation2, axis: str) -> list[CompactLeaf]:
                 continue
             known += [(q, float(x)) for x in orbit]
             point = (0.0, t % 1.0) if axis == "u" else (t % 1.0, 0.0)
-            leaves.append(CompactLeaf(point, cls(q, p), float(q)))
+            leaves.append(CompactLeaf(point, cls(q, p), axis))
     return leaves
 
 
@@ -496,6 +514,39 @@ def _same_leaf(a: CompactLeaf, b: CompactLeaf) -> bool:
     return (a.cls, a.family) == (b.cls, b.family) and (
         a.family or np.max(_circle_dist(np.subtract(a.point, b.point), 0.0)) < _SAME
     )
+
+
+@np.errstate(all="ignore")  # a domain error gives NaN, refused in _strip_flow, _lifts
+def leaf_paths(F: Foliation2, leaves: list[CompactLeaf]) -> list[np.ndarray]:
+    """Each compact leaf as a closed path in the universal cover, an (m, 2)
+    array from its point to point + cls, drawn from what its detector knows.
+    A circle parallel to an axis is straight, in _STRIP_STEPS steps.  A leaf
+    of class (q, p) found by a return map is the graph of its strip flow over
+    |q| strips: the RK4 states of ``_lifts``, for every leaf of one return
+    map in one batch."""
+    steps = np.arange(_STRIP_STEPS + 1) / _STRIP_STEPS
+
+    def circle(leaf):
+        c = 0 if leaf.cls[0] else 1  # the coordinate along the circle; the other keeps its bits
+        path = np.tile(leaf.point, (len(steps), 1))
+        path[:, c] += leaf.cls[c] * steps
+        return path
+
+    paths = [None if leaf.axis else circle(leaf) for leaf in leaves]
+    for axis, x in (("u", 0), ("v", 1)):  # x: the coordinate across the strips
+        batch = [i for i, leaf in enumerate(leaves) if leaf.axis == axis]
+        if not batch:
+            continue
+        strips = [abs(leaves[i].cls[x]) for i in batch]
+        flow = _strip_flow(F, axis)
+        ys = np.empty((max(strips) * _STRIP_STEPS + 1, len(batch)))
+        _lifts(flow, 0.0, np.array([leaves[i].point[1 - x] for i in batch]), max(strips), ys)
+        xs = flow[1] * np.arange(len(ys)) / _STRIP_STEPS
+        for j, (i, q) in enumerate(zip(batch, strips)):
+            m = q * _STRIP_STEPS + 1
+            paths[i] = np.empty((m, 2))
+            paths[i][:, x], paths[i][:, 1 - x] = xs[:m], ys[:m, j]
+    return paths
 
 
 # ---------------------------------------------------------------------------

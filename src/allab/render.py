@@ -1,6 +1,11 @@
 """Deterministic SVG pictures of torus foliations: streamlines from a fixed
 seed grid, compact leaves emphasized, small arrowheads for orientation.
 Byte-identical output for identical inputs.
+
+Only the seeds are integrated here, as arc-length tracks.  Each compact leaf
+is drawn as the closed path its detector already has (``leaf_paths``): an
+axis circle is a straight line, and a return-map leaf the graph of the strip
+flow that found it, so every leaf ends on its own start.
 """
 
 from __future__ import annotations
@@ -9,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .foliation import CompactLeaf, Foliation2, compact_leaves, integrate_tracks
+from .foliation import CompactLeaf, Foliation2, compact_leaves, integrate_tracks, leaf_paths
 
 
 @dataclass(frozen=True)
@@ -97,24 +102,16 @@ def render_foliation(
 
     n = style.seeds
     seeds = [((i + 0.5) / n, (j + 0.5) / n) for i in range(n) for j in range(n)]
-    leaves = sorted(leaves, key=lambda l: (l.point, l.cls))
-    # every track in one RK4 pass, each with its own step
-    tracks, ends = integrate_tracks(
-        F,
-        np.reshape(seeds + [l.point for l in leaves], (-1, 2)),
-        [style.length] * len(seeds)
-        + [(l.period_length or float(np.hypot(*l.cls)) or 1.0) * 1.001 for l in leaves],
-        [5e-3] * len(seeds) + [2e-3] * len(leaves),
-    )
-    tracks = [pts[: end + 1] for pts, end in zip(tracks, ends)]
-    for pts in tracks[: len(seeds)]:
+    tracks, _ = integrate_tracks(F, np.reshape(seeds, (-1, 2)), style.length, 5e-3)
+    for pts in tracks:
         segs = _wrap_segments(pts[::4])
         for seg in segs:
             canvas.polyline(seg, style.flow_color, style.stroke)
         if segs:
             canvas.arrowhead(max(segs, key=len), style.flow_color)
-    for pts in tracks[len(seeds) :]:
-        for seg in _wrap_segments(pts[::2]):
+    leaves = sorted(leaves, key=lambda l: (l.point, l.cls))
+    for path in leaf_paths(F, leaves):
+        for seg in _wrap_segments(path):
             canvas.polyline(seg, style.leaf_color, style.leaf_stroke)
 
     return canvas.document()

@@ -1,6 +1,6 @@
-import dataclasses
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -167,17 +167,64 @@ def test_leaf_batch_matches_single_starts():
 _ISOLATED = ("1", "2*pi*0.05*cos(2*pi*u) + 0.1*sin(2*pi*(v - 0.2 - 0.05*sin(2*pi*u)))")
 
 
+def _textbook_rk4(rhs, x, y, h, n):
+    """Every state of n classical RK4 steps of dy/dx = rhs(x, y), written out
+    plainly: the reference that _rk4 must match bit for bit."""
+    states = [y]
+    for _ in range(n):
+        k1 = rhs(x, y)
+        k2 = rhs(x + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(x + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(x + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        x += h
+        states.append(y)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("v1, v2", [
+    ("1", "0.4"),  # a constant slope: the kernel returns a Python float
+    ("-1", "0.3 + 0.1*cos(2*pi*u)"),  # u alone, crossing the strips backward
+    _ISOLATED,  # u and v
+])
+def test_rk4_matches_the_textbook_on_return_map_slopes(v1, v2):
+    slope, sign = fol._strip_flow(Foliation2(parse_expr(v1), parse_expr(v2)), "u")
+    ts, h = np.arange(33) / 32, sign / fol._STRIP_STEPS
+    out = np.empty((fol._STRIP_STEPS + 1, 33))
+    last = fol._rk4(slope, np.float64(0.25), ts, h, fol._STRIP_STEPS, out)
+    ref = _textbook_rk4(slope, np.float64(0.25), ts, h, fol._STRIP_STEPS)
+    assert out.tobytes() == ref.tobytes() and last.tobytes() == ref[-1].tobytes()
+
+
+@pytest.mark.parametrize("field", [_ISOLATED, ("2 + sin(2*pi*v)", "cos(2*pi*u) + 0.3")])
+def test_rk4_matches_the_textbook_on_tracks(field):
+    # the autonomous track form, with an array of steps, against the track
+    # rhs written plainly: the unit direction of (V1, V2)
+    F = Foliation2(*map(parse_expr, field))
+    f1, f2 = ex.compile_kernel(F.V1, UV), ex.compile_kernel(F.V2, UV)
+
+    def rhs(_, y):
+        d = np.empty_like(y)
+        d[0], d[1] = f1(y[0], y[1]), f2(y[0], y[1])
+        return d / np.hypot(d[0], d[1])
+
+    starts, lengths = np.array([(0.1, 0.2), (0.5, 0.5), (0.9, 0.3)]), [0.5, 1.0, 2.5]
+    pts, n = integrate_tracks(F, starts, lengths, [1e-2, 3e-3, 5e-3])
+    ref = _textbook_rk4(rhs, 0.0, starts.T, np.divide(lengths, n), int(n.max()))
+    assert pts.tobytes() == ref.transpose(2, 0, 1).tobytes()
+
+
+def _leaf_case(name):
+    if name == "eight-band":
+        return library.eight_band_pair()[0]
+    if name == "isolated":
+        return Foliation2(*map(parse_expr, _ISOLATED))
+    return constant_slope(0.4)  # the family of (5, 2) leaves
+
+
 @pytest.mark.parametrize("name", ["eight-band", "isolated"])
 def test_render_tracks_match_integrate_leaf_alone(monkeypatch, name):
-    F = library.eight_band_pair()[0] if name == "eight-band" else Foliation2(
-        *map(parse_expr, _ISOLATED)
-    )
-    leaves = compact_leaves(F)
-    # the same points drawn with other period lengths: 2, sqrt(5) from the
-    # class, and 1 in place of a zero class; with the seeds' 2.5, four lengths
-    leaves += [dataclasses.replace(leaves[0], period_length=2.0),
-               dataclasses.replace(leaves[-1], period_length=0.0, cls=(2, 1)),
-               dataclasses.replace(leaves[-1], period_length=0.0, cls=(0, 0))]
+    F = _leaf_case(name)
     calls = []
 
     def recorded(*args):
@@ -185,11 +232,60 @@ def test_render_tracks_match_integrate_leaf_alone(monkeypatch, name):
         return calls[-1][1]
 
     monkeypatch.setattr(render, "integrate_tracks", recorded)
-    render.render_foliation(F, leaves)
-    [((_, starts, lengths, max_steps), (pts, n))] = calls  # one RK4 pass
-    assert len(starts) == 16 + len(leaves) and len(set(lengths)) == 4
-    for start, length, step, track, end in zip(starts, lengths, max_steps, pts, n):
-        assert np.array_equal(track[: end + 1], integrate_leaf(F, start, length, step))
+    render.render_foliation(F, compact_leaves(F))
+    [((_, starts, length, step), (pts, n))] = calls  # one RK4 pass, seeds only
+    assert len(starts) == 16 and n == 500
+    for start, track in zip(starts, pts):
+        assert np.array_equal(track, integrate_leaf(F, start, length, step))
+
+
+def _exact_leaf(name, leaf, t):
+    """Points of the leaf, in closed form, at the parameters t in [0, 1]."""
+    u0, v0 = leaf.point
+    if name == "eight-band":  # a circle u = u0
+        return np.column_stack([np.full_like(t, u0), v0 + leaf.cls[1] * t])
+    if name == "isolated":  # v = 0.2 + 0.05 sin 2 pi u (mod 1/2)
+        return np.column_stack([t, v0 + 0.05 * np.sin(2 * np.pi * t)])
+    return np.column_stack([5 * t, 2 * t])
+
+
+def _drawn_leaves(svg, style):
+    """The vertices of each leaf polyline of an SVG, in (u, v)."""
+    inner = style.size - 2 * style.margin
+    found = re.findall(f'<polyline points="([^"]*)" fill="none" stroke="{style.leaf_color}"', svg)
+    px = [np.array([p.split(",") for p in pts.split()], dtype=float) for pts in found]
+    return [np.column_stack([x - style.margin, inner + style.margin - y]) / inner
+            for x, y in (p.T for p in px)]
+
+
+@pytest.mark.parametrize("name, count", [("eight-band", 12), ("isolated", 2), ("family", 1)])
+def test_every_drawn_leaf_closes(name, count):
+    F = _leaf_case(name)
+    leaves = compact_leaves(F)
+    assert len(leaves) == count
+    for leaf, path in zip(leaves, fol.leaf_paths(F, leaves)):
+        assert np.array_equal(path[0], leaf.point)
+        assert np.max(np.abs(path[-1] - np.add(leaf.point, leaf.cls))) < 1e-9
+        if not leaf.axis:  # an axis circle keeps its other coordinate in every bit
+            c = 1 if leaf.cls[0] else 0
+            assert path[:, c].tobytes() == np.full(len(path), leaf.point[c]).tobytes()
+            for seg in render._wrap_segments(path):
+                assert seg[:, c].tobytes() == np.full(len(seg), leaf.point[c]).tobytes()
+    # what is drawn covers each leaf with no gap wider than one drawn step: on
+    # the torus, every point of a leaf is within half the longest drawn step
+    # of a vertex, up to the 0.01 px rounding of the SVG
+    style = render.RenderStyle()
+    drawn = _drawn_leaves(render.render_foliation(F, leaves), style)
+    step = max(np.max(np.hypot(*np.diff(seg, axis=0).T)) for seg in drawn)
+    vertices, reach = np.vstack(drawn), step / 2 + 0.01 / (style.size - 2 * style.margin)
+    for leaf in leaves:
+        for t in np.array_split(np.arange(4097) / 4096, 64):
+            pts = _exact_leaf(name, leaf, t)
+            # only vertices within reach of the piece's u range can be near it
+            du = fol._circle_dist(vertices[:, 0], pts[0, 0])
+            near = vertices[du <= reach + np.ptp(pts[:, 0])]
+            d = np.abs(pts[:, None] - near) % 1.0
+            assert np.max(np.min(np.hypot(*np.minimum(d, 1.0 - d).T), axis=0)) <= reach
 
 
 def test_steps_past_a_track_that_leave_the_domain_are_not_refused():
