@@ -144,29 +144,19 @@ def winding(F: Foliation2) -> tuple[int, int]:
 _NOT_FINITE = "the direction field is not finite off its validation grid"
 
 
-def _rk4(rhs, x: float | None, y: np.ndarray, h, n: int, out=None) -> np.ndarray:
+def _rk4(rhs, x: float, y: np.ndarray, h: float, n: int, out=None) -> np.ndarray:
     """n classical RK4 steps of dy/dx = rhs(x, y) for an array of states y;
-    returns the last state, and writes every state to ``out[0..n]`` if given.
-    With x None the rhs is autonomous and called as rhs(y); its step h may
-    then be an array of steps, one per state along the last axis of y: every
-    operation on h is elementwise, so each state gets exactly the steps a
-    float h would give it."""
+    returns the last state, and writes every state to ``out[0..n]`` if given."""
     h2, h6 = 0.5 * h, h / 6.0  # 0.5 * h * k already evaluates as (0.5 * h) * k
     if out is not None:
         out[0] = y
     for i in range(n):
-        if x is None:
-            k1 = rhs(y)
-            k2 = rhs(y + h2 * k1)
-            k3 = rhs(y + h2 * k2)
-            k4 = rhs(y + h * k3)
-        else:
-            k1 = rhs(x, y)
-            k2 = rhs(x + h2, y + h2 * k1)
-            k3 = rhs(x + h2, y + h2 * k2)
-            k4 = rhs(x + h, y + h * k3)
-            x += h
+        k1 = rhs(x, y)
+        k2 = rhs(x + h2, y + h2 * k1)
+        k3 = rhs(x + h2, y + h2 * k2)
+        k4 = rhs(x + h, y + h * k3)
         y = y + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        x += h
         if out is not None:
             out[i + 1] = y
     return y
@@ -174,22 +164,17 @@ def _rk4(rhs, x: float | None, y: np.ndarray, h, n: int, out=None) -> np.ndarray
 
 @np.errstate(all="ignore")  # a domain error gives NaN, refused below
 def integrate_tracks(
-    F: Foliation2, starts: np.ndarray, lengths, max_steps
-) -> tuple[np.ndarray, np.ndarray]:
+    F: Foliation2, starts: np.ndarray, length: float, max_step: float
+) -> np.ndarray:
     """Arc-length RK4 trajectories of V/|V| in the universal cover, all in one
-    pass: track i runs from the point starts[i] of a (k, 2) array over
-    lengths[i] in n[i] = max(1, ceil(lengths[i] / max_steps[i])) equal steps.
-    A float length or step serves every track.
-
-    Returns a (k, max(n) + 1, 2) array of points and n: track i is
-    ``pts[i, :n[i] + 1]``.  Its later points are steps past its own length,
-    not part of it, and may be anything, NaN too."""
-    lengths, max_steps = np.asarray(lengths, dtype=float), np.asarray(max_steps, dtype=float)
-    if not ((lengths > 0) & (lengths < math.inf)).all():
+    pass: each runs from a point of the (k, 2) array starts over ``length`` in
+    n = max(1, ceil(length / max_step)) equal steps.  Returns the (k, n + 1, 2)
+    array of points."""
+    if not 0 < length < math.inf:
         raise FoliationError("leaf length must be positive and finite")
     f1, f2 = compile_kernel(F.V1, UV), compile_kernel(F.V2, UV)
 
-    def rhs(y):  # y[0], y[1]: the u and v rows
+    def rhs(_, y):  # y[0], y[1]: the u and v rows
         d = np.empty_like(y)  # a kernel may return a float or a lower-rank array
         a, b = f1(y[0], y[1]), f2(y[0], y[1])
         r = np.hypot(a, b)
@@ -197,15 +182,13 @@ def integrate_tracks(
         np.divide(b, r, out=d[1])
         return d
 
-    n = np.maximum(1, np.ceil(lengths / max_steps)).astype(int)
-    steps = int(n.max())
+    n = max(1, math.ceil(length / max_step))
     y = np.reshape(starts, (-1, 2)).T
-    pts = np.empty((steps + 1,) + y.shape)
-    _rk4(rhs, None, y, lengths / n, steps, pts)
-    own = np.arange(steps + 1)[:, None] <= n
-    if not (np.isfinite(pts).all(axis=1) | ~own).all():
+    pts = np.empty((n + 1,) + y.shape)
+    _rk4(rhs, 0.0, y, length / n, n, pts)
+    if not np.isfinite(pts).all():
         raise FoliationError(_NOT_FINITE)
-    return pts.transpose(2, 0, 1), n
+    return pts.transpose(2, 0, 1)
 
 
 def integrate_leaf(
@@ -218,7 +201,7 @@ def integrate_leaf(
     polyline as an (n+1, 2) array starting at ``start``, or a (k, n+1, 2)
     array of k polylines for a (k, 2) array of starts."""
     starts = np.asarray(start, dtype=float)
-    pts, _ = integrate_tracks(F, starts, length, max_step)
+    pts = integrate_tracks(F, starts, length, max_step)
     return pts[0] if starts.ndim == 1 else pts
 
 
@@ -519,11 +502,11 @@ def _same_leaf(a: CompactLeaf, b: CompactLeaf) -> bool:
 @np.errstate(all="ignore")  # a domain error gives NaN, refused in _strip_flow, _lifts
 def leaf_paths(F: Foliation2, leaves: list[CompactLeaf]) -> list[np.ndarray]:
     """Each compact leaf as a closed path in the universal cover, an (m, 2)
-    array from its point to point + cls, drawn from what its detector knows.
-    A circle parallel to an axis is straight, in _STRIP_STEPS steps.  A leaf
-    of class (q, p) found by a return map is the graph of its strip flow over
-    |q| strips: the RK4 states of ``_lifts``, for every leaf of one return
-    map in one batch."""
+    array from its point to point + cls.  A circle parallel to an axis is
+    straight, in _STRIP_STEPS steps.  A leaf of class (q, p) found by a return
+    map is the graph of that map's strip flow over |q| strips: ``_lifts``
+    integrates it again from the leaf's point and keeps every RK4 state, for
+    every leaf of one return map in one batch."""
     steps = np.arange(_STRIP_STEPS + 1) / _STRIP_STEPS
 
     def circle(leaf):

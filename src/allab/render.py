@@ -2,10 +2,12 @@
 seed grid, compact leaves emphasized, small arrowheads for orientation.
 Byte-identical output for identical inputs.
 
-Only the seeds are integrated here, as arc-length tracks.  Each compact leaf
-is drawn as the closed path its detector already has (``leaf_paths``): an
-axis circle is a straight line, and a return-map leaf the graph of the strip
-flow that found it, so every leaf ends on its own start.
+Only the seeds are integrated as arc-length tracks.  Each compact leaf is
+drawn as a closed path from ``leaf_paths``: an axis circle is a straight
+line, and a return-map leaf the graph of the strip flow of the map that
+found it, integrated again from the leaf's point, so every leaf ends on its
+own start.  Like every polyline, a leaf loses the one step that crosses the
+frame edge, its seam included, where the fold cuts it.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ def render_foliation(
 
     n = style.seeds
     seeds = [((i + 0.5) / n, (j + 0.5) / n) for i in range(n) for j in range(n)]
-    tracks, _ = integrate_tracks(F, np.reshape(seeds, (-1, 2)), style.length, 5e-3)
+    tracks = integrate_tracks(F, np.reshape(seeds, (-1, 2)), style.length, 5e-3)
     for pts in tracks:
         segs = _wrap_segments(pts[::4])
         for seg in segs:

@@ -198,8 +198,8 @@ def test_rk4_matches_the_textbook_on_return_map_slopes(v1, v2):
 
 @pytest.mark.parametrize("field", [_ISOLATED, ("2 + sin(2*pi*v)", "cos(2*pi*u) + 0.3")])
 def test_rk4_matches_the_textbook_on_tracks(field):
-    # the autonomous track form, with an array of steps, against the track
-    # rhs written plainly: the unit direction of (V1, V2)
+    # integrate_tracks against the track rhs written plainly: the unit
+    # direction of (V1, V2), for a few lengths and steps
     F = Foliation2(*map(parse_expr, field))
     f1, f2 = ex.compile_kernel(F.V1, UV), ex.compile_kernel(F.V2, UV)
 
@@ -208,10 +208,11 @@ def test_rk4_matches_the_textbook_on_tracks(field):
         d[0], d[1] = f1(y[0], y[1]), f2(y[0], y[1])
         return d / np.hypot(d[0], d[1])
 
-    starts, lengths = np.array([(0.1, 0.2), (0.5, 0.5), (0.9, 0.3)]), [0.5, 1.0, 2.5]
-    pts, n = integrate_tracks(F, starts, lengths, [1e-2, 3e-3, 5e-3])
-    ref = _textbook_rk4(rhs, 0.0, starts.T, np.divide(lengths, n), int(n.max()))
-    assert pts.tobytes() == ref.transpose(2, 0, 1).tobytes()
+    starts = np.array([(0.1, 0.2), (0.5, 0.5), (0.9, 0.3)])
+    for length, step, n in [(0.5, 1e-2, 50), (1.0, 3e-3, 334), (2.5, 5e-3, 500)]:
+        pts = integrate_tracks(F, starts, length, step)
+        ref = _textbook_rk4(rhs, 0.0, starts.T, length / n, n)
+        assert pts.tobytes() == ref.transpose(2, 0, 1).tobytes()
 
 
 def _leaf_case(name):
@@ -233,8 +234,8 @@ def test_render_tracks_match_integrate_leaf_alone(monkeypatch, name):
 
     monkeypatch.setattr(render, "integrate_tracks", recorded)
     render.render_foliation(F, compact_leaves(F))
-    [((_, starts, length, step), (pts, n))] = calls  # one RK4 pass, seeds only
-    assert len(starts) == 16 and n == 500
+    [((_, starts, length, step), pts)] = calls  # one RK4 pass, seeds only
+    assert pts.shape == (16, 501, 2)
     for start, track in zip(starts, pts):
         assert np.array_equal(track, integrate_leaf(F, start, length, step))
 
@@ -273,7 +274,9 @@ def test_every_drawn_leaf_closes(name, count):
                 assert seg[:, c].tobytes() == np.full(len(seg), leaf.point[c]).tobytes()
     # what is drawn covers each leaf with no gap wider than one drawn step: on
     # the torus, every point of a leaf is within half the longest drawn step
-    # of a vertex, up to the 0.01 px rounding of the SVG
+    # of a vertex, up to the 0.01 px rounding of the SVG.  The one gap is the
+    # step that crosses the frame edge, where the fold cuts every polyline;
+    # each leaf starts on the edge, so its seam is such a cut.
     style = render.RenderStyle()
     drawn = _drawn_leaves(render.render_foliation(F, leaves), style)
     step = max(np.max(np.hypot(*np.diff(seg, axis=0).T)) for seg in drawn)
@@ -289,18 +292,15 @@ def test_every_drawn_leaf_closes(name, count):
 
 
 def test_steps_past_a_track_that_leave_the_domain_are_not_refused():
-    # V1 is NaN wherever |u - k/256| > 1/1536; both tracks move by about 1e-3
-    # of their length in u.  The short one ends inside at u = 6.1e-4, the
-    # steps past its end leave, and the long one stays inside to its end.
+    # V1 is NaN wherever |u - k/256| > 1/1536; the tracks move by about 1e-3
+    # of their length in u.  The short one ends inside at u = 6.1e-4, where
+    # steps past its end would leave, and the long one stays inside to its end.
     F = Foliation2(parse_expr("1e-3*(1 + 0*sqrt(cos(512*pi*u) - 0.5))"), parse_expr("1"))
-    starts = np.array([(0.0, 0.0), (6e-4, 0.0)])
-    pts, n = integrate_tracks(F, starts, [0.5, 0.01], 1e-2)
-    assert list(n) == [50, 1]
-    assert not np.isfinite(pts[1, 2:]).all()
-    for start, length, track, end in zip(starts, [0.5, 0.01], pts, n):
-        assert np.array_equal(track[: end + 1], integrate_leaf(F, start, length, 1e-2))
+    long = integrate_tracks(F, np.array([(0.0, 0.0)]), 0.5, 1e-2)
+    short = integrate_tracks(F, np.array([(6e-4, 0.0)]), 0.01, 1e-2)
+    assert long.shape == (1, 51, 2) and short.shape == (1, 2, 2)
     with pytest.raises(FoliationError, match="not finite"):
-        integrate_leaf(F, starts[1], 0.5, 1e-2)
+        integrate_leaf(F, (6e-4, 0.0), 0.5, 1e-2)
 
 
 def _through_compile_field(monkeypatch, fn, *args):
