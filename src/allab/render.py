@@ -2,12 +2,17 @@
 seed grid, compact leaves emphasized, small arrowheads for orientation.
 Byte-identical output for identical inputs.
 
-Only the seeds are integrated as arc-length tracks.  Each compact leaf is
-drawn as a closed path from ``leaf_paths``: an axis circle is a straight
-line, and a return-map leaf the graph of the strip flow of the map that
-found it, integrated again from the leaf's point, so every leaf ends on its
-own start.  Like every polyline, a leaf loses the one step that crosses the
-frame edge, its seam included, where the fold cuts it.
+Only the seeds are integrated as arc-length tracks, in RK4 steps of the
+0.02 spacing at which they are drawn, so every state is a vertex.  RK4's
+global error is O(h^4): on the built-in foliations a vertex lies within
+0.03 px of the same track in steps four times finer, and the tests bound it
+by 0.05 px.
+
+Each compact leaf is drawn as a closed path from ``leaf_paths``: an axis
+circle is a straight line, and a return-map leaf the graph of the strip flow
+of the map that found it, integrated again from the leaf's point, so every
+leaf ends on its own start.  Like every polyline, a leaf loses the one step
+that crosses the frame edge, its seam included, where the fold cuts it.
 """
 
 from __future__ import annotations
@@ -64,8 +69,6 @@ class _Canvas:
         )
 
     def arrowhead(self, seg: np.ndarray, color: str):
-        if len(seg) < 2:
-            return
         i = len(seg) // 2
         p = np.array(self.pixel(*seg[i]))
         q = np.array(self.pixel(*seg[min(i + 1, len(seg) - 1)]))
@@ -104,9 +107,10 @@ def render_foliation(
 
     n = style.seeds
     seeds = [((i + 0.5) / n, (j + 0.5) / n) for i in range(n) for j in range(n)]
-    tracks = integrate_tracks(F, np.reshape(seeds, (-1, 2)), style.length, 5e-3)
+    # one RK4 step per drawn vertex, 0.02 apart in arc length
+    tracks = integrate_tracks(F, np.reshape(seeds, (-1, 2)), style.length, 0.02)
     for pts in tracks:
-        segs = _wrap_segments(pts[::4])
+        segs = _wrap_segments(pts)
         for seg in segs:
             canvas.polyline(seg, style.flow_color, style.stroke)
         if segs:
