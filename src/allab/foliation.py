@@ -92,24 +92,15 @@ _WINDING_NODES = tuple(1024 * 4**i for i in range(6))  # up to 2^20
 _TURN = 2.0 * math.pi
 
 
-def _whole_turns(angle: np.ndarray) -> list[np.ndarray] | None:
-    """For each axis of sampled field angles (from arctan2), the whole turns
-    in each step to the next sample (the last sample steps back to the
-    first).  Taking those off leaves each step's turn, and so a continuous
-    lift of the angle, when the samples resolve the field: None when a step
-    still turns by more than pi/4."""
-    whole = []
-    step, turns = np.empty_like(angle), np.empty_like(angle)
-    for axis in range(angle.ndim):
-        a, s = np.moveaxis(angle, axis, 0), np.moveaxis(step, axis, 0)
-        np.subtract(a[1:], a[:-1], out=s[:-1])
-        np.subtract(a[:1], a[-1:], out=s[-1:])
-        k = np.rint(np.divide(step, _TURN))
-        np.abs(np.subtract(step, np.multiply(_TURN, k, out=turns), out=step), out=step)
-        if not step.max() <= math.pi / 4:  # a NaN fails too
-            return None
-        whole.append(k)
-    return whole
+def _whole_turns(step: np.ndarray) -> np.ndarray | None:
+    """The whole turns in each step between neighbouring samples of a field's
+    angle (from arctan2).  Taking those off leaves each step's turn, and so a
+    continuous lift of the angle, when the samples resolve the field: None
+    when a step still turns by more than pi/4."""
+    k = np.rint(np.divide(step, _TURN))
+    if not np.abs(step - _TURN * k).max() <= math.pi / 4:  # a NaN fails too
+        return None
+    return k
 
 
 @np.errstate(all="ignore")  # a domain error gives NaN, refused below
@@ -127,8 +118,8 @@ def winding(F: Foliation2) -> tuple[int, int]:
             angle = np.arctan2(f2(u, v), f1(u, v))
             if not np.isfinite(angle).all():
                 raise WindingError(f"the field is not finite on the loop along {along}")
-            if (whole := _whole_turns(angle)) is not None:
-                out.append(-int(whole[0].sum()))
+            if (whole := _whole_turns(np.diff(angle, append=angle[:1]))) is not None:
+                out.append(-int(whole.sum()))
                 break
         else:
             raise WindingError(
@@ -249,19 +240,37 @@ def _lifts(flow, x0: float, ts, q: int, out=None) -> np.ndarray:
     return lifts
 
 
-def _refine(f, lo, hi, flo, fhi) -> np.ndarray:
+# offsets from a root estimate x at which _refine samples a bracket, besides
+# cutting it in eighths: a pass of _lifts costs about as much for 64 points as
+# for 4.  The innermost is 5e-15, so that the cell between x and a neighbour
+# passes the 1e-14 test after rounding.
+_LADDER = np.array([-1e-5, -1e-8, -1e-11, -5e-15, 0.0, 5e-15, 1e-11, 1e-8, 1e-5])
+
+
+def _refine(f, x, lo, hi, flo, fhi) -> np.ndarray:
     """Roots of f in the brackets [lo, hi], where f takes the values flo and fhi
-    of opposite signs, all at once, by the Illinois method: regula falsi that
-    halves the value at a stale end.  A pair of ends of one sign comes back as hi."""
+    of opposite signs, all at once, from the estimates x.  Each pass calls f
+    once on a (brackets, points) batch: each bracket cut in eighths, and x +
+    _LADDER clipped into it.  The narrowest sign change is the next bracket,
+    hi its end nearer zero, and the secant there the next x: a bracket shrinks
+    8-fold a pass at least, and an x within 1e-9 of the root ends it in two.
+    It stops at |hi - lo| <= 1e-14 or f(hi) = 0, each root a point of f's last
+    call (a settled bracket's row is hi alone).  A pair of ends of one sign
+    comes back as hi."""
     for _ in range(100):
         live = (flo * fhi <= 0) & (fhi != 0) & (np.abs(hi - lo) > 1e-14)
         if not live.any():
             break
-        x = np.where(live, hi - fhi * (hi - lo) / np.where(live, fhi - flo, 1.0), hi)
-        fx = f(x)
-        flip = fx * fhi < 0
-        lo, flo = np.where(flip, hi, lo), np.where(flip, fhi, 0.5 * flo)
-        hi, fhi = x, fx
+        a, b = np.minimum(lo, hi)[:, None], np.maximum(lo, hi)[:, None]
+        pts = np.hstack([a + (b - a) * np.arange(8) / 8, b, np.clip(x[:, None] + _LADDER, a, b)])
+        pts = np.where(live[:, None], np.sort(pts), hi[:, None])
+        val = f(pts)
+        width = np.where(val[:, 1:] * val[:, :-1] <= 0, np.diff(pts), np.inf)
+        j = np.argmin(width, axis=1)[:, None] + [0, 1]
+        ends, fends = np.take_along_axis(pts, j, 1), np.take_along_axis(val, j, 1)
+        k = np.argsort(np.abs(fends), axis=1, kind="stable")  # hi, then lo
+        (hi, lo), (fhi, flo) = np.take_along_axis(ends, k, 1).T, np.take_along_axis(fends, k, 1).T
+        x = hi - fhi * (hi - lo) / np.where(fhi != flo, fhi - flo, 1.0)
     return hi
 
 
@@ -375,11 +384,11 @@ def _axis_leaves(F: Foliation2, axis: str) -> list[CompactLeaf]:
     fn_d = compile_field(ex.diff(e_t, axis), UV)
     simple = at(fn_t, lo, 0.37) * at(fn_t, hi, 0.37) < 0
 
-    def f(x):
-        return np.where(simple, at(fn_t, x, 0.37), at(fn_d, x, 0.37))
+    def f(x):  # x: one row of points per bracket
+        return np.where(simple[:, None], at(fn_t, x, 0.37), at(fn_d, x, 0.37))
 
-    flo, fhi = f(lo), f(hi)
-    roots = _refine(f, lo, hi, flo, fhi)[flo * fhi < 0]
+    flo, fhi = f(np.column_stack([lo, hi])).T
+    roots = _refine(f, i / n_scan, lo, hi, flo, fhi)[flo * fhi < 0]
     leaves: list[CompactLeaf] = []
     for x in roots[np.max(np.abs(at(fn_t, roots[:, None], vs)), axis=1) <= 1e-7]:
         x = float(x) % 1.0 % 1.0  # a tiny negative x gives 1.0 under one %
@@ -399,6 +408,19 @@ def _dips(h: np.ndarray) -> np.ndarray:
         & ((r - l) ** 2 > 8.0 * m * (l - 2.0 * m + r))  # its extremum has the other sign
     )
     return np.unique(np.concatenate([j - 1, j]) % _SCAN)
+
+
+def _seeds(t: np.ndarray, h: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """Root estimates in the cells [t[i], t[i + 1]] of the periodic scan h of
+    t (h[-1] repeats h[0]): the cubic t(h) through the cell's ends and their
+    outer neighbours, at h = 0, or the secant where that is not in the cell."""
+    ext = [np.r_[a[-2] - d, a, a[1] + d] for a, d in ((t, 1.0), (h, 0.0))]
+    tn, hn = (a[i[:, None] + np.arange(4)] for a in ext)  # nodes i - 1 .. i + 2
+    w = hn[:, None, :] / (hn[:, None, :] - hn[:, :, None])  # h_n / (h_n - h_m)
+    w[:, np.arange(4), np.arange(4)] = 1.0
+    x = np.sum(np.prod(w, axis=2) * tn, axis=1)
+    secant = t[i] - h[i] * (t[i + 1] - t[i]) / (h[i + 1] - h[i])
+    return np.where((t[i] <= x) & (x <= t[i + 1]), x, secant)
 
 
 def _return_map_leaves(F: Foliation2, axis: str) -> list[CompactLeaf]:
@@ -448,11 +470,11 @@ def _return_map_leaves(F: Foliation2, axis: str) -> list[CompactLeaf]:
             i = np.flatnonzero(np.sign(h[:-1]) * np.sign(h[1:]) <= 0)  # a node's root: 2 cells
             # a bracket near a point found at a period dividing q holds its repeat
             i = i[~near(0.5 * (t[i] + t[i + 1]), 1.5 / _SCAN)]
-            brackets += [(p, t[k], t[k + 1], h[k], h[k + 1]) for k in i]
+            brackets += zip([p] * len(i), _seeds(t, h, i), t[i], t[i + 1], h[i], h[i + 1])
         if not brackets:
             continue
         ps, *ends = np.array(brackets).T
-        r = _refine(lambda x: _lifts(flow, 0.0, x, q)[-1] - x - ps, *ends)
+        r = _refine(lambda x: _lifts(flow, 0.0, x, q)[-1] - x - ps[:, None], *ends)
         roots = sorted((int(p), float(t)) for p, t in zip(ps, r) if not near(t, _SAME))
         if not roots:
             continue
@@ -611,7 +633,8 @@ class SlopeSearch:
     grid_n = 1024  # a constant, not a field: no caller sets it
 
 
-def _candidate_directions(max_denominator: int) -> list[tuple[int, int]]:
+@functools.lru_cache(maxsize=4)  # a run uses one bound
+def _candidate_directions(max_denominator: int) -> tuple[tuple[int, int], ...]:
     """(du, dv) direction vectors for slopes p/q with |p|, q <= bound,
     axes first; ordered by denominator so simple answers win."""
     dirs = [(1, 0), (0, 1)]
@@ -623,29 +646,45 @@ def _candidate_directions(max_denominator: int) -> list[tuple[int, int]]:
                 continue
             seen.add(s)
             dirs.append((s.denominator, s.numerator))
-    return dirs
+    return tuple(dirs)
+
+
+_ROWS = 64  # rows of the grid per block in _direction_arc: a block fits in cache
 
 
 def _direction_arc(H: Foliation2, t: np.ndarray) -> tuple[float, float] | None:
     """[lo, hi] of the lifted angle of H on the torus grid (t_i, t_j), or None
     when neighbouring samples turn by more than pi/4; FoliationError when a
-    sample is not finite.
+    sample is not finite, in any block.
 
-    The angle is evaluated on the open grid (u as a column, v as a row), so
-    an axis that H does not use keeps length 1: it is neither sampled nor
-    lifted along it, and the arc is the one the full grid gives.  Lifting
-    along each row, then along the first column, makes the angle continuous.
-    """
+    The angle is evaluated in blocks of _ROWS values of u (a column) by every
+    v (a row), plus the next row (row 0 after the last), on open grids: an
+    axis that H does not use keeps length 1 and is neither sampled nor lifted
+    along.  Lifting along each row, then along the first column, makes the
+    angle continuous; a running count of that column's whole turns carries
+    the lift across blocks.  The counts are integers, exact in floats, so the
+    arc is the full grid's bit for bit."""
     v1, v2 = compile_kernel(H.V1, UV), compile_kernel(H.V2, UV)
-    angle = np.atleast_2d(np.arctan2(v2(t[:, None], t[None]), v1(t[:, None], t[None])))
-    if not np.isfinite(angle).all():
-        raise FoliationError(_NOT_FINITE)
-    if (whole := _whole_turns(angle)) is None:
-        return None
-    ku, kv = whole
-    angle[:, 1:] -= _TURN * np.cumsum(kv[:, :-1], axis=1)
-    angle[1:] -= _TURN * np.cumsum(ku[:-1, :1], axis=0)
-    return float(angle.min()), float(angle.max())
+    n, lo, hi, turns = len(t), math.inf, -math.inf, 0.0
+    for r in range(0, n, _ROWS):
+        u = t[np.arange(r, min(r + _ROWS, n) + 1) % n, None]
+        angle = np.atleast_2d(np.arctan2(v2(u, t), v1(u, t)))
+        if not np.isfinite(angle).all():
+            raise FoliationError(_NOT_FINITE)
+        if row := len(angle) == 1:  # H does not use u: this row is the whole grid
+            angle = angle[[0, 0]]
+        ku = _whole_turns(np.diff(angle, axis=0))
+        kv = _whole_turns(np.diff(angle[:-1], axis=1, append=angle[:-1, :1]))
+        if turns is None or ku is None or kv is None:
+            turns = None  # unresolved: the blocks left are only checked to be finite
+        else:
+            lift = angle[:-1]
+            lift[:, 1:] -= _TURN * np.cumsum(kv[:, :-1], axis=1)
+            lift -= _TURN * (turns + np.cumsum(ku[:, :1], axis=0) - ku[:, :1])
+            lo, hi, turns = min(lo, lift.min()), max(hi, lift.max()), turns + ku[:, 0].sum()
+        if row:
+            break
+    return None if turns is None else (float(lo), float(hi))
 
 
 @np.errstate(all="ignore")  # a domain error gives NaN, refused in _direction_arc

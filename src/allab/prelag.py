@@ -166,7 +166,9 @@ def scaling_solve(
     mode, with Barzilai-Borwein step lengths measured in the same metric and
     a backtracking sufficient-decrease line search, so the recorded residual
     history never increases.  The smoothing removes the grid's stiff high
-    modes from the step, so the iteration count does not grow with n.
+    modes from the step, so on a problem that varies along one coordinate
+    the iteration count does not grow with n; in 2-D it does (32, 37 and 140
+    at n = 16, 32, 64 for a = exp(0.3 sin 2pi u cos 2pi v) dv, b = du).
     Jointly shrinking f and g scales the raw objective down without changing
     anything, so the iteration minimizes the gauge-fixed value: the residual
     of the representative with mean(phi) = 0.

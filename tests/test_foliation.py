@@ -513,6 +513,65 @@ def test_scan_stops_at_the_period_of_a_family(monkeypatch):
     assert len(calls) == 5
 
 
+def _refine_one(fn, x, lo, hi):
+    """_refine on one bracket of a closed-form fn; returns the root and the
+    points of each call of f, which gets a (brackets, points) batch."""
+    seen = []
+
+    def f(pts):
+        assert pts.ndim == 2
+        seen.append(pts.copy())
+        return fn(pts)
+
+    ends = np.array([lo]), np.array([hi])
+    root = fol._refine(f, np.array([x]), *ends, fn(ends[0]), fn(ends[1]))
+    return float(root[0]), seen
+
+
+@pytest.mark.parametrize("fn, x, lo, hi, root", [
+    pytest.param(lambda x: x * x - 2.0, 1.5, 1.0, 2.0, math.sqrt(2.0), id="simple"),
+    pytest.param(lambda x: 0.5 - x, 0.75, 0.5, 1.0, 0.5, id="root-on-an-end"),
+    # flat: (x - r)^3 is below 1e-42 within 1e-14 of r
+    pytest.param(lambda x: (x - 1 / 3) ** 3, 0.9, 0.0, 1.0, 1 / 3, id="triple-root"),
+])
+def test_refine_closed_forms(fn, x, lo, hi, root):
+    found, seen = _refine_one(fn, x, lo, hi)
+    assert abs(found - root) <= 1e-14
+    assert 1 <= len(seen) < 100  # it stops within the cap
+    assert found in seen[-1]  # a root is a point of f's last call
+
+
+def test_refine_returns_hi_for_ends_of_one_sign():
+    found, seen = _refine_one(lambda x: x * x + 1.0, 0.5, 0.0, 1.0)
+    assert (found, seen) == (1.0, [])
+
+
+# the isolated family with leaves v = 0.1 + j/4 + eps sin 2 pi u, off the
+# points of the 1/1024 scan
+_ISOLATED_M2 = "2*pi*0.0327*cos(2*pi*u) + 0.2*sin(4*pi*(v - 0.1 - 0.0327*sin(2*pi*u)))"
+
+
+def test_isolated_leaves_are_refined_in_two_passes(monkeypatch):
+    batches = []
+    lifts = fol._lifts
+    monkeypatch.setattr(
+        fol, "_lifts", lambda flow, x0, ts, *a: batches.append(np.ndim(ts)) or lifts(flow, x0, ts, *a)
+    )
+    leaves = compact_leaves(Foliation2(ex.ONE, parse_expr(_ISOLATED_M2)))
+    assert batches.count(2) <= 2  # refinement passes: _refine's f gets 2-D batches
+    assert [(l.cls, l.axis) for l in leaves] == [((1, 0), "u")] * 4
+    # 1.2e-12 off: the error of 256 RK4 steps a strip, not of the root finder
+    assert [l.point[1] for l in leaves] == pytest.approx(0.1 + np.arange(4) / 4, abs=2e-12)
+
+
+def test_period_7_orbits_are_refined_in_wide_passes(monkeypatch):
+    # 7 scan strips, 6 refinement passes of 7 strips, 6 strips for the orbit
+    calls = _count_rk4(monkeypatch)
+    leaves = compact_leaves(Foliation2(ex.ONE, parse_expr("3/7 + 0.02*sin(2*pi*(7*v - 3*u))")))
+    assert [l.cls for l in leaves] == [(7, 3), (7, 3)]
+    assert len(calls) == 55
+
+
 def test_leaf_class_matches_displacement():
     F = Foliation2(parse_expr("sin(2*pi*u)"), parse_expr("cos(2*pi*u)"))
     for leaf in compact_leaves(F):
@@ -715,34 +774,69 @@ def test_cone_separation_none(angle):
 
 
 @pytest.mark.parametrize(
-    "angle, shape, expected",
+    "angle, uses, expected",
     [
-        pytest.param("0.4", (1, 1), ((1, 0), (0, 1)), id="constant"),
-        pytest.param("0.4 + 0.3*sin(2*pi*u)", (1024, 1), ((1, 0), (0, 1)), id="u-only"),
-        pytest.param("1 + 0.2*cos(2*pi*v)", (1, 1024), ((1, 0), (0, 1)), id="v-only"),
-        pytest.param("0.3*sin(2*pi*(u + 2*v))", (1024, 1024), ((1, -3), (1, -2)),
-                     id="two-variable"),
-        pytest.param("2*pi*u", (1024, 1), None, id="u-winding"),
-        pytest.param("300*sin(2*pi*u)", (1024, 1), None, id="unresolved"),
+        pytest.param("0.4", "", ((1, 0), (0, 1)), id="constant"),
+        pytest.param("0.4 + 0.3*sin(2*pi*u)", "u", ((1, 0), (0, 1)), id="u-only"),
+        pytest.param("1 + 0.2*cos(2*pi*v)", "v", ((1, 0), (0, 1)), id="v-only"),
+        pytest.param("0.3*sin(2*pi*(u + 2*v))", "uv", ((1, -3), (1, -2)), id="two-variable"),
+        pytest.param("2*pi*u", "u", None, id="u-winding"),
+        pytest.param("300*sin(2*pi*u)", "u", None, id="unresolved"),
         # FOUND, left open: every grid point sits on a zero of the sine, so
         # the samples miss that this field takes every direction
-        pytest.param("1.7*sin(2048*pi*u)", (1024, 1), ((1, -10), (1, -9)), id="aliased"),
+        pytest.param("1.7*sin(2048*pi*u)", "u", ((1, -10), (1, -9)), id="aliased"),
     ],
 )
 def test_cone_separation_on_the_open_grid_matches_the_full_grid(
-        monkeypatch, angle, shape, expected):
+        monkeypatch, angle, uses, expected):
     F, G = _quarter_turn_pair(angle)
     t = np.arange(1024) / 1024
     shapes = []
     whole_turns = fol._whole_turns
     monkeypatch.setattr(fol, "_whole_turns", lambda a: shapes.append(a.shape) or whole_turns(a))
     arcs = [fol._direction_arc(H, t) for H in (F, G)]
-    assert shapes == [shape, shape]  # an axis the field does not use is not sampled
+    # an axis the field does not use has length 1 in every evaluated block
+    assert shapes and all(
+        (rows > 1, cols > 1) == ("u" in uses, "v" in uses) for rows, cols in shapes
+    )
     assert cone_separation(F, G) == expected
     with monkeypatch.context() as m:  # every field on the full 1024 x 1024 grid
         m.setattr(fol, "compile_kernel", ex.compile_field)
         assert arcs == [fol._direction_arc(H, t) for H in (F, G)]
         assert cone_separation(F, G) == expected
+
+
+def _one_steep_step(u0, nan_at=None):
+    """F along (1 - r cos 2 pi (u - u0), -r sin 2 pi (u - u0)), r = 0.997,
+    and G a quarter turn ahead.  The direction turns by 1.59 rad between the
+    two grid rows on either side of u0 (halfway between them), and by at
+    most pi/6 between any other neighbouring rows.  With nan_at, F is NaN on the
+    grid row at nan_at alone (off every validation grid)."""
+    phi = f"2*pi*(u - {u0!r})"
+    nan = "" if nan_at is None else f" + 0*sqrt(cos(2*pi*0.0002) - cos(2*pi*(u - {nan_at!r})))"
+    F = Foliation2(parse_expr(f"1 - 0.997*cos({phi}){nan}"), parse_expr(f"-0.997*sin({phi})"))
+    return F, Foliation2(ex.neg(F.V2), F.V1)
+
+
+@pytest.mark.parametrize("u0", [
+    pytest.param(63.5 / 1024, id="block-seam"),  # rows 63 and 64: blocks 0 and 1
+    pytest.param(1023.5 / 1024, id="wrap"),  # the last row and row 0
+])
+def test_direction_arc_sees_a_steep_step_between_blocks(monkeypatch, u0):
+    F, G = _one_steep_step(u0)
+    t = np.arange(1024) / 1024
+    assert fol._direction_arc(F, t) is None
+    assert cone_separation(F, G) is None
+    monkeypatch.setattr(fol, "compile_kernel", ex.compile_field)  # the full grid agrees
+    assert fol._direction_arc(F, t) is None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cone_separation_refuses_a_late_nan_after_an_unresolved_block():
+    # block 0 already fails the pi/4 test; the NaN is on row 1001, in the last block
+    F, G = _one_steep_step(63.5 / 1024, nan_at=1001 / 1024)
+    with pytest.raises(FoliationError, match="not finite"):
+        cone_separation(F, G)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -124,6 +124,17 @@ def test_scaling_solve_iterations_flat_in_n():
     assert np.max(np.abs(ratio - target / target.mean())) < 1e-3
 
 
+def test_scaling_solve_iterations_on_the_2d_planted_problem():
+    # not flat in 2-D: 32, 37 and 140 iterations at n = 16, 32 and 64 when
+    # measured; each bound is about 1.25 times that, so a regression shows
+    a = one_form(UV, ex.ZERO, parse_expr("exp(0.3*sin(2*pi*u)*cos(2*pi*v))"))
+    b = one_form(UV, ex.ONE, ex.ZERO)
+    for n, bound in ((16, 40), (32, 46), (64, 175)):
+        sol = scaling_solve(a, b, n=n, tol=1e-6)
+        assert sol.success
+        assert sol.iterations <= bound
+
+
 def test_scaling_interpolant_matches_grid_residual(planted_solution):
     sol, _ = planted_solution
     assert abs(sol.interpolant_residual - sol.residual) < 1e-8
