@@ -18,7 +18,7 @@ import numpy as np
 
 from . import AllabError
 from . import expr as ex
-from .expr import Expr, ZERO, ONE, compile_field, compile_kernel, diff, substitute
+from .expr import Expr, ZERO, ONE, compile_field, compile_kernel, diff
 from .geom import (
     DifferentialForm,
     Gluing3,
@@ -30,7 +30,7 @@ from .geom import (
     curl_residual,
     exterior_derivative,
     grid_argmin,
-    one_form,
+    pullback,
     restrict,
     torus3,
     torus_samples,
@@ -167,13 +167,6 @@ class LiouvilleReport:
     passed: bool
 
 
-def _lift(form3: DifferentialForm) -> DifferentialForm:
-    shifted = {
-        tuple(i + 1 for i in idx): c for idx, c in form3.coeffs.items()
-    }
-    return DifferentialForm(SXYZ, form3.degree, shifted)
-
-
 @np.errstate(all="ignore")  # a domain error gives NaN, which fails the check
 def liouville_direct_check(pair: FormPair, *, n: int = 16) -> LiouvilleReport:
     """Builds lambda = e^s a_+ + e^-s a_- and checks d(lambda)^2 > 0 against
@@ -182,7 +175,9 @@ def liouville_direct_check(pair: FormPair, *, n: int = 16) -> LiouvilleReport:
     s = np.linspace(-3, 3, 13)[:, None, None, None]
     es = ex.func("exp", ex.var("s"))
     ems = ex.func("exp", ex.zneg(ex.var("s")))
-    lam = _lift(pair.plus).scale(es) + _lift(pair.minus).scale(ems)
+    proj = {c: ex.var(c) for c in XYZ}  # (s, x, y, z) -> (x, y, z)
+    plus, minus = (pullback(a, SXYZ, proj) for a in (pair.plus, pair.minus))
+    lam = plus.scale(es) + minus.scale(ems)
     dlam = exterior_derivative(lam)
     top = wedge(dlam, dlam)
     vals = compile_kernel(top.coeff((0, 1, 2, 3)), SXYZ)(s, x, y, z)
@@ -251,24 +246,14 @@ def perturb_pair(
     e1, e2 = np.array(sigma.e1), np.array(sigma.e2)
     if abs(e1[2]) > 1e-14 or abs(e2[2]) > 1e-14:
         raise ContactError("collar extension implemented for z-level tori only")
-    E = np.array([[e1[0], e2[0]], [e1[1], e2[1]]])
-    Einv = np.linalg.inv(E)
+    Einv = np.linalg.inv(np.array([[e1[0], e2[0]], [e1[1], e2[1]]]))
     bx, by, bz = sigma.base
-    u_of = ex.zadd(
-        ex.zmul(ex.const(Einv[0, 0]), ex.sub(ex.var("x"), ex.const(bx))),
-        ex.zmul(ex.const(Einv[0, 1]), ex.sub(ex.var("y"), ex.const(by))),
+    x_off, y_off = ex.sub(ex.var("x"), ex.const(bx)), ex.sub(ex.var("y"), ex.const(by))
+    u_of, v_of = (
+        ex.zadd(ex.zmul(ex.const(a), x_off), ex.zmul(ex.const(b), y_off)) for a, b in Einv
     )
-    v_of = ex.zadd(
-        ex.zmul(ex.const(Einv[1, 0]), ex.sub(ex.var("x"), ex.const(bx))),
-        ex.zmul(ex.const(Einv[1, 1]), ex.sub(ex.var("y"), ex.const(by))),
-    )
-    su = substitute(sigma_form.coeff((0,)), {"u": u_of, "v": v_of})
-    sv = substitute(sigma_form.coeff((1,)), {"u": u_of, "v": v_of})
-    A = ex.zadd(ex.zmul(ex.const(Einv[0, 0]), su), ex.zmul(ex.const(Einv[1, 0]), sv))
-    B = ex.zadd(ex.zmul(ex.const(Einv[0, 1]), su), ex.zmul(ex.const(Einv[1, 1]), sv))
-    t = ex.div(ex.sub(ex.var("z"), ex.const(bz)), ex.const(0.15))
-    bump = quintic_bump(t)
-    ambient = one_form(XYZ, ex.zmul(bump, A), ex.zmul(bump, B), ZERO)
+    bump = quintic_bump(ex.div(ex.sub(ex.var("z"), ex.const(bz)), ex.const(0.15)))
+    ambient = pullback(sigma_form, XYZ, {"u": u_of, "v": v_of}).scale(bump)
 
     new_pair = FormPair(pair.plus + ambient, pair.minus + ambient, pair.gluing)
     # the restricted sum must hit the target exactly

@@ -154,13 +154,17 @@ def _rk4(rhs, x: float, y: np.ndarray, h: float, n: int, out=None) -> np.ndarray
 
 
 @np.errstate(all="ignore")  # a domain error gives NaN, refused below
-def integrate_tracks(
-    F: Foliation2, starts: np.ndarray, length: float, max_step: float
+def integrate_leaf(
+    F: Foliation2,
+    start: tuple[float, float] | np.ndarray,
+    length: float,
+    max_step: float = 1e-3,
 ) -> np.ndarray:
-    """Arc-length RK4 trajectories of V/|V| in the universal cover, all in one
-    pass: each runs from a point of the (k, 2) array starts over ``length`` in
-    n = max(1, ceil(length / max_step)) equal steps.  Returns the (k, n + 1, 2)
-    array of points."""
+    """Arc-length RK4 trajectory of V/|V| in the universal cover over
+    ``length`` in n = max(1, ceil(length / max_step)) equal steps; returns
+    the polyline as an (n+1, 2) array starting at ``start``, or a
+    (k, n+1, 2) array of k polylines, all integrated in one pass, for a
+    (k, 2) array of starts."""
     if not 0 < length < math.inf:
         raise FoliationError("leaf length must be positive and finite")
     f1, f2 = compile_kernel(F.V1, UV), compile_kernel(F.V2, UV)
@@ -173,26 +177,14 @@ def integrate_tracks(
         np.divide(b, r, out=d[1])
         return d
 
+    starts = np.asarray(start, dtype=float)
     n = max(1, math.ceil(length / max_step))
     y = np.reshape(starts, (-1, 2)).T
     pts = np.empty((n + 1,) + y.shape)
     _rk4(rhs, 0.0, y, length / n, n, pts)
     if not np.isfinite(pts).all():
         raise FoliationError(_NOT_FINITE)
-    return pts.transpose(2, 0, 1)
-
-
-def integrate_leaf(
-    F: Foliation2,
-    start: tuple[float, float] | np.ndarray,
-    length: float,
-    max_step: float = 1e-3,
-) -> np.ndarray:
-    """Arc-length RK4 trajectory of V/|V| in the universal cover; returns the
-    polyline as an (n+1, 2) array starting at ``start``, or a (k, n+1, 2)
-    array of k polylines for a (k, 2) array of starts."""
-    starts = np.asarray(start, dtype=float)
-    pts = integrate_tracks(F, starts, length, max_step)
+    pts = pts.transpose(2, 0, 1)
     return pts[0] if starts.ndim == 1 else pts
 
 

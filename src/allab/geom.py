@@ -1,5 +1,7 @@
 """Glued 3-charts, differential forms with symbolic coefficients, exact
-exterior calculus, and restriction of forms to embedded tori.
+exterior calculus, and one pullback for every change of coordinates on
+forms: restriction to embedded tori, the lift to the s-cylinder, the collar
+extension off a torus and the lattice and deck maps of the periodicity check.
 
 Forms live over an ordered coordinate tuple such as ``("x","y","z")``, the
 extended ``("s","x","y","z")`` used for Liouville checks, or ``("u","v")``
@@ -9,7 +11,6 @@ increasing multi-indices over the basis covectors.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -240,6 +241,18 @@ def torus3() -> Gluing3:
     return Gluing3(P=ident, D=ident, nu=1.0, mapping_torus=False)
 
 
+def _affine(offset, matrix, coords: Sequence[str]) -> dict[str, Expr]:
+    """The map x_k = offset_k + sum_j matrix[k][j] coords_j onto (x, y, z),
+    as ``pullback`` takes it."""
+    out = {}
+    for name, b, row in zip(XYZ, offset, matrix):
+        e = ex.const(b)
+        for m, c in zip(row, coords):
+            e = zadd(e, zmul(ex.const(m), ex.var(c)))
+        out[name] = e
+    return out
+
+
 @dataclass(frozen=True)
 class TorusEmbedding:
     """Affine 2-torus in the chart: base + u*e1 + v*e2, (u, v) in [0,1)^2."""
@@ -252,6 +265,10 @@ class TorusEmbedding:
     @property
     def frame(self) -> np.ndarray:
         return np.array([self.e1, self.e2], dtype=float).T  # 3x2
+
+    def chart(self) -> dict[str, Expr]:
+        """x, y and z as base + u*e1 + v*e2."""
+        return _affine(self.base, self.frame, UV)
 
     def validate(self):
         if np.linalg.matrix_rank(self.frame, tol=1e-12) < 2:
@@ -319,36 +336,28 @@ def curl_residual(beta: DifferentialForm) -> float:
     return float(np.max(np.abs(torus_samples(c, 64))))
 
 
+def pullback(
+    omega: DifferentialForm, coords: tuple[str, ...], mapping: Mapping[str, Expr]
+) -> DifferentialForm:
+    """Pullback of omega along the map that gives each of its coordinates as
+    an expression in ``coords``: each coefficient goes through ``substitute``
+    and each dx_k becomes d(mapping[x_k]).  A degree above len(coords) is a
+    DegreeError."""
+    out = DifferentialForm(coords, omega.degree, {})
+    cov = [one_form(coords, *(diff(mapping[name], w) for w in coords)) for name in omega.coords]
+    for idx, c in omega.coeffs.items():
+        basis = DifferentialForm(coords, 0, {(): ex.ONE})
+        for k in idx:
+            basis = wedge(basis, cov[k])
+        out = out + basis.scale(substitute(c, mapping))
+    return out
+
+
 def restrict(omega: DifferentialForm, sigma: TorusEmbedding) -> DifferentialForm:
-    """Pullback under the affine embedding; output lives in (u, v)."""
+    """Pullback along the torus chart; output lives in (u, v)."""
     if omega.coords != XYZ:
         raise GeomError("restrict expects a form over (x, y, z)")
-    if omega.degree > 2:
-        raise DegreeError("cannot restrict a form of degree > 2 to a surface")
-    base = np.array(sigma.base, dtype=float)
-    E = sigma.frame  # 3x2, columns d/du and d/dv
-    mapping = {
-        name: ex.zadd(
-            ex.zadd(ex.const(base[k]), ex.zmul(ex.const(E[k, 0]), ex.var("u"))),
-            ex.zmul(ex.const(E[k, 1]), ex.var("v")),
-        )
-        for k, name in enumerate(XYZ)
-    }
-    # pullback of the covector dx_k
-    cov = [
-        one_form(UV, ex.const(E[k, 0]), ex.const(E[k, 1]))
-        for k in range(3)
-    ]
-    if omega.degree == 0:
-        return DifferentialForm(UV, 0, {(): substitute(omega.coeff(()), mapping)})
-    out = DifferentialForm(UV, omega.degree, {})
-    for idx, c in omega.coeffs.items():
-        pulled_c = substitute(c, mapping)
-        basis = None
-        for k in idx:
-            basis = cov[k] if basis is None else wedge(basis, cov[k])
-        out = out + basis.scale(pulled_c)
-    return out
+    return pullback(omega, UV, sigma.chart())
 
 
 # ---------------------------------------------------------------------------
@@ -362,63 +371,39 @@ class PeriodicityReport:
     passed: bool
 
 
-def _pullback_residual(omega, grid, offset, jac, subs, fns):
-    """max |psi* omega - omega| coefficient-wise over the sample grid; a
-    residual that is not finite counts as infinite."""
-    n = len(omega.coords)
-    x, y, z = grid
-    tx = subs[0][0] * x + subs[0][1] * y + offset[0]
-    ty = subs[1][0] * x + subs[1][1] * y + offset[1]
-    tz = z + offset[2]
-    worst = 0.0
-    worst_i = 0
-    for idx in itertools.combinations(range(n), omega.degree):
-        pulled = 0.0
-        for jdx, fn in fns.items():
-            minor = jac[np.ix_(jdx, idx)]
-            det = float(np.linalg.det(minor)) if len(idx) else 1.0
-            if abs(det) < 1e-15:
-                continue
-            pulled = pulled + det * fn(tx, ty, tz)
-        res = np.abs(pulled - compile_field(omega.coeff(idx), XYZ)(x, y, z))
-        res = np.nan_to_num(res, nan=np.inf)
-        k = int(np.argmax(res))
-        if res.flat[k] > worst:
-            worst = float(res.flat[k])
-            worst_i = k
-    return worst, grid_point(grid, worst_i)
-
-
 @np.errstate(all="ignore")  # a domain error gives NaN, refused as infinite
 def check_periodicity(
     omega: DifferentialForm, gluing: Gluing3, n: int = 12
 ) -> PeriodicityReport:
     """Grid check of invariance under the lattice translations and, for a
-    mapping torus, the deck transformation."""
+    mapping torus, the deck transformation: max |psi* omega - omega| over
+    the coefficients and the sample grid, where a residual that is not
+    finite counts as infinite."""
     if n <= 0:
         raise GeomError("empty sampling grid")
     grid = gluing.sample_points(n, z_lo=0.0)
-    fns = {idx: compile_field(c, XYZ) for idx, c in omega.coeffs.items()}
     ident = np.eye(3)
-    transforms = []
-    for i, t in enumerate(gluing.lattice_vectors()):
-        transforms.append(
-            (f"lattice_{i}", (t[0], t[1], 0.0), ident, ((1.0, 0.0), (0.0, 1.0)))
-        )
+    transforms = {
+        f"lattice_{i}": _affine((t[0], t[1], 0.0), ident, XYZ)
+        for i, t in enumerate(gluing.lattice_vectors())
+    }
     if gluing.mapping_torus:
-        D = gluing.D_mat
         jac = np.eye(3)
-        jac[:2, :2] = D
-        transforms.append(("deck", (0.0, 0.0, -gluing.nu), jac, tuple(map(tuple, D))))
+        jac[:2, :2] = gluing.D_mat
+        transforms["deck"] = _affine((0.0, 0.0, -gluing.nu), jac, XYZ)
     else:
-        transforms.append(
-            ("z_period", (0.0, 0.0, gluing.nu), ident, ((1.0, 0.0), (0.0, 1.0)))
-        )
+        transforms["z_period"] = _affine((0.0, 0.0, gluing.nu), ident, XYZ)
     worst = 0.0
     worst_pt = (0.0, 0.0, 0.0)
     worst_name = ""
-    for name, offset, jac, subs in transforms:
-        res, pt = _pullback_residual(omega, grid, offset, jac, subs, fns)
-        if res >= worst:
-            worst, worst_pt, worst_name = res, pt, name
+    for name, mapping in transforms.items():
+        pulled = pullback(omega, XYZ, mapping)
+        res = np.zeros(np.broadcast(*grid).shape)
+        for idx in pulled.coeffs.keys() | omega.coeffs.keys():
+            moved = compile_field(pulled.coeff(idx), XYZ)(*grid)
+            gap = np.abs(moved - compile_field(omega.coeff(idx), XYZ)(*grid))
+            res = np.maximum(res, np.nan_to_num(gap, nan=np.inf))
+        k = int(np.argmax(res))
+        if res.flat[k] >= worst:
+            worst, worst_pt, worst_name = float(res.flat[k]), grid_point(grid, k), name
     return PeriodicityReport(worst, worst_pt, worst_name, worst < 1e-9)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import AllabError
 from . import expr as ex
-from .expr import Const, Expr
+from .expr import Const, Expr, substitute
 from .anosov import FlowModel, weak_foliations_on_torus
 from .contact import (
     ALReport,
@@ -36,7 +36,6 @@ from .geom import (
     DifferentialForm,
     TorusEmbedding,
     UV,
-    XYZ,
     curl_residual,
     restrict,
     torus_samples,
@@ -297,10 +296,6 @@ class PreLagReport:
         }
 
 
-def _restrict_scalar(r: Expr, sigma: TorusEmbedding) -> Expr:
-    return restrict(DifferentialForm(XYZ, 0, {(): r}), sigma).coeff(())
-
-
 def _mean_constant_form(beta: DifferentialForm) -> DifferentialForm:
     """Constant-coefficient (hence closed) form with the grid-averaged
     coefficients of beta."""
@@ -373,8 +368,8 @@ def pre_lagrangian_certificate(
     f0 = math.exp(float(np.mean(sol.log_f)))
     g0 = math.exp(float(np.mean(sol.log_g)))
 
-    r_u = _restrict_scalar(model.r_u, sigma)
-    r_s = _restrict_scalar(model.r_s, sigma)
+    r_u = substitute(model.r_u, sigma.chart())
+    r_s = substitute(model.r_s, sigma.chart())
     try:
         ext_u = _collar_extension(Const(f0), r_u)
         ext_s = _collar_extension(Const(1.0 / g0), ex.zneg(r_s))

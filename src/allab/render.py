@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .foliation import CompactLeaf, Foliation2, compact_leaves, integrate_tracks, leaf_paths
+from .foliation import CompactLeaf, Foliation2, compact_leaves, integrate_leaf, leaf_paths
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def render_foliation(
     n = style.seeds
     seeds = [((i + 0.5) / n, (j + 0.5) / n) for i in range(n) for j in range(n)]
     # one RK4 step per drawn vertex, 0.02 apart in arc length
-    tracks = integrate_tracks(F, np.reshape(seeds, (-1, 2)), style.length, 0.02)
+    tracks = integrate_leaf(F, np.reshape(seeds, (-1, 2)), style.length, 0.02)
     for pts in tracks:
         segs = _wrap_segments(pts)
         for seg in segs:

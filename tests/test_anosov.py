@@ -49,6 +49,33 @@ def test_suspension_geometry(cat):
     assert np.allclose(conj, np.array(CAT, dtype=float), atol=1e-12)
 
 
+def test_periodicity_residual_of_x_dy_lands_on_its_point(cat):
+    # psi*(x dy) = x(psi(p)) d(y o psi): the deck map scales dy by D[1][1], so
+    # the deck residual is |D00 D11 - 1| |x| (about 1e-16) and a translation
+    # by t gives |t_x| at every point, up to rounding
+    n = 5
+    pts = _point_list(cat.gluing, n, 0.0)
+    x, y = pts[:, 0], pts[:, 1]
+    (t1, t2), D = cat.gluing.lattice_vectors(), cat.gluing.D_mat
+    moves = {  # x after the move, d(y after the move) as (dx, dy) components
+        "lattice_0": (x + t1[0], (0.0, 1.0)),
+        "lattice_1": (x + t2[0], (0.0, 1.0)),
+        "deck": (D[0, 0] * x + D[0, 1] * y, D[1]),
+    }
+    res = {
+        name: np.maximum(np.abs(xm * dy[0]), np.abs(xm * dy[1] - x))
+        for name, (xm, dy) in moves.items()
+    }
+    name = max(res, key=lambda m: res[m].max())
+    per = check_periodicity(one_form(XYZ, ex.ZERO, parse_expr("x"), ex.ZERO), cat.gluing, n=n)
+    assert per.worst_transform == name
+    assert per.max_residual == pytest.approx(res[name].max(), rel=1e-9)
+    assert res["deck"].max() < 1e-15
+    # the translation residual is constant but for rounding: any point may carry it
+    [k] = np.flatnonzero(np.all(np.abs(pts - per.worst_point) < 1e-12, axis=1))
+    assert res[name][k] == pytest.approx(per.max_residual, rel=1e-9)
+
+
 def test_suspension_rejects_bad_matrices():
     with pytest.raises(ModelError, match="hyperbolic"):
         suspension_model(((1, 1), (0, 1)))

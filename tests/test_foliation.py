@@ -24,7 +24,6 @@ from allab.foliation import (
     cone_separation,
     constant_slope,
     integrate_leaf,
-    integrate_tracks,
     parallel_compact_leaves,
     reeb_annuli,
     return_map,
@@ -198,7 +197,7 @@ def test_rk4_matches_the_textbook_on_return_map_slopes(v1, v2):
 
 @pytest.mark.parametrize("field", [_ISOLATED, ("2 + sin(2*pi*v)", "cos(2*pi*u) + 0.3")])
 def test_rk4_matches_the_textbook_on_tracks(field):
-    # integrate_tracks against the track rhs written plainly: the unit
+    # integrate_leaf against the track rhs written plainly: the unit
     # direction of (V1, V2), for a few lengths and steps
     F = Foliation2(*map(parse_expr, field))
     f1, f2 = ex.compile_kernel(F.V1, UV), ex.compile_kernel(F.V2, UV)
@@ -210,7 +209,7 @@ def test_rk4_matches_the_textbook_on_tracks(field):
 
     starts = np.array([(0.1, 0.2), (0.5, 0.5), (0.9, 0.3)])
     for length, step, n in [(0.5, 1e-2, 50), (1.0, 3e-3, 334), (2.5, 5e-3, 500)]:
-        pts = integrate_tracks(F, starts, length, step)
+        pts = integrate_leaf(F, starts, length, step)
         ref = _textbook_rk4(rhs, 0.0, starts.T, length / n, n)
         assert pts.tobytes() == ref.transpose(2, 0, 1).tobytes()
 
@@ -229,10 +228,10 @@ def test_render_tracks_match_integrate_leaf_alone(monkeypatch, name):
     calls = []
 
     def recorded(*args):
-        calls.append((args, integrate_tracks(*args)))
+        calls.append((args, integrate_leaf(*args)))
         return calls[-1][1]
 
-    monkeypatch.setattr(render, "integrate_tracks", recorded)
+    monkeypatch.setattr(render, "integrate_leaf", recorded)
     style = render.RenderStyle()
     svg = render.render_foliation(F, compact_leaves(F), style)
     [((_, starts, length, step), pts)] = calls  # one RK4 pass, seeds only
@@ -261,12 +260,12 @@ def test_seed_tracks_are_within_a_twentieth_pixel_of_four_times_finer_steps(monk
     # RK4's global error is O(h^4): the drawn step moves no vertex of a seed
     # track by more than 0.05 px from the same track in steps four times finer
     calls = []
-    monkeypatch.setattr(render, "integrate_tracks", lambda *a: calls.append(a) or integrate_tracks(*a))
+    monkeypatch.setattr(render, "integrate_leaf", lambda *a: calls.append(a) or integrate_leaf(*a))
     style = render.RenderStyle()
     render.render_foliation(F, [], style)
     [(_, starts, length, step)] = calls
-    drawn = integrate_tracks(F, starts, length, step)
-    fine = integrate_tracks(F, starts, length, step / 4)
+    drawn = integrate_leaf(F, starts, length, step)
+    fine = integrate_leaf(F, starts, length, step / 4)
     assert fine.shape == (16, 501, 2)
     d = drawn - fine[:, ::4]
     d -= np.round(d)  # the distance on the torus between unfolded points
@@ -329,8 +328,8 @@ def test_steps_past_a_track_that_leave_the_domain_are_not_refused():
     # of their length in u.  The short one ends inside at u = 6.1e-4, where
     # steps past its end would leave, and the long one stays inside to its end.
     F = Foliation2(parse_expr("1e-3*(1 + 0*sqrt(cos(512*pi*u) - 0.5))"), parse_expr("1"))
-    long = integrate_tracks(F, np.array([(0.0, 0.0)]), 0.5, 1e-2)
-    short = integrate_tracks(F, np.array([(6e-4, 0.0)]), 0.01, 1e-2)
+    long = integrate_leaf(F, np.array([(0.0, 0.0)]), 0.5, 1e-2)
+    short = integrate_leaf(F, np.array([(6e-4, 0.0)]), 0.01, 1e-2)
     assert long.shape == (1, 51, 2) and short.shape == (1, 2, 2)
     with pytest.raises(FoliationError, match="not finite"):
         integrate_leaf(F, (6e-4, 0.0), 0.5, 1e-2)

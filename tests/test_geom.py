@@ -6,6 +6,7 @@ import pytest
 
 from allab import expr as ex
 from allab import geom
+from allab.anosov import suspension_model
 from allab.expr import Const, Var, parse_expr
 from allab.geom import (
     DifferentialForm,
@@ -20,8 +21,10 @@ from allab.geom import (
     interior_product,
     lie_derivative,
     one_form,
+    pullback,
     restrict,
     torus3,
+    torus_samples,
     volume_form,
     wedge,
 )
@@ -211,6 +214,68 @@ def test_restrict_commutes_with_d():
         p = {"u": rng.random(), "v": rng.random()}
         d = lhs - rhs
         assert all(abs(t) < 1e-10 for t in d.evaluate(p).values())
+
+
+# ---------------------------------------------------------------------------
+# pullback
+
+# the graph torus z = phi(u, v) over the unit square
+_PHI = parse_expr("0.1*sin(2*pi*u)*cos(2*pi*v)")
+_GRAPH = {"x": ex.var("u"), "y": ex.var("v"), "z": _PHI}
+_G = DifferentialForm(XYZ, 0, {(): parse_expr("x*exp(y)*sin(z)")})
+_A = one_form(XYZ, parse_expr("sin(x)*exp(z)"), parse_expr("x*y + cos(z)"), parse_expr("y*z"))
+_B = one_form(XYZ, parse_expr("exp(x - y)"), parse_expr("z"), parse_expr("cos(x*z)"))
+
+
+def _chart(name):
+    if name == "graph":
+        return _GRAPH
+    return suspension_model(((2, 1), (1, 1))).fiber(0.2).chart()
+
+
+def _assert_agree_on_torus(a, b):
+    """a and b agree coefficient-wise on the 64 x 64 torus grid."""
+    assert a.coords == b.coords == UV and a.degree == b.degree
+    for idx in a.coeffs.keys() | b.coeffs.keys():
+        gap = torus_samples(a.coeff(idx), 64) - torus_samples(b.coeff(idx), 64)
+        assert np.max(np.abs(gap)) < 1e-9, idx
+
+
+@pytest.mark.parametrize("chart", ["graph", "cat-fiber"])
+def test_pullback_commutes_with_d(chart):
+    psi = _chart(chart)
+    for omega in (_G, _A):
+        _assert_agree_on_torus(
+            exterior_derivative(pullback(omega, UV, psi)),
+            pullback(exterior_derivative(omega), UV, psi),
+        )
+
+
+@pytest.mark.parametrize("chart", ["graph", "cat-fiber"])
+def test_pullback_of_a_wedge_is_the_wedge_of_pullbacks(chart):
+    psi = _chart(chart)
+    for a, b in ((_A, _B), (_G, _A)):
+        _assert_agree_on_torus(
+            pullback(wedge(a, b), UV, psi), wedge(pullback(a, UV, psi), pullback(b, UV, psi))
+        )
+
+
+@pytest.mark.parametrize("chart", ["graph", "cat-fiber"])
+def test_pullback_refuses_a_degree_above_the_target_dimension(chart):
+    with pytest.raises(geom.DegreeError):
+        pullback(volume_form(), UV, _chart(chart))
+    with pytest.raises(geom.DegreeError):
+        pullback(wedge(_A, _B), ("u",), {k: ex.var("u") for k in XYZ})
+
+
+def test_graph_chart_pulls_dz_back_to_d_phi():
+    d_phi = pullback(one_form(XYZ, ex.ZERO, ex.ZERO, ex.ONE), UV, _GRAPH)
+    t = np.arange(64) / 64
+    u, v = 2 * np.pi * t[:, None], 2 * np.pi * t
+    assert np.allclose(torus_samples(d_phi.coeff((0,)), 64), 0.2 * np.pi * np.cos(u) * np.cos(v),
+                       rtol=0, atol=1e-12)
+    assert np.allclose(torus_samples(d_phi.coeff((1,)), 64), -0.2 * np.pi * np.sin(u) * np.sin(v),
+                       rtol=0, atol=1e-12)
 
 
 def test_embedding_transversality_check():
