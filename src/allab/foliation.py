@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -90,6 +90,7 @@ def constant_slope(rho: float) -> Foliation2:
 # first count that resolves the field there
 _WINDING_NODES = tuple(1024 * 4**i for i in range(6))  # up to 2^20
 _TURN = 2.0 * math.pi
+_EIGHTH = math.pi / 4  # the most a step may turn: within it, it has no whole turns
 
 
 def _whole_turns(step: np.ndarray) -> np.ndarray | None:
@@ -98,7 +99,7 @@ def _whole_turns(step: np.ndarray) -> np.ndarray | None:
     continuous lift of the angle, when the samples resolve the field: None
     when a step still turns by more than pi/4."""
     k = np.rint(np.divide(step, _TURN))
-    if not np.abs(step - _TURN * k).max() <= math.pi / 4:  # a NaN fails too
+    if not np.abs(step - _TURN * k).max() <= _EIGHTH:  # a NaN fails too
         return None
     return k
 
@@ -137,10 +138,12 @@ _NOT_FINITE = "the direction field is not finite off its validation grid"
 
 def _rk4(rhs, x: float, y: np.ndarray, h: float, n: int, out=None) -> np.ndarray:
     """n classical RK4 steps of dy/dx = rhs(x, y) for an array of states y;
-    returns the last state, and writes every state to ``out[0..n]`` if given."""
+    returns the last state, and writes every state to ``out[0..n]`` if given:
+    all of it, or its leading block of shape ``out.shape[1:]``."""
     h2, h6 = 0.5 * h, h / 6.0  # 0.5 * h * k already evaluates as (0.5 * h) * k
     if out is not None:
-        out[0] = y
+        keep = tuple(map(slice, out.shape[1:]))
+        out[0] = y[keep]
     for i in range(n):
         k1 = rhs(x, y)
         k2 = rhs(x + h2, y + h2 * k1)
@@ -149,7 +152,7 @@ def _rk4(rhs, x: float, y: np.ndarray, h: float, n: int, out=None) -> np.ndarray
         y = y + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
         x += h
         if out is not None:
-            out[i + 1] = y
+            out[i + 1] = y[keep]
     return y
 
 
@@ -216,7 +219,8 @@ def _lifts(flow, x0: float, ts, q: int, out=None) -> np.ndarray:
     """lift^k(ts) for k = 1..q, as a (q, ...) array: the leaves through the
     points ts of the circle x = x0, integrated across q fundamental strips.
     With ``out``, a (q * _STRIP_STEPS + 1, ...) array, every RK4 state goes
-    there too: state i lies on the circle x = x0 + sign * i / _STRIP_STEPS.
+    there too (its leading block, as in ``_rk4``): state i lies on the circle
+    x = x0 + sign * i / _STRIP_STEPS.
     x goes in as a numpy float, so the slope kernel keeps numpy's semantics
     (a pole gives inf, not ZeroDivisionError) on terms of x alone."""
     slope, sign = flow
@@ -239,30 +243,55 @@ def _lifts(flow, x0: float, ts, q: int, out=None) -> np.ndarray:
 _LADDER = np.array([-1e-5, -1e-8, -1e-11, -5e-15, 0.0, 5e-15, 1e-11, 1e-8, 1e-5])
 
 
-def _refine(f, x, lo, hi, flo, fhi) -> np.ndarray:
+def _refine(f, x, lo, hi, flo, fhi, *params, states=None) -> np.ndarray:
     """Roots of f in the brackets [lo, hi], where f takes the values flo and fhi
     of opposite signs, all at once, from the estimates x.  Each pass calls f
-    once on a (brackets, points) batch: each bracket cut in eighths, and x +
-    _LADDER clipped into it.  The narrowest sign change is the next bracket,
-    hi its end nearer zero, and the secant there the next x: a bracket shrinks
-    8-fold a pass at least, and an x within 1e-9 of the root ends it in two.
-    It stops at |hi - lo| <= 1e-14 or f(hi) = 0, each root a point of f's last
-    call (a settled bracket's row is hi alone).  A pair of ends of one sign
-    comes back as hi."""
+    once, as f(pts, *params), on the brackets still live: one row of pts per
+    bracket, cut in eighths, and x + _LADDER clipped into it; params hold one
+    value per bracket and are cut to the same rows.  The narrowest sign change
+    is the next bracket, hi its end nearer zero, and the secant there the next
+    x: a bracket shrinks 8-fold a pass at least, and an x within 1e-9 of the
+    root ends it in two.  A bracket settles, and leaves the batch, at
+    |hi - lo| <= 1e-14 or f(hi) = 0, its root a point of the last call it was
+    in.  A pair of ends of one sign comes back as hi.
+
+    With ``states``, an (m, brackets) array, f also takes ``out``, an (m,
+    rows, points) array for the m states behind each value, and each
+    bracket's column at its root goes to states[:, bracket].  A root f never
+    saw (a bracket settled from the start) gets its column from one last
+    call."""
+    x, lo, hi, flo, fhi = (np.array(a, dtype=float) for a in (x, lo, hi, flo, fhi))
+    seen = np.zeros(len(hi), dtype=bool)
+    # one buffer for every pass: 9 points a bracket besides the ladder
+    buf = None if states is None else np.empty((len(states), len(hi), 9 + len(_LADDER)))
+
+    def call(rows, pts):
+        args = [p[rows] for p in params]
+        if buf is None:
+            return f(pts, *args), None
+        out = buf[:, : len(rows), : pts.shape[1]]
+        return f(pts, *args, out=out), out
+
     for _ in range(100):
-        live = (flo * fhi <= 0) & (fhi != 0) & (np.abs(hi - lo) > 1e-14)
-        if not live.any():
+        rows = np.flatnonzero((flo * fhi <= 0) & (fhi != 0) & (np.abs(hi - lo) > 1e-14))
+        if not rows.size:
             break
-        a, b = np.minimum(lo, hi)[:, None], np.maximum(lo, hi)[:, None]
-        pts = np.hstack([a + (b - a) * np.arange(8) / 8, b, np.clip(x[:, None] + _LADDER, a, b)])
-        pts = np.where(live[:, None], np.sort(pts), hi[:, None])
-        val = f(pts)
+        a, b = np.minimum(lo[rows], hi[rows])[:, None], np.maximum(lo[rows], hi[rows])[:, None]
+        pts = np.hstack([a + (b - a) * np.arange(8) / 8, b, np.clip(x[rows, None] + _LADDER, a, b)])
+        pts = np.sort(pts)
+        val, out = call(rows, pts)
         width = np.where(val[:, 1:] * val[:, :-1] <= 0, np.diff(pts), np.inf)
         j = np.argmin(width, axis=1)[:, None] + [0, 1]
         ends, fends = np.take_along_axis(pts, j, 1), np.take_along_axis(val, j, 1)
         k = np.argsort(np.abs(fends), axis=1, kind="stable")  # hi, then lo
-        (hi, lo), (fhi, flo) = np.take_along_axis(ends, k, 1).T, np.take_along_axis(fends, k, 1).T
-        x = hi - fhi * (hi - lo) / np.where(fhi != flo, fhi - flo, 1.0)
+        (h, l), (fh, fl) = np.take_along_axis(ends, k, 1).T, np.take_along_axis(fends, k, 1).T
+        hi[rows], lo[rows], fhi[rows], flo[rows] = h, l, fh, fl
+        x[rows] = h - fh * (h - l) / np.where(fh != fl, fh - fl, 1.0)
+        if out is not None:  # the column of each new hi
+            states[:, rows] = out[:, np.arange(len(rows)), np.take_along_axis(j, k[:, :1], 1)[:, 0]]
+        seen[rows] = True
+    if states is not None and (rows := np.flatnonzero(~seen)).size:
+        states[:, rows] = call(rows, hi[rows, None])[1][:, :, 0]
     return hi
 
 
@@ -325,12 +354,23 @@ _SCAN = 1024  # cells of the periodic-point scan on the transversal
 
 @dataclass(frozen=True)
 class CompactLeaf:
+    """A compact leaf through ``point`` in class ``cls``.  ``path`` is the
+    closed leaf in the universal cover, an (m, 2) array from point to point +
+    cls, as its detector found it: an axis circle is straight, in
+    _STRIP_STEPS steps, and a return-map leaf is the graph of that map's strip
+    flow over |q| strips, every RK4 state of the pass that found the point."""
+
     point: tuple[float, float]
     cls: tuple[int, int]  # primitive homology class, oriented along the leaf
     # the return map that found the leaf: "u" or "v" for the circle axis = 0,
     # on which the point lies; "" for a circle parallel to an axis
     axis: str
     family: bool = False  # every leaf compact (linear rational foliation)
+    path: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.path is not None:  # read-only: every caller of the cached detectors shares it
+            self.path.flags.writeable = False
 
     def orientation(self) -> int:
         p, q = self.cls
@@ -360,7 +400,10 @@ def _axis_leaves(F: Foliation2, axis: str) -> list[CompactLeaf]:
     def leaf(x, family):  # the circle axis = x, oriented by the field on it
         s = 1 if at(fn_a, x, 0.5) > 0 else -1
         point, cls = ((x, 0.0), (0, s)) if axis == "u" else ((0.0, x), (s, 0))
-        return CompactLeaf(point, cls, "", family)
+        c = 1 if axis == "u" else 0  # the coordinate along the circle; the other keeps its bits
+        path = np.tile(point, (_STRIP_STEPS + 1, 1))
+        path[:, c] += cls[c] * (np.arange(_STRIP_STEPS + 1) / _STRIP_STEPS)
+        return CompactLeaf(point, cls, "", family, path)
 
     vs = np.arange(17) / 17.0
     xs = np.arange(n_scan) / n_scan
@@ -376,11 +419,11 @@ def _axis_leaves(F: Foliation2, axis: str) -> list[CompactLeaf]:
     fn_d = compile_field(ex.diff(e_t, axis), UV)
     simple = at(fn_t, lo, 0.37) * at(fn_t, hi, 0.37) < 0
 
-    def f(x):  # x: one row of points per bracket
+    def f(x, simple):  # x: one row of points per bracket
         return np.where(simple[:, None], at(fn_t, x, 0.37), at(fn_d, x, 0.37))
 
-    flo, fhi = f(np.column_stack([lo, hi])).T
-    roots = _refine(f, i / n_scan, lo, hi, flo, fhi)[flo * fhi < 0]
+    flo, fhi = f(np.column_stack([lo, hi]), simple).T
+    roots = _refine(f, i / n_scan, lo, hi, flo, fhi, simple)[flo * fhi < 0]
     leaves: list[CompactLeaf] = []
     for x in roots[np.max(np.abs(at(fn_t, roots[:, None], vs)), axis=1) <= 1e-7]:
         x = float(x) % 1.0 % 1.0  # a tiny negative x gives 1.0 under one %
@@ -422,13 +465,27 @@ def _return_map_leaves(F: Foliation2, axis: str) -> list[CompactLeaf]:
     rotation number rho is rational, all of the minimal period q of rho = p/q.
     Between nodes, lift^q(t) - t leaves its sampled range by at most one cell
     1/_SCAN, which bounds q rho.  While the scan increases, it stops after a
-    period with a leaf, or once no untried reduced p/q' (q' <= 8) is in bounds."""
+    period with a leaf, or once no untried reduced p/q' (q' <= 8) is in bounds.
+
+    Each leaf keeps the RK4 states that found its point as its path: the
+    scan's column t = 0 for a family, its root's column of the last
+    refinement pass for an isolated leaf."""
     s = (flow := _strip_flow(F, axis))[1]
     ts = np.linspace(0.0, 1.0, _SCAN + 1)
     lift, lo, hi, monotone = ts, -math.inf, math.inf, True
+    col0 = np.empty((8 * _STRIP_STEPS + 1, 1))  # the scan's leaf through t = 0
 
     def cls(q, p):  # of a leaf crossing the transversal q times as it turns p times
         return _primitive(s * q, s * p) if axis == "u" else _primitive(s * p, s * q)
+
+    def leaf(t, c, ys, family=False):  # through t on the transversal, ys its states
+        x = 0 if axis == "u" else 1  # the coordinate across the strips
+        m = abs(c[x]) * _STRIP_STEPS + 1
+        path = np.empty((m, 2))
+        # a root at 1 (or just below 0) moves by a whole turn onto its point
+        path[:, x], path[:, 1 - x] = s * np.arange(m) / _STRIP_STEPS, ys[:m] - (t - t % 1.0)
+        point = (0.0, t % 1.0) if axis == "u" else (t % 1.0, 0.0)
+        return CompactLeaf(point, c, axis, family, path)
 
     leaves, known = [], []  # known: (period, point) of each orbit point found
     for q in range(1, 9):
@@ -436,7 +493,8 @@ def _return_map_leaves(F: Foliation2, axis: str) -> list[CompactLeaf]:
                 math.gcd(p, k) == 1 for k in range(q, 9)
                 for p in range(math.ceil(lo * k), math.floor(hi * k) + 1))):
             break
-        lift = _lifts(flow, float(s * (q - 1)), lift, 1)[0]  # the strip q
+        strip = col0[(q - 1) * _STRIP_STEPS : q * _STRIP_STEPS + 1]
+        lift = _lifts(flow, float(s * (q - 1)), lift, 1, strip)[0]  # the strip q
         scan = lift - ts
         if monotone := monotone and bool((np.diff(lift) > 0).all()):
             lo, hi = max(lo, (scan.min() - 1 / _SCAN) / q), min(hi, (scan.max() + 1 / _SCAN) / q)
@@ -450,7 +508,7 @@ def _return_map_leaves(F: Foliation2, axis: str) -> list[CompactLeaf]:
             t, h = ts, scan - p
             if np.max(np.abs(h)) < 1e-9:  # whole family of closed leaves
                 if not any(l.family and l.cls == cls(q, p) for l in leaves):
-                    leaves.append(CompactLeaf((0.0, 0.0), cls(q, p), axis, family=True))
+                    leaves.append(leaf(0.0, cls(q, p), col0[:, 0], family=True))
                 break
             cells = ts[_dips(h)]
             cells = cells[~near(cells + 0.5 / _SCAN, 1.5 / _SCAN)]  # its cell or the next
@@ -466,17 +524,17 @@ def _return_map_leaves(F: Foliation2, axis: str) -> list[CompactLeaf]:
         if not brackets:
             continue
         ps, *ends = np.array(brackets).T
-        r = _refine(lambda x: _lifts(flow, 0.0, x, q)[-1] - x - ps[:, None], *ends)
-        roots = sorted((int(p), float(t)) for p, t in zip(ps, r) if not near(t, _SAME))
-        if not roots:
-            continue
-        r = np.array([t for _, t in roots])
-        for (p, t), orbit in zip(roots, np.vstack([r[None], _lifts(flow, 0.0, r, q - 1)]).T):
-            if near(t, _SAME):  # on the orbit of a leaf found just before
+        states = np.empty((q * _STRIP_STEPS + 1, len(ps)))
+        r = _refine(
+            lambda x, p, out: _lifts(flow, 0.0, x, q, out)[-1] - x - p[:, None], *ends, ps,
+            states=states,
+        )
+        for p, t, i in sorted((int(p), float(t), i) for i, (p, t) in enumerate(zip(ps, r))):
+            if near(t, _SAME):  # on the orbit of a leaf found before
                 continue
-            known += [(q, float(x)) for x in orbit]
-            point = (0.0, t % 1.0) if axis == "u" else (t % 1.0, 0.0)
-            leaves.append(CompactLeaf(point, cls(q, p), axis))
+            # the orbit: the states on the strips' ends
+            known += [(q, float(x)) for x in states[: q * _STRIP_STEPS : _STRIP_STEPS, i]]
+            leaves.append(leaf(t, cls(q, p), states[:, i]))
     return leaves
 
 
@@ -513,37 +571,11 @@ def _same_leaf(a: CompactLeaf, b: CompactLeaf) -> bool:
     )
 
 
-@np.errstate(all="ignore")  # a domain error gives NaN, refused in _strip_flow, _lifts
 def leaf_paths(F: Foliation2, leaves: list[CompactLeaf]) -> list[np.ndarray]:
-    """Each compact leaf as a closed path in the universal cover, an (m, 2)
-    array from its point to point + cls.  A circle parallel to an axis is
-    straight, in _STRIP_STEPS steps.  A leaf of class (q, p) found by a return
-    map is the graph of that map's strip flow over |q| strips: ``_lifts``
-    integrates it again from the leaf's point and keeps every RK4 state, for
-    every leaf of one return map in one batch."""
-    steps = np.arange(_STRIP_STEPS + 1) / _STRIP_STEPS
-
-    def circle(leaf):
-        c = 0 if leaf.cls[0] else 1  # the coordinate along the circle; the other keeps its bits
-        path = np.tile(leaf.point, (len(steps), 1))
-        path[:, c] += leaf.cls[c] * steps
-        return path
-
-    paths = [None if leaf.axis else circle(leaf) for leaf in leaves]
-    for axis, x in (("u", 0), ("v", 1)):  # x: the coordinate across the strips
-        batch = [i for i, leaf in enumerate(leaves) if leaf.axis == axis]
-        if not batch:
-            continue
-        strips = [abs(leaves[i].cls[x]) for i in batch]
-        flow = _strip_flow(F, axis)
-        ys = np.empty((max(strips) * _STRIP_STEPS + 1, len(batch)))
-        _lifts(flow, 0.0, np.array([leaves[i].point[1 - x] for i in batch]), max(strips), ys)
-        xs = flow[1] * np.arange(len(ys)) / _STRIP_STEPS
-        for j, (i, q) in enumerate(zip(batch, strips)):
-            m = q * _STRIP_STEPS + 1
-            paths[i] = np.empty((m, 2))
-            paths[i][:, x], paths[i][:, 1 - x] = xs[:m], ys[:m, j]
-    return paths
+    """Each compact leaf of F as a closed path in the universal cover, an (m, 2)
+    array from its point to point + cls: the path its detector kept
+    (``CompactLeaf.path``), so nothing is integrated again."""
+    return [leaf.path for leaf in leaves]
 
 
 # ---------------------------------------------------------------------------
@@ -587,10 +619,12 @@ def reeb_annuli(F: Foliation2, leaves: list[CompactLeaf] | None = None) -> list[
 # ---------------------------------------------------------------------------
 # pairs of foliations
 
+@functools.lru_cache(maxsize=2)  # one pair, checked by each stage of a pipeline
 @np.errstate(all="ignore")  # a domain error gives NaN, refused below
 def _check_transverse_pair(F: Foliation2, G: Foliation2):
     # offset grid: isolated tangency circles (shared compact leaves) should
-    # not fail the check, a tangency on a band should
+    # not fail the check, a tangency on a band should.  A pair that fails is
+    # not cached, so it raises from every stage that checks it.
     f1, f2, g1, g2 = (torus_samples(e, 128, offset=0.382) for e in (F.V1, F.V2, G.V1, G.V2))
     det = f1 * g2 - f2 * g1
     worst = float(np.min(np.abs(det)))
@@ -655,7 +689,12 @@ def _direction_arc(H: Foliation2, t: np.ndarray) -> tuple[float, float] | None:
     along.  Lifting along each row, then along the first column, makes the
     angle continuous; a running count of that column's whole turns carries
     the lift across blocks.  The counts are integers, exact in floats, so the
-    arc is the full grid's bit for bit."""
+    arc is the full grid's bit for bit.
+
+    A block none of whose steps, along either axis, exceeds pi/4 has no whole
+    turns of its own: its lift is the angle less the turns carried in, and
+    its min and max are the angle's less the same (rounding is monotone), so
+    only a block with a step that may wrap is lifted step by step."""
     v1, v2 = compile_kernel(H.V1, UV), compile_kernel(H.V2, UV)
     n, lo, hi, turns = len(t), math.inf, -math.inf, 0.0
     for r in range(0, n, _ROWS):
@@ -665,15 +704,19 @@ def _direction_arc(H: Foliation2, t: np.ndarray) -> tuple[float, float] | None:
             raise FoliationError(_NOT_FINITE)
         if row := len(angle) == 1:  # H does not use u: this row is the whole grid
             angle = angle[[0, 0]]
-        ku = _whole_turns(np.diff(angle, axis=0))
-        kv = _whole_turns(np.diff(angle[:-1], axis=1, append=angle[:-1, :1]))
-        if turns is None or ku is None or kv is None:
-            turns = None  # unresolved: the blocks left are only checked to be finite
-        else:
-            lift = angle[:-1]
-            lift[:, 1:] -= _TURN * np.cumsum(kv[:, :-1], axis=1)
-            lift -= _TURN * (turns + np.cumsum(ku[:, :1], axis=0) - ku[:, :1])
-            lo, hi, turns = min(lo, lift.min()), max(hi, lift.max()), turns + ku[:, 0].sum()
+        if turns is not None:  # once unresolved, the blocks left are only checked to be finite
+            du = np.diff(angle, axis=0)
+            dv = np.diff(angle[:-1], axis=1, append=angle[:-1, :1])
+            if all(-_EIGHTH <= d.min() and d.max() <= _EIGHTH for d in (du, dv)):
+                c = _TURN * turns
+                lo, hi = min(lo, angle[:-1].min() - c), max(hi, angle[:-1].max() - c)
+            elif (ku := _whole_turns(du)) is None or (kv := _whole_turns(dv)) is None:
+                turns = None
+            else:
+                lift = angle[:-1]
+                lift[:, 1:] -= _TURN * np.cumsum(kv[:, :-1], axis=1)
+                lift -= _TURN * (turns + np.cumsum(ku[:, :1], axis=0) - ku[:, :1])
+                lo, hi, turns = min(lo, lift.min()), max(hi, lift.max()), turns + ku[:, 0].sum()
         if row:
             break
     return None if turns is None else (float(lo), float(hi))

@@ -8,9 +8,10 @@ global error is O(h^4): on the built-in foliations a vertex lies within
 0.03 px of the same track in steps four times finer, and the tests bound it
 by 0.05 px.
 
-Each compact leaf is drawn as a closed path from ``leaf_paths``: an axis
-circle is a straight line, and a return-map leaf the graph of the strip flow
-of the map that found it, integrated again from the leaf's point, so every
+Each compact leaf is drawn as the closed path its detector kept
+(``leaf_paths``): an axis circle is a straight line, and a return-map leaf
+the graph of the strip flow of the map that found it, the RK4 states of the
+pass that found the leaf's point, so nothing is integrated again and every
 leaf ends on its own start.  Like every polyline, a leaf loses the one step
 that crosses the frame edge, its seam included, where the fold cuts it.
 """

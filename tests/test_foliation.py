@@ -323,6 +323,36 @@ def test_every_drawn_leaf_closes(name, count):
             assert np.max(np.min(np.hypot(*np.minimum(d, 1.0 - d).T), axis=0)) <= reach
 
 
+@pytest.mark.parametrize("F", [
+    pytest.param(Foliation2(*map(parse_expr, _ISOLATED)), id="isolated"),
+    pytest.param(Foliation2(parse_expr(
+        "2*pi*0.05*cos(2*pi*v) + 0.1*sin(2*pi*(u - 0.2 - 0.05*sin(2*pi*v)))"), ex.ONE),
+        id="isolated-across-v"),
+    pytest.param(Foliation2(ex.ONE, parse_expr("3/7 + 0.02*sin(2*pi*(7*v - 3*u))")), id="period-7"),
+    pytest.param(constant_slope(0.4), id="family-5-2"),
+    pytest.param(library.eight_band_pair()[0], id="eight-band"),
+])
+def test_detector_paths_match_a_fresh_integration(F):
+    # each leaf's path is the states its detector integrated: the same bits
+    # as integrating the strip flow again from the leaf's point
+    leaves = compact_leaves(F)
+    assert leaves
+    for leaf in leaves:
+        if not leaf.axis:  # a circle parallel to an axis, straight
+            c = 1 if leaf.cls[0] == 0 else 0
+            path = np.tile(leaf.point, (fol._STRIP_STEPS + 1, 1))
+            path[:, c] += leaf.cls[c] * (np.arange(fol._STRIP_STEPS + 1) / fol._STRIP_STEPS)
+        else:
+            x = 0 if leaf.axis == "u" else 1  # the coordinate across the strips
+            q = abs(leaf.cls[x])
+            m = q * fol._STRIP_STEPS + 1
+            flow = fol._strip_flow(F, leaf.axis)
+            path = np.empty((m, 2))
+            fol._lifts(flow, 0.0, np.array([leaf.point[1 - x]]), q, path[:, 1 - x, None])
+            path[:, x] = flow[1] * np.arange(m) / fol._STRIP_STEPS
+        assert leaf.path.tobytes() == path.tobytes()
+
+
 def test_steps_past_a_track_that_leave_the_domain_are_not_refused():
     # V1 is NaN wherever |u - k/256| > 1/1536; the tracks move by about 1e-3
     # of their length in u.  The short one ends inside at u = 6.1e-4, where
@@ -545,6 +575,25 @@ def test_refine_returns_hi_for_ends_of_one_sign():
     assert (found, seen) == (1.0, [])
 
 
+def test_refine_keeps_the_states_at_each_root():
+    # f's states at x are (x, x^2).  The second bracket ends on its root from
+    # the start, so it never joins a pass; its states come from one last call
+    calls = []
+
+    def f(pts, c, out):
+        calls.append(pts.shape)
+        out[0], out[1] = pts, pts * pts
+        return pts * pts - c[:, None]
+
+    lo, hi, c = np.array([1.0, 0.0]), np.array([2.0, 0.5]), np.array([2.0, 0.25])
+    states = np.full((2, 2), np.nan)
+    r = fol._refine(f, np.array([1.5, 0.25]), lo, hi, lo * lo - c, hi * hi - c, c, states=states)
+    assert abs(r[0] - math.sqrt(2.0)) <= 1e-14 and r[1] == 0.5
+    assert states.tobytes() == np.array([r, r * r]).tobytes()
+    assert [rows for rows, _ in calls[:-1]] == [1] * (len(calls) - 1)  # only the live bracket
+    assert calls[-1] == (1, 1)  # the root never refined, alone
+
+
 # the isolated family with leaves v = 0.1 + j/4 + eps sin 2 pi u, off the
 # points of the 1/1024 scan
 _ISOLATED_M2 = "2*pi*0.0327*cos(2*pi*u) + 0.2*sin(4*pi*(v - 0.1 - 0.0327*sin(2*pi*u)))"
@@ -564,11 +613,16 @@ def test_isolated_leaves_are_refined_in_two_passes(monkeypatch):
 
 
 def test_period_7_orbits_are_refined_in_wide_passes(monkeypatch):
-    # 7 scan strips, 6 refinement passes of 7 strips, 6 strips for the orbit
-    calls = _count_rk4(monkeypatch)
+    # 7 scan strips and 6 refinement passes of 7 strips; the orbit points are
+    # read from the refinement's states, not integrated again
+    shapes = []
+    rk4 = fol._rk4
+    monkeypatch.setattr(fol, "_rk4", lambda *a: shapes.append(np.shape(a[2])) or rk4(*a))
     leaves = compact_leaves(Foliation2(ex.ONE, parse_expr("3/7 + 0.02*sin(2*pi*(7*v - 3*u))")))
     assert [l.cls for l in leaves] == [(7, 3), (7, 3)]
-    assert len(calls) == 55
+    assert len(shapes) == 49
+    # a settled bracket leaves the batch: the rows of each refinement pass
+    assert [rows for rows, _ in shapes[7::7]] == [14, 13, 6, 6, 2, 1]
 
 
 def test_leaf_class_matches_displacement():
@@ -790,14 +844,21 @@ def test_cone_separation_on_the_open_grid_matches_the_full_grid(
         monkeypatch, angle, uses, expected):
     F, G = _quarter_turn_pair(angle)
     t = np.arange(1024) / 1024
-    shapes = []
-    whole_turns = fol._whole_turns
-    monkeypatch.setattr(fol, "_whole_turns", lambda a: shapes.append(a.shape) or whole_turns(a))
+    shapes = []  # of each kernel's values, V2's then V1's for each block
+    kernel = fol.compile_kernel
+
+    def recorded(e, names):
+        fn = kernel(e, names)
+        return lambda *a: shapes.append(np.shape(out := fn(*a))) or out
+
+    monkeypatch.setattr(fol, "compile_kernel", recorded)
     arcs = [fol._direction_arc(H, t) for H in (F, G)]
     # an axis the field does not use has length 1 in every evaluated block
-    assert shapes and all(
-        (rows > 1, cols > 1) == ("u" in uses, "v" in uses) for rows, cols in shapes
+    blocks = [(1, 1, *np.broadcast_shapes(a, b))[-2:] for a, b in zip(shapes[::2], shapes[1::2])]
+    assert blocks and all(
+        (rows > 1, cols > 1) == ("u" in uses, "v" in uses) for rows, cols in blocks
     )
+    monkeypatch.setattr(fol, "compile_kernel", kernel)
     assert cone_separation(F, G) == expected
     with monkeypatch.context() as m:  # every field on the full 1024 x 1024 grid
         m.setattr(fol, "compile_kernel", ex.compile_field)
@@ -828,6 +889,53 @@ def test_direction_arc_sees_a_steep_step_between_blocks(monkeypatch, u0):
     assert cone_separation(F, G) is None
     monkeypatch.setattr(fol, "compile_kernel", ex.compile_field)  # the full grid agrees
     assert fol._direction_arc(F, t) is None
+
+
+def _plain_arc(H, t):
+    """[lo, hi] of H's lifted angle on the full grid, written plainly: take
+    the whole turns off every step along the rows and down the first column,
+    both around the torus, or None if a step still turns by more than pi/4."""
+    f1, f2 = ex.compile_field(H.V1, UV), ex.compile_field(H.V2, UV)
+    angle = np.arctan2(f2(t[:, None], t), f1(t[:, None], t))
+    turn = 2.0 * math.pi
+    steps = [np.diff(angle, axis=a, append=np.take(angle, [0], axis=a)) for a in (0, 1)]
+    ku, kv = (np.rint(d / turn) for d in steps)
+    if max(np.max(np.abs(d - turn * k)) for d, k in zip(steps, (ku, kv))) > math.pi / 4:
+        return None
+    lift = angle.copy()
+    lift[:, 1:] -= turn * np.cumsum(kv[:, :-1], axis=1)
+    lift -= turn * np.concatenate([[0.0], np.cumsum(ku[:-1, 0])])[:, None]
+    return float(lift.min()), float(lift.max())
+
+
+def _arc_cases():
+    yield pytest.param(Foliation2(*map(parse_expr, _ISOLATED)), id="isolated")
+    yield pytest.param(Foliation2(ex.ONE, parse_expr(_ISOLATED_M2)), id="isolated-m2")
+    for which, H in zip("FG", library.eight_band_pair()):
+        yield pytest.param(H, id=f"eight-band-{which}")
+    for u0, name in ((63.5 / 1024, "block-seam"), (1023.5 / 1024, "wrap")):
+        for which, H in zip("FG", _one_steep_step(u0)):
+            yield pytest.param(H, id=f"steep-{name}-{which}")
+    # the raw angle crosses pi near rows 164 and 860 (blocks 2 and 13): the
+    # blocks between have no wraps of their own but lie a whole turn down
+    yield pytest.param(
+        _quarter_turn_pair("2.9 + 0.5*cos(2*pi*u) + 0.1*sin(2*pi*v)")[0], id="carried-turns"
+    )
+
+
+@pytest.mark.parametrize("H", _arc_cases())
+def test_direction_arc_matches_a_plain_full_grid_lift(H):
+    t = np.arange(1024) / 1024
+    assert fol._direction_arc(H, t) == _plain_arc(H, t)
+
+
+def test_carried_turns_move_blocks_without_wraps_of_their_own():
+    # a block with no wrap still lies the carried whole turns below its raw
+    # angle: raw angles near pi, lifted to near -pi
+    H = _quarter_turn_pair("2.9 + 0.5*cos(2*pi*u) + 0.1*sin(2*pi*v)")[0]
+    lo, hi = fol._direction_arc(H, np.arange(1024) / 1024)
+    assert lo == pytest.approx(2.3 - 2 * math.pi, abs=1e-4)
+    assert hi == pytest.approx(3.5 - 2 * math.pi, abs=1e-4)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

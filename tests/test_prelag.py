@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from allab import expr as ex
+from allab import foliation as fol
 from allab import library
 from allab.anosov import suspension_model, weak_foliations_on_torus
 from allab.expr import Const, compile_field, parse_expr
-from allab.foliation import FoliationError
+from allab.foliation import FoliationError, cone_separation, parallel_compact_leaves
 from allab.geom import UV, XYZ, one_form
 from allab.prelag import (
     GraphCheck,
@@ -66,6 +67,31 @@ def test_obstruction_requires_transverse_input():
     F, _ = library.franks_williams_pair()
     with pytest.raises(FoliationError):
         obstruction_test(F, F)
+
+
+def test_transversality_is_checked_once_per_pipeline_run(monkeypatch):
+    # obstruction_test, parallel_compact_leaves and cone_separation each need
+    # a transverse pair; one check samples each of the four components once
+    F, G = library.eight_band_pair()
+    fol._check_transverse_pair.cache_clear()
+    offsets = []
+    samples = fol.torus_samples
+
+    def recorded(e, n, offset=0.0):
+        offsets.append(offset)
+        return samples(e, n, offset)
+
+    monkeypatch.setattr(fol, "torus_samples", recorded)
+    rep = pre_lagrangian_certificate(foliations=(F, G))
+    assert rep.parallel_verdict == "parallel"  # every stage ran
+    assert offsets.count(0.382) == 4
+
+
+def test_a_tangent_pair_is_refused_by_every_stage():
+    F, _ = library.franks_williams_pair()
+    for stage in (obstruction_test, parallel_compact_leaves, cone_separation):
+        with pytest.raises(FoliationError, match="tangent"):
+            stage(F, F)
 
 
 # ---------------------------------------------------------------------------
