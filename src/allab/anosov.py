@@ -37,7 +37,6 @@ class ModelError(AllabError):
 
 @dataclass(frozen=True)
 class FlowModel:
-    name: str
     gluing: Gluing3
     X: VectorField3
     alpha_u: DifferentialForm
@@ -156,7 +155,6 @@ def suspension_model(A) -> FlowModel:
     alpha_u = one_form(XYZ, parse_expr("exp(z)"), ZERO, ZERO)
     alpha_s = one_form(XYZ, ZERO, ex.neg(parse_expr("exp(-z)")), ZERO)
     return FlowModel(
-        name="suspension",
         gluing=gluing,
         X=VectorField3((ZERO, ZERO, ex.ONE)),
         alpha_u=alpha_u,
@@ -172,8 +170,8 @@ def weak_foliations_on_torus(
     """Foliations cut on the torus by the weak-stable (ker alpha_u) and
     weak-unstable (ker alpha_s) plane fields, in (u, v) chart coordinates."""
     sigma.check_transverse(m.X)
-    F_ws = Foliation2.from_form(restrict(m.alpha_u, sigma), name="weak-stable")
-    F_wu = Foliation2.from_form(restrict(m.alpha_s, sigma), name="weak-unstable")
+    F_ws = Foliation2.from_form(restrict(m.alpha_u, sigma))
+    F_wu = Foliation2.from_form(restrict(m.alpha_s, sigma))
     try:
         _check_transverse_pair(F_ws, F_wu)
     except Exception as e:
@@ -190,7 +188,6 @@ class SplittingEstimate:
     direction: tuple[float, float]  # unit vector in fiber chart coordinates
     expansion_factors: tuple[float, ...]
     iterations: int
-    converged: bool
 
     @property
     def slope(self) -> float:
@@ -216,8 +213,6 @@ def estimate_splitting(
         M = np.linalg.inv(M)
     d = np.array([1.0, 1.0]) / math.sqrt(2.0)
     factors = []
-    converged = False
-    k = 0
     for k in range(1, 101):
         w = M @ d
         factors.append(float(np.linalg.norm(w)))
@@ -226,21 +221,14 @@ def estimate_splitting(
             w = -w
         if np.linalg.norm(w - d) < 1e-12:
             d = w
-            converged = True
             break
         d = w
-    if not converged:
+    else:
         raise ModelError(
             f"splitting estimate did not converge; last directions "
             f"{tuple(d)} -> {tuple(w)}"
         )
-    return SplittingEstimate(
-        T,
-        (float(d[0]), float(d[1])),
-        tuple(factors),
-        k,
-        converged,
-    )
+    return SplittingEstimate(T, (float(d[0]), float(d[1])), tuple(factors), k)
 
 
 def chart_to_ambient(m: FlowModel, direction) -> np.ndarray:

@@ -329,6 +329,7 @@ class ScalingExtension:
         return float(np.min(fn(*np.ix_(a, a, zs))))
 
 
+@np.errstate(all="ignore")  # a domain error gives NaN, refused below
 def extend_scaling(
     f: Expr,
     r: Expr,
@@ -344,24 +345,27 @@ def extend_scaling(
     bridges reach the plateau constants C (above) and c (below); the slope
     kinks are replaced by quintic blends of width (delta - eps)/4 placed
     inside the bridges, so the inner formula and the plateaus are exact.
+    Every check below is written so that a NaN fails it.
     """
     if not 0 < eps < delta:
         raise ContactError("collar radii must satisfy 0 < eps < delta")
-    if c <= 0 or C <= 0:
-        raise ContactError("plateau constants must be positive")
+    if not (0 < c < math.inf and 0 < C < math.inf):
+        raise ContactError(f"plateau constants must be positive and finite (c = {c}, C = {C})")
     grid_n = 48
     f_vals, r_vals = torus_samples(f, grid_n), torus_samples(r, grid_n)
-    if f_vals.min() <= 0:
-        raise ContactError("scaling f must be positive on the torus")
-    if r_vals.min() <= 0:
-        raise ContactError("expansion rate r must be positive for the plateaus")
+    if not f_vals.min() > 0:
+        raise ContactError(f"scaling f must be positive on the torus (min {f_vals.min():.4g})")
+    if not r_vals.min() > 0:
+        raise ContactError(
+            f"expansion rate r must be positive for the plateaus (min {r_vals.min():.4g})"
+        )
     lam_hi = f_vals * np.exp((1.0 - r_vals) * eps)
     lam_lo = f_vals * np.exp(-(1.0 - r_vals) * eps)
-    if C <= lam_hi.max():
+    if not C > lam_hi.max():
         raise ContactError(
             f"upper plateau C = {C} must exceed max mu(., eps) = {lam_hi.max():.6g}"
         )
-    if c >= lam_lo.min():
+    if not c < lam_lo.min():
         raise ContactError(
             f"lower plateau c = {c} must be below min mu(., -eps) = {lam_lo.min():.6g}"
         )
@@ -387,7 +391,7 @@ def extend_scaling(
         denom,
     )
     s_hi_vals, s_lo_vals = torus_samples(s_hi, grid_n), torus_samples(s_lo, grid_n)
-    if s_hi_vals.min() <= 0 or s_lo_vals.min() <= 0:
+    if not (s_hi_vals.min() > 0 and s_lo_vals.min() > 0):
         raise ContactError(
             "plateau constants too close to the inner band for this collar "
             f"(bridge slopes {s_lo_vals.min():.4g}, {s_hi_vals.min():.4g})"

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -40,7 +39,6 @@ class Foliation2:
     V1: Expr
     V2: Expr
     closed_form: bool = False  # set when built from a closed defining 1-form
-    name: str = ""
 
     @np.errstate(all="ignore")  # a domain error gives NaN, refused below
     def __post_init__(self):
@@ -68,15 +66,13 @@ class Foliation2:
             raise FoliationError(f"field is not 1-periodic (residual {worst:.2e})")
 
     @staticmethod
-    def from_form(a: DifferentialForm, name: str = "") -> "Foliation2":
+    def from_form(a: DifferentialForm) -> "Foliation2":
         """Kernel foliation of a 1-form on the torus, oriented by rotating
         the coefficient vector a quarter turn."""
         if a.coords != UV or a.degree != 1:
             raise FoliationError("defining form must be a 1-form on (u, v)")
         closed = curl_residual(a) < 1e-9
-        return Foliation2(
-            ex.zneg(a.coeff((1,))), a.coeff((0,)), closed_form=closed, name=name
-        )
+        return Foliation2(ex.zneg(a.coeff((1,))), a.coeff((0,)), closed_form=closed)
 
 
 def constant_slope(rho: float) -> Foliation2:
@@ -90,26 +86,15 @@ def constant_slope(rho: float) -> Foliation2:
 # first count that resolves the field there
 _WINDING_NODES = tuple(1024 * 4**i for i in range(6))  # up to 2^20
 _TURN = 2.0 * math.pi
-_EIGHTH = math.pi / 4  # the most a step may turn: within it, it has no whole turns
-
-
-def _whole_turns(step: np.ndarray) -> np.ndarray | None:
-    """The whole turns in each step between neighbouring samples of a field's
-    angle (from arctan2).  Taking those off leaves each step's turn, and so a
-    continuous lift of the angle, when the samples resolve the field: None
-    when a step still turns by more than pi/4."""
-    k = np.rint(np.divide(step, _TURN))
-    if not np.abs(step - _TURN * k).max() <= _EIGHTH:  # a NaN fails too
-        return None
-    return k
+_EIGHTH = math.pi / 4  # the most a step between neighbouring samples may turn
 
 
 @np.errstate(all="ignore")  # a domain error gives NaN, refused below
 def winding(F: Foliation2) -> tuple[int, int]:
     """Degrees of V/|V| along the loops v = 0 and u = 0.  Around a loop the
-    steps add up to zero, so its net turn is minus the whole turns taken off
-    them: an exact integer once no step between neighbours turns by more
-    than pi/4."""
+    steps between neighbouring samples of the angle (from arctan2) add up to
+    zero, so its net turn is minus the whole turns taken off them: an exact
+    integer once no step, less its whole turns, turns by more than pi/4."""
     f1, f2 = compile_field(F.V1, UV), compile_field(F.V2, UV)
     out = []
     for along in ("u", "v"):
@@ -119,7 +104,9 @@ def winding(F: Foliation2) -> tuple[int, int]:
             angle = np.arctan2(f2(u, v), f1(u, v))
             if not np.isfinite(angle).all():
                 raise WindingError(f"the field is not finite on the loop along {along}")
-            if (whole := _whole_turns(np.diff(angle, append=angle[:1]))) is not None:
+            step = np.diff(angle, append=angle[:1])
+            whole = np.rint(np.divide(step, _TURN))
+            if np.abs(step - _TURN * whole).max() <= _EIGHTH:
                 out.append(-int(whole.sum()))
                 break
         else:
@@ -571,20 +558,11 @@ def _same_leaf(a: CompactLeaf, b: CompactLeaf) -> bool:
     )
 
 
-def leaf_paths(F: Foliation2, leaves: list[CompactLeaf]) -> list[np.ndarray]:
-    """Each compact leaf of F as a closed path in the universal cover, an (m, 2)
-    array from its point to point + cls: the path its detector kept
-    (``CompactLeaf.path``), so nothing is integrated again."""
-    return [leaf.path for leaf in leaves]
-
-
 # ---------------------------------------------------------------------------
 # Reeb annuli
 
 @dataclass(frozen=True)
 class ReebAnnulus:
-    lower: CompactLeaf
-    upper: CompactLeaf
     axis: str
     band: tuple[float, float]
 
@@ -612,7 +590,7 @@ def reeb_annuli(F: Foliation2, leaves: list[CompactLeaf] | None = None) -> list[
                 lo + 1e-9 < (l.point[coord] + (1.0 if l.point[coord] < lo else 0.0)) < hi - 1e-9
                 for l in others
             ):
-                out.append(ReebAnnulus(a, b, axis, (lo, hi)))
+                out.append(ReebAnnulus(axis, (lo, hi)))
     return out
 
 
@@ -659,44 +637,33 @@ class SlopeSearch:
     grid_n = 1024  # a constant, not a field: no caller sets it
 
 
-@functools.lru_cache(maxsize=4)  # a run uses one bound
 def _candidate_directions(max_denominator: int) -> tuple[tuple[int, int], ...]:
-    """(du, dv) direction vectors for slopes p/q with |p|, q <= bound,
-    axes first; ordered by denominator so simple answers win."""
-    dirs = [(1, 0), (0, 1)]
-    seen = {Fraction(0, 1)}
-    for q in range(1, max_denominator + 1):
-        for p in range(-max_denominator, max_denominator + 1):
-            s = Fraction(p, q)
-            if s in seen or s.denominator != q:
-                continue
-            seen.add(s)
-            dirs.append((s.denominator, s.numerator))
-    return tuple(dirs)
+    """(du, dv) direction vectors for the slopes p/q in lowest terms with
+    |p|, q <= bound, axes first; ordered by denominator so simple answers win."""
+    n = max_denominator
+    return ((1, 0), (0, 1)) + tuple(
+        (q, p) for q in range(1, n + 1) for p in range(-n, n + 1) if p and math.gcd(p, q) == 1
+    )
 
 
 _ROWS = 64  # rows of the grid per block in _direction_arc: a block fits in cache
 
 
 def _direction_arc(H: Foliation2, t: np.ndarray) -> tuple[float, float] | None:
-    """[lo, hi] of the lifted angle of H on the torus grid (t_i, t_j), or None
-    when neighbouring samples turn by more than pi/4; FoliationError when a
-    sample is not finite, in any block.
+    """[lo, hi] of the angle of H on the torus grid (t_i, t_j), each sample a
+    taken within half a turn of the angle a0 at (t_0, t_0), as
+    a - 2 pi rint((a - a0) / 2 pi).  None when two neighbouring samples of it
+    differ by more than pi/4: either the grid does not resolve H, or H turns
+    half a turn away from a0, and then its arc is at least pi wide.
+    FoliationError when a sample is not finite, in any block.
 
     The angle is evaluated in blocks of _ROWS values of u (a column) by every
     v (a row), plus the next row (row 0 after the last), on open grids: an
-    axis that H does not use keeps length 1 and is neither sampled nor lifted
-    along.  Lifting along each row, then along the first column, makes the
-    angle continuous; a running count of that column's whole turns carries
-    the lift across blocks.  The counts are integers, exact in floats, so the
-    arc is the full grid's bit for bit.
-
-    A block none of whose steps, along either axis, exceeds pi/4 has no whole
-    turns of its own: its lift is the angle less the turns carried in, and
-    its min and max are the angle's less the same (rounding is monotone), so
-    only a block with a step that may wrap is lifted step by step."""
+    axis that H does not use keeps length 1 and is neither sampled nor
+    stepped along.  Each sample's angle depends on that sample alone, so the
+    blocks are independent and the arc is the min and max over them."""
     v1, v2 = compile_kernel(H.V1, UV), compile_kernel(H.V2, UV)
-    n, lo, hi, turns = len(t), math.inf, -math.inf, 0.0
+    n, lo, hi, a0, resolved = len(t), math.inf, -math.inf, None, True
     for r in range(0, n, _ROWS):
         u = t[np.arange(r, min(r + _ROWS, n) + 1) % n, None]
         angle = np.atleast_2d(np.arctan2(v2(u, t), v1(u, t)))
@@ -704,22 +671,17 @@ def _direction_arc(H: Foliation2, t: np.ndarray) -> tuple[float, float] | None:
             raise FoliationError(_NOT_FINITE)
         if row := len(angle) == 1:  # H does not use u: this row is the whole grid
             angle = angle[[0, 0]]
-        if turns is not None:  # once unresolved, the blocks left are only checked to be finite
+        a0 = angle[0, 0] if a0 is None else a0
+        if resolved:  # once unresolved, the blocks left are only checked to be finite
+            angle = angle - _TURN * np.rint((angle - a0) / _TURN)
             du = np.diff(angle, axis=0)
             dv = np.diff(angle[:-1], axis=1, append=angle[:-1, :1])
-            if all(-_EIGHTH <= d.min() and d.max() <= _EIGHTH for d in (du, dv)):
-                c = _TURN * turns
-                lo, hi = min(lo, angle[:-1].min() - c), max(hi, angle[:-1].max() - c)
-            elif (ku := _whole_turns(du)) is None or (kv := _whole_turns(dv)) is None:
-                turns = None
-            else:
-                lift = angle[:-1]
-                lift[:, 1:] -= _TURN * np.cumsum(kv[:, :-1], axis=1)
-                lift -= _TURN * (turns + np.cumsum(ku[:, :1], axis=0) - ku[:, :1])
-                lo, hi, turns = min(lo, lift.min()), max(hi, lift.max()), turns + ku[:, 0].sum()
+            # the block's next row is a row of the grid too: it may count here
+            if resolved := all(-_EIGHTH <= d.min() and d.max() <= _EIGHTH for d in (du, dv)):
+                lo, hi = min(lo, angle.min()), max(hi, angle.max())
         if row:
             break
-    return None if turns is None else (float(lo), float(hi))
+    return (float(lo), float(hi)) if resolved else None
 
 
 @np.errstate(all="ignore")  # a domain error gives NaN, refused in _direction_arc
@@ -731,13 +693,15 @@ def cone_separation(
     works at this bound.
 
     The torus is connected, so a field's line directions (mod pi) fill one
-    arc of the circle of directions, [lo, hi] of its lifted angle on the grid
+    arc of the circle of directions: [lo, hi] of its angle on the grid, each
+    sample taken within half a turn of the angle at (0, 0)
     (``_direction_arc``, which samples only the axes the field uses).  A
     candidate at angle a is transverse to every direction t of the arc
     (|sin(a - t)| > 4e-3) iff a lies more than asin(4e-3) outside [lo, hi]
-    mod pi, so nothing clears once hi - lo + 2 asin(4e-3) >= pi.  The lift
-    needs a grid that resolves the field: if neighbouring samples turn by
-    more than pi/4, no pair is certified.
+    mod pi, so nothing clears once hi - lo + 2 asin(4e-3) >= pi.  No pair is
+    certified when neighbouring samples of that angle differ by more than
+    pi/4: the grid does not resolve the field, or the field turns half a
+    turn away from its angle at (0, 0) and no direction clears it.
     """
     _check_transverse_pair(F, G)
     t, margin = np.arange(search.grid_n) / search.grid_n, math.asin(4e-3)

@@ -260,7 +260,6 @@ class TorusEmbedding:
     base: tuple[float, float, float]
     e1: tuple[float, float, float]
     e2: tuple[float, float, float]
-    gluing: Gluing3 | None = None
 
     @property
     def frame(self) -> np.ndarray:
@@ -296,7 +295,6 @@ def fiber_embedding(gluing: Gluing3, z: float = 0.0) -> TorusEmbedding:
         base=(0.0, 0.0, float(z)),
         e1=(float(t1[0]), float(t1[1]), 0.0),
         e2=(float(t2[0]), float(t2[1]), 0.0),
-        gluing=gluing,
     )
 
 

@@ -18,20 +18,14 @@ from .foliation import Foliation2
 def two_reeb_band() -> Foliation2:
     """V = (sin 2pi u, cos 2pi u): two vertical compact leaves with opposite
     orientations bounding two Reeb bands; winding (-1, 0)."""
-    return Foliation2(
-        parse_expr("sin(2*pi*u)"), parse_expr("cos(2*pi*u)"), name="two-reeb-band"
-    )
+    return Foliation2(parse_expr("sin(2*pi*u)"), parse_expr("cos(2*pi*u)"))
 
 
 def franks_williams_pair() -> tuple[Foliation2, Foliation2]:
     """Direction angle 2pi u and its quarter-turn partner.  The direction map
     has degree one along the u-loop, so the winding obstruction fires."""
-    F = Foliation2(
-        parse_expr("cos(2*pi*u)"), parse_expr("sin(2*pi*u)"), name="fw-stable"
-    )
-    G = Foliation2(
-        parse_expr("-sin(2*pi*u)"), parse_expr("cos(2*pi*u)"), name="fw-unstable"
-    )
+    F = Foliation2(parse_expr("cos(2*pi*u)"), parse_expr("sin(2*pi*u)"))
+    G = Foliation2(parse_expr("-sin(2*pi*u)"), parse_expr("cos(2*pi*u)"))
     return F, G
 
 
@@ -45,12 +39,10 @@ def eight_band_pair() -> tuple[Foliation2, Foliation2]:
     F = Foliation2(
         parse_expr(f"cos({EIGHT_BAND_ANGLE})"),
         parse_expr(f"sin({EIGHT_BAND_ANGLE})"),
-        name="eight-band",
     )
     G = Foliation2(
         parse_expr(f"-sin({EIGHT_BAND_ANGLE})"),
         parse_expr(f"cos({EIGHT_BAND_ANGLE})"),
-        name="eight-band-partner",
     )
     return F, G
 

@@ -362,8 +362,8 @@ def pre_lagrangian_certificate(
     if float(sol.log_f.std()) > 1e-8 or float(sol.log_g.std()) > 1e-8:
         return stop(
             "failed",
-            "nonconstant scalings: collar data computed but the global "
-            "reassembly is limited to constant solutions",
+            "nonconstant scalings: the reassembly takes constant solutions only, "
+            "so no collar extension was built",
         )
     f0 = math.exp(float(np.mean(sol.log_f)))
     g0 = math.exp(float(np.mean(sol.log_g)))

@@ -9,7 +9,7 @@ global error is O(h^4): on the built-in foliations a vertex lies within
 by 0.05 px.
 
 Each compact leaf is drawn as the closed path its detector kept
-(``leaf_paths``): an axis circle is a straight line, and a return-map leaf
+(``CompactLeaf.path``): an axis circle is a straight line, and a return-map leaf
 the graph of the strip flow of the map that found it, the RK4 states of the
 pass that found the leaf's point, so nothing is integrated again and every
 leaf ends on its own start.  Like every polyline, a leaf loses the one step
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .foliation import CompactLeaf, Foliation2, compact_leaves, integrate_leaf, leaf_paths
+from .foliation import CompactLeaf, Foliation2, compact_leaves, integrate_leaf
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,8 @@ def render_foliation(
         if segs:
             canvas.arrowhead(max(segs, key=len), style.flow_color)
     leaves = sorted(leaves, key=lambda l: (l.point, l.cls))
-    for path in leaf_paths(F, leaves):
-        for seg in _wrap_segments(path):
+    for leaf in leaves:
+        for seg in _wrap_segments(leaf.path):
             canvas.polyline(seg, style.leaf_color, style.leaf_stroke)
 
     return canvas.document()

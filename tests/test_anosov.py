@@ -99,7 +99,6 @@ def test_model_validates(cat):
 
 def test_validate_catches_wrong_rate(cat):
     broken = FlowModel(
-        name="broken",
         gluing=cat.gluing,
         X=cat.X,
         alpha_u=cat.alpha_u,
@@ -147,7 +146,8 @@ def test_weak_foliations_have_no_winding_and_no_shared_leaves(cat):
 
 def test_splitting_estimate_unstable(cat):
     est = estimate_splitting(cat)
-    assert est.converged and est.iterations <= 30
+    # a splitting that does not converge raises
+    assert est.iterations <= 30
     assert est.slope == pytest.approx(SLOPE_U, abs=1e-6)
     assert est.expansion_factor == pytest.approx(math.exp(NU), abs=1e-9)
     amb = chart_to_ambient(cat, est.direction)
@@ -204,7 +204,6 @@ def test_checks_refuse_a_field_not_finite_at_their_samples(cat):
     pair = FormPair(cat.alpha_plus + nan_dz, cat.alpha_minus, cat.gluing)
     assert not liouville_direct_check(pair, n=8).passed
     broken = FlowModel(
-        name="broken",
         gluing=cat.gluing,
         X=nan_z,
         alpha_u=cat.alpha_u,

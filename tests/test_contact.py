@@ -339,6 +339,24 @@ def test_extend_scaling_precondition_errors():
         extend_scaling(f, Const(-0.2), delta=0.2, eps=0.1, c=0.5, C=2.0)
 
 
+# NaN for u < 0.5 (log of a negative) and a division by zero at u = 0.5
+_NAN_HALF = "1 + 0*log(u - 0.5)"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("f, r, c, C, reason", [
+    pytest.param(_NAN_HALF, "1", 0.5, 2.0, "scaling f must be positive", id="nan-f"),
+    pytest.param("1", _NAN_HALF, 0.5, 2.0, "expansion rate r must be positive", id="nan-r"),
+    pytest.param("1", "1", math.nan, 2.0, "plateau constants must be positive and finite",
+                 id="nan-c"),
+    pytest.param("1", "1", 0.5, math.inf, "plateau constants must be positive and finite",
+                 id="inf-C"),
+])
+def test_extend_scaling_refuses_what_is_not_finite(f, r, c, C, reason):
+    with pytest.raises(ContactError, match=reason):
+        extend_scaling(parse_expr(f), parse_expr(r), delta=0.2, eps=0.1, c=c, C=C)
+
+
 # ---------------------------------------------------------------------------
 # convex combinations
 

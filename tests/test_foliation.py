@@ -2,6 +2,7 @@ import math
 import random
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -296,7 +297,8 @@ def test_every_drawn_leaf_closes(name, count):
     F = _leaf_case(name)
     leaves = compact_leaves(F)
     assert len(leaves) == count
-    for leaf, path in zip(leaves, fol.leaf_paths(F, leaves)):
+    for leaf in leaves:
+        path = leaf.path
         assert np.array_equal(path[0], leaf.point)
         assert np.max(np.abs(path[-1] - np.add(leaf.point, leaf.cls))) < 1e-9
         if not leaf.axis:  # an axis circle keeps its other coordinate in every bit
@@ -916,8 +918,9 @@ def _arc_cases():
     for u0, name in ((63.5 / 1024, "block-seam"), (1023.5 / 1024, "wrap")):
         for which, H in zip("FG", _one_steep_step(u0)):
             yield pytest.param(H, id=f"steep-{name}-{which}")
-    # the raw angle crosses pi near rows 164 and 860 (blocks 2 and 13): the
-    # blocks between have no wraps of their own but lie a whole turn down
+    # the raw angle crosses pi near rows 164 and 860 (blocks 2 and 13), and
+    # a0 is near -2.9: every sample is taken within half a turn of a0, so the
+    # raw angles near pi in the blocks between read near -pi
     yield pytest.param(
         _quarter_turn_pair("2.9 + 0.5*cos(2*pi*u) + 0.1*sin(2*pi*v)")[0], id="carried-turns"
     )
@@ -925,13 +928,33 @@ def _arc_cases():
 
 @pytest.mark.parametrize("H", _arc_cases())
 def test_direction_arc_matches_a_plain_full_grid_lift(H):
+    # the same arc where the plain lift stays within half a turn of its value
+    # at (0, 0); a field that strays further (eight-band F and G span 2.4 pi)
+    # has an arc of at least pi, and gets None
     t = np.arange(1024) / 1024
-    assert fol._direction_arc(H, t) == _plain_arc(H, t)
+    plain = _plain_arc(H, t)
+    f1, f2 = ex.compile_field(H.V1, UV), ex.compile_field(H.V2, UV)
+    a0 = float(np.arctan2(f2(0.0, 0.0), f1(0.0, 0.0)))
+    if plain is not None and a0 - math.pi < plain[0] and plain[1] < a0 + math.pi:
+        assert fol._direction_arc(H, t) == plain
+    else:
+        assert fol._direction_arc(H, t) is None
+
+
+def test_candidate_directions_are_the_reduced_slopes_by_denominator():
+    for n in range(1, 31):
+        dirs, seen = [(1, 0), (0, 1)], {Fraction(0)}
+        for q in range(1, n + 1):
+            for p in range(-n, n + 1):
+                if (s := Fraction(p, q)) not in seen and s.denominator == q:
+                    seen.add(s)
+                    dirs.append((q, p))
+        assert fol._candidate_directions(n) == tuple(dirs)
 
 
 def test_carried_turns_move_blocks_without_wraps_of_their_own():
-    # a block with no wrap still lies the carried whole turns below its raw
-    # angle: raw angles near pi, lifted to near -pi
+    # each sample is taken within half a turn of a0 (near -2.9), so a block
+    # with no wrap of its own but raw angles near pi reads near -pi
     H = _quarter_turn_pair("2.9 + 0.5*cos(2*pi*u) + 0.1*sin(2*pi*v)")[0]
     lo, hi = fol._direction_arc(H, np.arange(1024) / 1024)
     assert lo == pytest.approx(2.3 - 2 * math.pi, abs=1e-4)

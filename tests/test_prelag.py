@@ -6,7 +6,7 @@ import pytest
 
 from allab import expr as ex
 from allab import foliation as fol
-from allab import library
+from allab import library, prelag
 from allab.anosov import suspension_model, weak_foliations_on_torus
 from allab.expr import Const, compile_field, parse_expr
 from allab.foliation import FoliationError, cone_separation, parallel_compact_leaves
@@ -250,6 +250,20 @@ def test_certificate_foliation_only_clean_pair():
     )
     assert rep.outcome == "not_attempted"
     assert any("foliation data only" in d for d in rep.diagnostics)
+
+
+def test_certificate_stops_before_the_collar_on_nonconstant_scalings(cat, monkeypatch):
+    wave = 0.1 * np.sin(2 * np.pi * np.arange(8) / 8)[:, None] * np.ones(8)
+    sol = ScalingSolution(8, wave, -wave, 0.0, (0.0,), 0, True, 0.0)
+    monkeypatch.setattr(prelag, "scaling_solve", lambda *a, **k: sol)
+    rep = pre_lagrangian_certificate(cat, cat.fiber(0.0))
+    assert rep.outcome == "failed"
+    assert rep.scaling is sol
+    assert rep.extension_u is None and rep.extension_s is None
+    assert rep.diagnostics == (
+        "nonconstant scalings: the reassembly takes constant solutions only, "
+        "so no collar extension was built",
+    )
 
 
 def test_certificate_report_serializes(cat):
