@@ -20,7 +20,7 @@ from . import AllabError, __version__, library
 from .anosov import FlowModel, suspension_model, weak_foliations_on_torus
 from .config import RunConfig, load_config
 from .contact import al_check
-from .foliation import Foliation2, SlopeSearch, compact_leaves, reeb_annuli, winding
+from .foliation import Foliation2, compact_leaves, reeb_annuli, winding
 from .prelag import pre_lagrangian_certificate
 from .render import render_foliation
 
@@ -198,16 +198,13 @@ def run(cfg: RunConfig, command: str, out_dir: str) -> tuple[int, dict]:
     if "pre-lagrangian" in wants:
 
         def prelag():
-            search = SlopeSearch(max_denominator=cfg.max_denominator)
             if model is not None:
                 rep = pre_lagrangian_certificate(
                     model,
                     model.fiber(cfg.fiber_z),
                     scale_C=cfg.scale_c,
-                    solver_n=cfg.solver_grid,
                     grid_n=cfg.grid,
                     tol=cfg.tolerance,
-                    slope_search=search,
                 )
                 ok = rep.outcome == "certificate"
             else:
@@ -221,7 +218,6 @@ def run(cfg: RunConfig, command: str, out_dir: str) -> tuple[int, dict]:
                     foliations=(F, G),
                     scale_C=cfg.scale_c,
                     tol=cfg.tolerance,
-                    slope_search=search,
                 )
                 ok = (
                     rep.outcome == "not_attempted"

@@ -26,13 +26,7 @@ class ConfigError(AllabError):
 _SECTIONS = {
     "model": {"type", "matrix", "fiber_z"},
     "foliation": {"source", "builtin", "v1", "v2", "partner_v1", "partner_v2"},
-    "analysis": {
-        "grid",
-        "solver_grid",
-        "scale_c",
-        "tolerance",
-        "max_denominator",
-    },
+    "analysis": {"grid", "scale_c", "tolerance"},
     "output": {"report", "svg"},
 }
 
@@ -49,10 +43,8 @@ class RunConfig:
     partner_v1: Expr | None
     partner_v2: Expr | None
     grid: int
-    solver_grid: int
     scale_c: float
     tolerance: float
-    max_denominator: int
     report_name: str
     svg_name: str
 
@@ -179,10 +171,8 @@ def load_config(path: str, analysis: dict[str, str] | None = None) -> RunConfig:
         partner_v1=partner_v1,
         partner_v2=partner_v2,
         grid=get_int("analysis", "grid", 12),
-        solver_grid=get_int("analysis", "solver_grid", 32),
         scale_c=get_float("analysis", "scale_c", 10.0, positive=True),
         tolerance=get_float("analysis", "tolerance", 1e-6, positive=True),
-        max_denominator=get_int("analysis", "max_denominator", 10),
         report_name=get("output", "report", "report.json"),
         svg_name=get("output", "svg", "foliation.svg"),
     )

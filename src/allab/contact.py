@@ -211,6 +211,7 @@ def quintic_bump(t: Expr) -> Expr:
     return ex.pow_(ex.func("pos", ex.sub(ONE, ex.mul(t, t))), ex.const(3.0))
 
 
+@np.errstate(all="ignore")  # a domain error gives NaN, refused below
 def perturb_pair(
     pair: FormPair, beta_target: DifferentialForm, sigma: TorusEmbedding
 ) -> PerturbResult:
@@ -219,6 +220,9 @@ def perturb_pair(
     the collar has half-width 0.15 in z."""
     if beta_target.coords != UV or beta_target.degree != 1:
         raise ContactError("perturbation target must be a 1-form on the torus")
+    # a constant has no curl, so the closedness check below passes NaN
+    if not all(np.isfinite(torus_samples(c, 64)).all() for c in beta_target.coeffs.values()):
+        raise PerturbationError("perturbation target has non-finite coefficients")
     res = curl_residual(beta_target)
     if not res < 1e-9:  # NaN refuses too
         raise PerturbationError(
@@ -262,7 +266,7 @@ def perturb_pair(
         (float(np.max(np.abs(torus_samples(c, 32)))) for c in check.coeffs.values()),
         default=0.0,
     )
-    if resid > 1e-12:
+    if not resid <= 1e-12:  # NaN refuses too
         raise PerturbationError(
             f"restricted sum misses the target (residual {resid:.2e})"
         )

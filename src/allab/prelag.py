@@ -1,19 +1,20 @@
 """Deciding and constructing closed restricted combinations on a transverse
 torus: the loop-winding obstruction, a grid solver for positive scalings
 making f a - g b closed, and the end-to-end certificate pipeline that
-rebuilds a form pair whose restricted sum is exactly closed.
+rebuilds a form pair whose restricted sum is exactly closed.  The pipeline
+does not use the solver: it takes f = g = 1 when d(a - b) vanishes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import AllabError
 from . import expr as ex
-from .expr import Const, Expr, substitute
+from .expr import Expr, substitute
 from .anosov import FlowModel, weak_foliations_on_torus
 from .contact import (
     ALReport,
@@ -26,7 +27,6 @@ from .contact import (
 )
 from .foliation import (
     Foliation2,
-    SlopeSearch,
     _check_transverse_pair,
     cone_separation,
     parallel_compact_leaves,
@@ -123,21 +123,6 @@ def closedness_objective(a: DifferentialForm, b: DifferentialForm, n: int = 64):
     return objective
 
 
-def _truncated_series(values: np.ndarray) -> np.ndarray:
-    """Trigonometric interpolant of grid samples, evaluated back on the grid;
-    modes below 1e-12 (relative to the sup of the data) are dropped, a
-    conjugate pair by the amplitude 2|c| of its real term."""
-    n = values.shape[0]
-    c = np.fft.fft2(values) / (n * n)
-    mirror = (-np.arange(n)) % n
-    c = 0.5 * (c + np.conj(c[mirror][:, mirror]))  # exactly Hermitian
-    fixed = mirror == np.arange(n)
-    amp = np.where(fixed[:, None] & fixed, 1.0, 2.0) * np.abs(c)
-    scale = max(1.0, float(np.max(np.abs(values))))
-    c[amp <= 1e-12 * scale] = 0.0
-    return np.real(np.fft.ifft2(c)) * (n * n)
-
-
 @dataclass(frozen=True)
 class ScalingSolution:
     n: int
@@ -147,7 +132,6 @@ class ScalingSolution:
     residual_history: tuple[float, ...]
     iterations: int
     success: bool
-    interpolant_residual: float
 
 
 def scaling_solve(
@@ -229,9 +213,6 @@ def scaling_solve(
     phi = phi - m
     gamma = gamma - m
     residual = math.sqrt(J)
-    # the residual of the scalings e^series, series being the truncated
-    # Fourier series of phi and of gamma
-    J_series = raw(_truncated_series(phi), _truncated_series(gamma))[0]
     return ScalingSolution(
         n=n,
         log_f=phi,
@@ -240,18 +221,11 @@ def scaling_solve(
         residual_history=tuple(history),
         iterations=it,
         success=residual < tol,
-        interpolant_residual=math.sqrt(J_series),
     )
 
 
 # ---------------------------------------------------------------------------
 # certificate pipeline
-
-def _decimated(values: tuple[float, ...]) -> list[float]:
-    """At most 32 evenly spaced entries, the first and the last among them."""
-    m = len(values) - 1
-    return list(values) if m < 32 else [values[i * m // 31] for i in range(32)]
-
 
 @dataclass(frozen=True)
 class PreLagReport:
@@ -260,7 +234,7 @@ class PreLagReport:
     obstruction: ObstructionResult | None = None
     parallel_verdict: str | None = None
     cone_pair: tuple | None = None
-    scaling: ScalingSolution | None = None
+    scaling_residual: float | None = None  # max |d(a - b)|
     extension_u: ScalingExtension | None = None
     extension_s: ScalingExtension | None = None
     scale_C: float = 1.0
@@ -276,17 +250,10 @@ class PreLagReport:
             "obstruction": None if self.obstruction is None else self.obstruction.to_dict(),
             "parallel_verdict": self.parallel_verdict,
             "cone_pair": None if self.cone_pair is None else [list(d) for d in self.cone_pair],
+            # the constant scalings tried, log f = log g = 0, and what they leave
             "scaling": None
-            if self.scaling is None
-            else {
-                "grid_n": self.scaling.n,
-                "residual": self.scaling.residual,
-                "iterations": self.scaling.iterations,
-                "success": self.scaling.success,
-                "residual_history": _decimated(self.scaling.residual_history),
-                "log_f": self.scaling.log_f.tolist(),
-                "log_g": self.scaling.log_g.tolist(),
-            },
+            if self.scaling_residual is None
+            else {"residual": self.scaling_residual, "log_f": 0.0, "log_g": 0.0},
             "extension_u": None if self.extension_u is None else self.extension_u.to_dict(),
             "extension_s": None if self.extension_s is None else self.extension_s.to_dict(),
             "scale_C": self.scale_C,
@@ -310,15 +277,18 @@ def pre_lagrangian_certificate(
     *,
     foliations: tuple[Foliation2, Foliation2] | None = None,
     scale_C: float = 10.0,
-    solver_n: int = 64,
     grid_n: int = 12,
     tol: float = 1e-6,
-    slope_search: SlopeSearch = SlopeSearch(),
 ) -> PreLagReport:
     """Fail-soft pipeline: obstruction test, shared-compact-leaf analysis,
-    scaling solve, collar extension, constant rescaling, collar perturbation,
-    and a final check that the restricted sum is closed and the pair still
+    closedness of a - b (a and b being alpha_u and alpha_s restricted to
+    sigma), collar extension, constant rescaling, collar perturbation, and
+    a final check that the restricted sum is closed and the pair still
     passes the AL test.  Bare foliation pairs run the decision stages only.
+
+    The scalings are f = g = 1, taken when max |d(a - b)| on the
+    ``curl_residual`` grid is below ``tol``; otherwise the outcome is
+    ``failed``.  ``tol`` also bounds the final restricted sum's residual.
     """
     if model is not None:
         if sigma is None:
@@ -344,7 +314,7 @@ def pre_lagrangian_certificate(
     par = parallel_compact_leaves(F_ws, F_wu)
     common.update(
         parallel_verdict=par.verdict,
-        cone_pair=cone_separation(F_ws, F_wu, slope_search),
+        cone_pair=cone_separation(F_ws, F_wu),
     )
     if par.parallel:
         return stop(
@@ -355,34 +325,25 @@ def pre_lagrangian_certificate(
 
     a = restrict(model.alpha_u, sigma)
     b = restrict(model.alpha_s, sigma)
-    sol = scaling_solve(a, b, n=solver_n, tol=tol)
-    common["scaling"] = sol
-    if not sol.success:
-        return stop("failed", f"scaling solve stalled at residual {sol.residual:.2e}")
-    if float(sol.log_f.std()) > 1e-8 or float(sol.log_g.std()) > 1e-8:
+    res = curl_residual(a - b)
+    common["scaling_residual"] = res
+    if not res < tol:  # NaN refuses too
         return stop(
             "failed",
-            "nonconstant scalings: the reassembly takes constant solutions only, "
-            "so no collar extension was built",
+            f"f = g = 1 leaves max |d(a - b)| = {res:.2e}, not below {tol:.2e}: "
+            "no other scalings are tried",
         )
-    f0 = math.exp(float(np.mean(sol.log_f)))
-    g0 = math.exp(float(np.mean(sol.log_g)))
 
     r_u = substitute(model.r_u, sigma.chart())
     r_s = substitute(model.r_s, sigma.chart())
     try:
-        ext_u = _collar_extension(Const(f0), r_u)
-        ext_s = _collar_extension(Const(1.0 / g0), ex.zneg(r_s))
+        ext_u = _collar_extension(ex.ONE, r_u)
+        ext_s = _collar_extension(ex.ONE, ex.zneg(r_s))
     except AllabError as e:
         return stop("failed", f"collar extension failed: {e}")
     common.update(extension_u=ext_u, extension_s=ext_s)
 
-    pair = replace(
-        model,
-        alpha_u=model.alpha_u.scale(ex.const(f0)),
-        alpha_s=model.alpha_s.scale(ex.const(g0)),
-    ).standard_pair(scale_C)
-
+    pair = model.standard_pair(scale_C)
     restricted = restrict(pair.plus + pair.minus, sigma)
     beta = _mean_constant_form(restricted)
     try:

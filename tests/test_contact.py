@@ -263,6 +263,18 @@ def test_perturb_rejects_nonclosed_target():
         perturb_pair(p, beta, _fiber())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("du", [
+    pytest.param(Const(math.nan), id="nan-constant"),  # a constant has no curl
+    pytest.param(parse_expr("log(sin(pi*u))"), id="log-zero"),  # -inf at u = 0
+])
+def test_perturb_rejects_a_non_finite_target(du):
+    cat = suspension_model(((2, 1), (1, 1)))
+    beta = DifferentialForm(UV, 1, {(0,): du, (1,): ex.ONE})
+    with pytest.raises(PerturbationError, match="non-finite coefficients"):
+        perturb_pair(cat.standard_pair(10.0), beta, cat.fiber(0.0))
+
+
 def test_perturb_large_but_valid_target_warns():
     p = standard_pair()
     sigma = _fiber()

@@ -7,15 +7,13 @@ import pytest
 from allab import expr as ex
 from allab import foliation as fol
 from allab import library, prelag
-from allab.anosov import suspension_model, weak_foliations_on_torus
+from allab.anosov import FlowModel, suspension_model, weak_foliations_on_torus
 from allab.expr import Const, compile_field, parse_expr
 from allab.foliation import FoliationError, cone_separation, parallel_compact_leaves
-from allab.geom import UV, XYZ, one_form
+from allab.geom import UV, XYZ, VectorField3, one_form, torus3
 from allab.prelag import (
     GraphCheck,
     PreLagError,
-    PreLagReport,
-    ScalingSolution,
     check_graph_lagrangian,
     closedness_objective,
     obstruction_test,
@@ -161,19 +159,6 @@ def test_scaling_solve_iterations_on_the_2d_planted_problem():
         assert sol.iterations <= bound
 
 
-def test_scaling_interpolant_matches_grid_residual(planted_solution):
-    sol, _ = planted_solution
-    assert abs(sol.interpolant_residual - sol.residual) < 1e-8
-
-
-def test_scaling_interpolant_of_a_2d_problem():
-    a = one_form(UV, ex.ZERO, parse_expr("exp(0.3*sin(2*pi*u)*cos(2*pi*v))"))
-    b = one_form(UV, ex.ONE, ex.ZERO)
-    sol = scaling_solve(a, b, n=32, tol=1e-6)
-    assert sol.success
-    assert abs(sol.interpolant_residual - sol.residual) < 1e-8
-
-
 def test_adjoint_gradient_matches_finite_differences():
     rng = np.random.default_rng(11)
     a = one_form(UV, parse_expr("0.4*cos(2*pi*v)"), parse_expr("exp(0.3*sin(2*pi*u))"))
@@ -207,7 +192,7 @@ def test_certificate_cat_fiber(cat):
     assert rep.obstruction.verdict == "passes_obstruction"
     assert rep.parallel_verdict == "not_parallel"
     assert rep.cone_pair is not None
-    assert rep.scaling.success and rep.scaling.iterations == 0
+    assert rep.scaling_residual == 0.0  # f = g = 1 closes a - b
     assert rep.extension_u.margin > 0 and rep.extension_s.margin > 0
     assert rep.final_residual < 1e-9
     assert rep.final_al.verdict == "anosov_liouville"
@@ -219,7 +204,7 @@ def test_certificate_cat_fiber(cat):
 def test_certificate_scale_invariance(cat):
     sigma = cat.fiber(0.0)
     for C in (1.0, 2.0, 10.0):
-        rep = pre_lagrangian_certificate(cat, sigma, scale_C=C, solver_n=32)
+        rep = pre_lagrangian_certificate(cat, sigma, scale_C=C)
         assert rep.outcome == "certificate"
         assert rep.obstruction.verdict == "passes_obstruction"
         assert rep.parallel_verdict == "not_parallel"
@@ -252,42 +237,44 @@ def test_certificate_foliation_only_clean_pair():
     assert any("foliation data only" in d for d in rep.diagnostics)
 
 
-def test_certificate_stops_before_the_collar_on_nonconstant_scalings(cat, monkeypatch):
-    wave = 0.1 * np.sin(2 * np.pi * np.arange(8) / 8)[:, None] * np.ones(8)
-    sol = ScalingSolution(8, wave, -wave, 0.0, (0.0,), 0, True, 0.0)
-    monkeypatch.setattr(prelag, "scaling_solve", lambda *a, **k: sol)
-    rep = pre_lagrangian_certificate(cat, cat.fiber(0.0))
+def _no_solver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate pipeline ran the grid solver")
+
+    monkeypatch.setattr(prelag, "scaling_solve", refuse)
+
+
+def test_certificate_stops_before_the_collar_when_a_minus_b_is_not_closed(monkeypatch):
+    # on the z = 0 fiber, a = (1 + 0.1 sin 2 pi v) du and b = dv, so
+    # d(a - b) = -0.2 pi cos(2 pi v) du^dv: f = g = 1 leaves 0.2 pi
+    wavy = FlowModel(
+        gluing=torus3(),
+        X=VectorField3((ex.ZERO, ex.ZERO, ex.ONE)),
+        alpha_u=one_form(XYZ, parse_expr("1 + 0.1*sin(2*pi*y)"), ex.ZERO, ex.ZERO),
+        alpha_s=one_form(XYZ, ex.ZERO, ex.ONE, ex.ZERO),
+        r_u=ex.ONE,
+        r_s=Const(-1.0),
+    )
+    _no_solver(monkeypatch)
+    rep = pre_lagrangian_certificate(wavy, wavy.fiber(0.0))
+    assert rep.obstruction.verdict == "passes_obstruction"
+    assert rep.parallel_verdict == "not_parallel"
     assert rep.outcome == "failed"
-    assert rep.scaling is sol
+    assert rep.scaling_residual == pytest.approx(0.2 * math.pi, rel=1e-12)
     assert rep.extension_u is None and rep.extension_s is None
     assert rep.diagnostics == (
-        "nonconstant scalings: the reassembly takes constant solutions only, "
-        "so no collar extension was built",
+        "f = g = 1 leaves max |d(a - b)| = 6.28e-01, not below 1.00e-06: "
+        "no other scalings are tried",
     )
 
 
-def test_certificate_report_serializes(cat):
-    rep = pre_lagrangian_certificate(cat, cat.fiber(0.0), solver_n=32)
-    d = rep.to_dict()
+def test_certificate_report_serializes(cat, monkeypatch):
+    _no_solver(monkeypatch)
+    d = pre_lagrangian_certificate(cat, cat.fiber(0.0)).to_dict()
     assert d["outcome"] == "certificate"
     assert d["obstruction"]["verdict"] == "passes_obstruction"
+    assert d["scaling"] == {"residual": 0.0, "log_f": 0.0, "log_g": 0.0}
     assert isinstance(d["final_residual"], float)
-
-
-def test_report_carries_a_decimated_residual_history():
-    def reported(m):
-        hist = tuple(1.0 / np.arange(1, m + 1))
-        zero = np.zeros((8, 8))
-        sol = ScalingSolution(8, zero, zero, hist[-1], hist, m - 1, False, hist[-1])
-        return hist, PreLagReport("failed", (), scaling=sol).to_dict()["scaling"]["residual_history"]
-
-    hist, d = reported(32)
-    assert d == list(hist)
-    for m in (33, 100, 4001):
-        hist, d = reported(m)
-        assert len(d) == 32 and d[0] == hist[0] and d[-1] == hist[-1]
-        assert np.all(np.diff(d) < 0)  # distinct entries of the history, in order
-        assert set(d) <= set(hist)
 
 
 def test_certificate_requires_input():

@@ -1,13 +1,14 @@
 import hashlib
 import json
 import os
+import re
 
 import jsonschema
 import pytest
 
 from allab import library
 from allab.cli import COMMANDS, REPORT_SCHEMA, ToolError, _validate, main, run
-from allab.config import ConfigError, load_config
+from allab.config import _SECTIONS, ConfigError, load_config
 from allab.foliation import compact_leaves
 from allab.render import RenderStyle, render_foliation
 
@@ -93,6 +94,23 @@ def test_config_rejects_non_finite_numbers(tmp_path, value):
     bad.write_text(f"[analysis]\ntolerance = {value}\n")
     with pytest.raises(ConfigError, match="analysis.tolerance: not a finite number"):
         load_config(str(bad))
+
+
+def test_docs_list_exactly_the_keys_the_config_accepts():
+    # under each "## `[section]`" heading, a table names one or more keys in
+    # backticks in its first column
+    path = os.path.join(os.path.dirname(__file__), "..", "docs", "config.md")
+    documented, section = {}, None
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("## "):
+                m = re.match(r"## `\[(\w+)\]`", line)
+                section = m and m.group(1)
+                if section:
+                    documented[section] = set()
+            elif section and line.startswith("| `"):
+                documented[section] |= set(re.findall(r"`(\w+)`", line.split("|")[1]))
+    assert documented == _SECTIONS
 
 
 # ---------------------------------------------------------------------------
