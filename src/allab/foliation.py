@@ -18,7 +18,7 @@ import numpy as np
 from . import AllabError
 from . import expr as ex
 from .expr import Expr, compile_field, compile_kernel
-from .geom import DifferentialForm, UV, curl_residual, torus_samples
+from .geom import DifferentialForm, UV, curl_residual, one_form, torus_samples
 
 
 class FoliationError(AllabError):
@@ -38,7 +38,6 @@ class TransversalError(FoliationError):
 class Foliation2:
     V1: Expr
     V2: Expr
-    closed_form: bool = False  # set when built from a closed defining 1-form
 
     @np.errstate(all="ignore")  # a domain error gives NaN, refused below
     def __post_init__(self):
@@ -71,8 +70,12 @@ class Foliation2:
         the coefficient vector a quarter turn."""
         if a.coords != UV or a.degree != 1:
             raise FoliationError("defining form must be a 1-form on (u, v)")
-        closed = curl_residual(a) < 1e-9
-        return Foliation2(ex.zneg(a.coeff((1,))), a.coeff((0,)), closed_form=closed)
+        return Foliation2(ex.zneg(a.coeff((1,))), a.coeff((0,)))
+
+    @property
+    def closed_form(self) -> bool:
+        """Whether the defining 1-form V2 du - V1 dv is closed."""
+        return curl_residual(one_form(UV, self.V2, ex.zneg(self.V1))) < 1e-9
 
 
 def constant_slope(rho: float) -> Foliation2:
@@ -292,6 +295,18 @@ class Transversal:
             raise FoliationError("transversal axis must be 'u' or 'v'")
 
 
+_DROP = 1e-12  # far above rounding, far below a scan cell
+
+
+def _check_lift(ts: np.ndarray, lift: np.ndarray):
+    """Refuse a lift that steps down by more than _DROP, an integration that
+    does not resolve the field; ties pass, as a contracting field gives them."""
+    if (down := np.flatnonzero(np.diff(lift) < -_DROP)).size:
+        k = down[0]
+        raise FoliationError(f"the return-map lift drops by {lift[k] - lift[k + 1]:.2e} after "
+                             f"t = {ts[k]:.6f}: the strip integration does not resolve the field")
+
+
 @dataclass(frozen=True)
 class ReturnMap:
     ts: np.ndarray
@@ -300,8 +315,7 @@ class ReturnMap:
     @staticmethod
     def from_lift_samples(ts: np.ndarray, lifts: np.ndarray) -> "ReturnMap":
         ts, lifts = np.asarray(ts, dtype=float), np.asarray(lifts, dtype=float)
-        if np.any(np.diff(lifts) <= 0):
-            raise FoliationError("return-map lift samples are not strictly monotone")
+        _check_lift(ts, lifts)
         return ReturnMap(ts, lifts)
 
     def lift(self, t):
@@ -451,15 +465,16 @@ def _return_map_leaves(F: Foliation2, axis: str) -> list[CompactLeaf]:
     Poincare: an increasing degree-one lift has periodic points only if its
     rotation number rho is rational, all of the minimal period q of rho = p/q.
     Between nodes, lift^q(t) - t leaves its sampled range by at most one cell
-    1/_SCAN, which bounds q rho.  While the scan increases, it stops after a
-    period with a leaf, or once no untried reduced p/q' (q' <= 8) is in bounds.
+    1/_SCAN, which bounds q rho.  The scan stops after a period with a leaf,
+    or once no untried reduced p/q' (q' <= 8) is in bounds; a lift that
+    steps down (``_check_lift``) is refused.
 
     Each leaf keeps the RK4 states that found its point as its path: the
     scan's column t = 0 for a family, its root's column of the last
     refinement pass for an isolated leaf."""
     s = (flow := _strip_flow(F, axis))[1]
     ts = np.linspace(0.0, 1.0, _SCAN + 1)
-    lift, lo, hi, monotone = ts, -math.inf, math.inf, True
+    lift, lo, hi = ts, -math.inf, math.inf
     col0 = np.empty((8 * _STRIP_STEPS + 1, 1))  # the scan's leaf through t = 0
 
     def cls(q, p):  # of a leaf crossing the transversal q times as it turns p times
@@ -476,15 +491,15 @@ def _return_map_leaves(F: Foliation2, axis: str) -> list[CompactLeaf]:
 
     leaves, known = [], []  # known: (period, point) of each orbit point found
     for q in range(1, 9):
-        if q > 1 and monotone and (leaves or not any(
+        if q > 1 and (leaves or not any(
                 math.gcd(p, k) == 1 for k in range(q, 9)
                 for p in range(math.ceil(lo * k), math.floor(hi * k) + 1))):
             break
         strip = col0[(q - 1) * _STRIP_STEPS : q * _STRIP_STEPS + 1]
         lift = _lifts(flow, float(s * (q - 1)), lift, 1, strip)[0]  # the strip q
+        _check_lift(ts, lift)
         scan = lift - ts
-        if monotone := monotone and bool((np.diff(lift) > 0).all()):
-            lo, hi = max(lo, (scan.min() - 1 / _SCAN) / q), min(hi, (scan.max() + 1 / _SCAN) / q)
+        lo, hi = max(lo, (scan.min() - 1 / _SCAN) / q), min(hi, (scan.max() + 1 / _SCAN) / q)
 
         def near(t, radius):  # is a point of a period dividing q within radius?
             x = np.array([x for qq, x in known if q % qq == 0])

@@ -448,6 +448,37 @@ def test_return_map_reeb_direction_errors():
         return_map(library.two_reeb_band(), Transversal("u", 0.0))
 
 
+def test_lift_samples_may_tie_but_not_drop():
+    ts = np.arange(8) / 8.0
+    lifts = ts.copy()
+    lifts[2] = lifts[1]  # a tie
+    lifts[3] = lifts[2] - 1e-15  # a rounding-level inversion
+    ReturnMap.from_lift_samples(ts, lifts)
+    lifts[3] = lifts[2] - 1e-6
+    with pytest.raises(FoliationError, match=r"drops by 1\.00e-06 after t = 0\.250000"):
+        ReturnMap.from_lift_samples(ts, lifts)
+
+
+def test_return_map_of_a_contracting_field_whose_lift_ties():
+    # the leaves merge to within floating point: about half the samples tie
+    F = Foliation2(ex.ONE, parse_expr("5*sin(2*pi*v) + 0.05*cos(2*pi*u)"))
+    R = return_map(F, Transversal("u"))
+    assert np.count_nonzero(np.diff(R.lift_values) == 0) > 100
+    assert R.degree_check()
+    assert [l.cls for l in compact_leaves(F)] == [(1, 0), (1, 0)]
+
+
+def test_compact_leaves_refuse_a_lift_that_drops():
+    # the leaves u = k/1000 are far finer than the strip flow's steps, so its
+    # lift along v steps down; the scan stops there instead of reporting
+    # leaves that are not there
+    G = Foliation2(
+        parse_expr("-sin(0.5*sin(1000*pi*u))"), parse_expr("cos(0.5*sin(1000*pi*u))")
+    )
+    with pytest.raises(FoliationError, match=r"lift drops by \S+ after t = "):
+        compact_leaves(G)
+
+
 def test_rotation_number_rigid():
     ts = np.arange(1024) / 1024.0
     R = ReturnMap.from_lift_samples(ts, ts + 0.25)
@@ -495,6 +526,19 @@ def test_rotation_number_conjugation_invariance():
 
 def test_no_compact_leaves_for_irrational_slope():
     assert compact_leaves(constant_slope(-GOLDEN)) == []
+
+
+@pytest.mark.xfail(strict=True, reason="a semi-stable leaf is a double root of lift(t) - t, "
+                   "with no sign change for the scan, and the axis detector sees "
+                   "only straight circles")
+def test_compact_leaves_find_a_curved_semi_stable_leaf():
+    # V is tangent to the curve v = 0.3 + 0.05 sin 2 pi u and approaches it
+    # from one side only
+    F = Foliation2(ex.ONE, parse_expr(
+        "0.1*pi*cos(2*pi*u) + 0.5*(1 - cos(2*pi*(v - 0.3 - 0.05*sin(2*pi*u))))"))
+    leaves = compact_leaves(F)
+    assert [l.cls for l in leaves] == [(1, 0)]
+    assert leaves[0].point == pytest.approx((0.0, 0.3), abs=1e-6)
 
 
 def test_two_reeb_band_leaves():
