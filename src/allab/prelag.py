@@ -1,8 +1,10 @@
 """Deciding and constructing closed restricted combinations on a transverse
 torus: the loop-winding obstruction, a grid solver for positive scalings
 making f a - g b closed, and the end-to-end certificate pipeline that
-rebuilds a form pair whose restricted sum is exactly closed.  The pipeline
-does not use the solver: it takes f = g = 1 when d(a - b) vanishes.
+rebuilds a form pair whose restricted sum is exactly closed.  The solver
+tries f = g = 1, then the closed-form scalings of one constant 1-form beta,
+and descends only when neither closes f a - g b.  The pipeline does not use
+the solver: it takes f = g = 1 when d(a - b) vanishes.
 """
 
 from __future__ import annotations
@@ -95,22 +97,36 @@ def _dv(F: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.real(np.fft.ifft(1j * k[None, :] * np.fft.fft(F, axis=1), axis=1))
 
 
-def _sample_form(a: DifferentialForm, n: int):
+@np.errstate(all="ignore")  # a domain error gives NaN, refused below
+def _sample_form(a: DifferentialForm, n: int, name: str):
     if a.coords != UV or a.degree != 1:
         raise PreLagError("solver inputs must be 1-forms on (u, v)")
-    return torus_samples(a.coeff((0,)), n), torus_samples(a.coeff((1,)), n)
+    c1, c2 = torus_samples(a.coeff((0,)), n), torus_samples(a.coeff((1,)), n)
+    bad = ~(np.isfinite(c1) & np.isfinite(c2))
+    if bad.any():
+        i, j = np.argwhere(bad)[0] / n
+        raise PreLagError(
+            f"solver input {name} is not finite at (u, v) = ({i:.4f}, {j:.4f}) "
+            f"on the {n} x {n} grid"
+        )
+    return c1, c2
+
+
+def _curl(ef, eg, a1, a2, b1, b2, k) -> np.ndarray:
+    """d(ef a - eg b) / du^dv on the grid, for a = a1 du + a2 dv and b alike."""
+    return _du(ef * a2 - eg * b2, k) - _dv(ef * a1 - eg * b1, k)
 
 
 def closedness_objective(a: DifferentialForm, b: DifferentialForm, n: int = 64):
     """Mean-square curl of e^phi a - e^gamma b on the n x n grid, with its
     adjoint gradient; derivatives are trigonometric."""
-    a1, a2 = _sample_form(a, n)
-    b1, b2 = _sample_form(b, n)
+    a1, a2 = _sample_form(a, n, "a")
+    b1, b2 = _sample_form(b, n, "b")
     k = _wavenumbers(n)
 
     def objective(phi: np.ndarray, gamma: np.ndarray):
         ef, eg = np.exp(phi), np.exp(gamma)
-        rho = _du(ef * a2 - eg * b2, k) - _dv(ef * a1 - eg * b1, k)
+        rho = _curl(ef, eg, a1, a2, b1, b2, k)
         J = float(np.mean(rho * rho))
         # adjoint: the spectral derivative is antisymmetric
         w = 2.0 * rho / rho.size
@@ -132,30 +148,55 @@ class ScalingSolution:
     residual_history: tuple[float, ...]
     iterations: int
     success: bool
+    # the constant 1-form e^log_f a - e^log_g b equals, as its (du, dv)
+    # coefficients, when one constant beta gave the scalings
+    beta: tuple[float, float] | None
 
 
-def scaling_solve(
-    a: DifferentialForm,
-    b: DifferentialForm,
-    *,
-    n: int = 64,
-    tol: float = 1e-6,
-) -> ScalingSolution:
-    """Minimizes the mean-square curl of e^phi a - e^gamma b over grid
-    functions phi = log f, gamma = log g.
+# a constant beta must clear the edge of every normal's half-plane by this
+# angle (radians): f and g are then at least sin(_BETA_MARGIN) |b| / |a^b|
+# and sin(_BETA_MARGIN) |a| / |a^b| at every sample, not positive by rounding
+_BETA_MARGIN = 0.01
 
-    Descent in H^1 (Neuberger's Sobolev gradient): each step follows the
-    adjoint gradient smoothed by the Riesz map, (1 + |k|^2)^-1 per Fourier
-    mode, with Barzilai-Borwein step lengths measured in the same metric and
-    a backtracking sufficient-decrease line search, so the recorded residual
-    history never increases.  The smoothing removes the grid's stiff high
-    modes from the step, so on a problem that varies along one coordinate
-    the iteration count does not grow with n; in 2-D it does (32, 37 and 140
-    at n = 16, 32, 64 for a = exp(0.3 sin 2pi u cos 2pi v) dv, b = du).
-    Jointly shrinking f and g scales the raw objective down without changing
-    anything, so the iteration minimizes the gauge-fixed value: the residual
-    of the representative with mean(phi) = 0.
+
+def _constant_beta(a1, a2, b1, b2):
+    """A unit covector beta = (c1, c2) whose scalings f = (beta^b)/(a^b) and
+    g = (beta^a)/(a^b) are positive at every sample, with log f and log g;
+    or None.
+
+    f a - g b = beta then holds pointwise, so it is closed.  With s the sign
+    of a^b, f > 0 means beta . s (b2, -b1) > 0, and g > 0 means
+    beta . s (a2, -a1) > 0: all 2 n^2 normals must lie in an open
+    half-plane.  They do, with margin, iff the largest gap between their
+    sorted angles exceeds pi + 2 _BETA_MARGIN, and beta then points away
+    from that gap's centre.
     """
+    D = a1 * b2 - a2 * b1
+    if D.min() > 0.0:
+        s = 1.0
+    elif D.max() < 0.0:
+        s = -1.0
+    else:
+        return None
+    theta = np.sort(
+        np.concatenate((np.arctan2(-s * b1, s * b2).ravel(), np.arctan2(-s * a1, s * a2).ravel()))
+    )
+    gaps = np.diff(theta, append=theta[0] + 2.0 * np.pi)
+    i = int(np.argmax(gaps))
+    if not gaps[i] > np.pi + 2.0 * _BETA_MARGIN:
+        return None
+    mid = float(theta[i] + 0.5 * gaps[i]) + math.pi
+    c1, c2 = math.cos(mid), math.sin(mid)
+    return (c1, c2), np.log((c1 * b2 - c2 * b1) / D), np.log((c1 * a2 - c2 * a1) / D)
+
+
+def _descend(a: DifferentialForm, b: DifferentialForm, n: int, tol: float):
+    """H^1 descent from f = g = 1 (Neuberger's Sobolev gradient): each step
+    follows the adjoint gradient smoothed by the Riesz map, (1 + |k|^2)^-1
+    per Fourier mode, with Barzilai-Borwein step lengths measured in the same
+    metric and a backtracking sufficient-decrease line search, so the
+    recorded residual history never increases.  Returns phi, gamma, that
+    history and the iteration count."""
     raw = closedness_objective(a, b, n)
 
     def objective(phi, gamma):
@@ -207,20 +248,69 @@ def scaling_solve(
         prev = (phi_t - phi, gamma_t - gamma, gp_t - g_phi, gg_t - g_gamma, t * t * gnorm2)
         phi, gamma, J, g_phi, g_gamma = phi_t, gamma_t, J_t, gp_t, gg_t
         history.append(math.sqrt(J))
+    return phi, gamma, history, it
+
+
+def scaling_solve(
+    a: DifferentialForm,
+    b: DifferentialForm,
+    *,
+    n: int = 64,
+    tol: float = 1e-6,
+) -> ScalingSolution:
+    """Positive grid scalings f = e^phi, g = e^gamma making f a - g b closed,
+    from the first of three routes that applies:
+
+    1. f = g = 1, when d(a - b) is already below ``tol``;
+    2. one constant 1-form beta (``_constant_beta``), when a^b has one sign
+       and the normals of a and b fit in an open half-plane: then
+       f = (beta^b)/(a^b) and g = (beta^a)/(a^b) make f a - g b = beta
+       exactly, in 0 iterations;
+    3. otherwise ``_descend`` minimizes the mean-square curl of
+       e^phi a - e^gamma b.
+
+    Jointly shrinking f and g scales the curl down without changing
+    anything, so every route measures the gauge-fixed residual, that of the
+    representative with mean(phi) = 0, and returns that representative.
+    Non-finite samples of a or b raise ``PreLagError`` before any route.
+    """
+    a1, a2 = _sample_form(a, n, "a")
+    b1, b2 = _sample_form(b, n, "b")
+    k = _wavenumbers(n)
+
+    def residual(phi, gamma):
+        # the descent's gauge-fixed measure
+        rho = _curl(np.exp(phi), np.exp(gamma), a1, a2, b1, b2, k)
+        return math.sqrt(math.exp(-2.0 * float(np.mean(phi))) * float(np.mean(rho * rho)))
+
+    phi = np.zeros((n, n))
+    gamma = np.zeros((n, n))
+    beta = None
+    it = 0
+    history = [residual(phi, gamma)]
+    if history[0] >= tol:
+        found = _constant_beta(a1, a2, b1, b2)
+        if found is None:
+            phi, gamma, history, it = _descend(a, b, n, tol)
+        else:
+            beta, phi, gamma = found
+            history = [residual(phi, gamma)]
     # gauge: joint constant shift, zero-mean phi (leaves the gauge-fixed
-    # objective unchanged)
+    # residual unchanged)
     m = float(np.mean(phi))
     phi = phi - m
     gamma = gamma - m
-    residual = math.sqrt(J)
+    if beta is not None:
+        beta = (math.exp(-m) * beta[0], math.exp(-m) * beta[1])
     return ScalingSolution(
         n=n,
         log_f=phi,
         log_g=gamma,
-        residual=residual,
+        residual=history[-1],
         residual_history=tuple(history),
         iterations=it,
-        success=residual < tol,
+        success=history[-1] < tol,
+        beta=beta,
     )
 
 
