@@ -18,7 +18,7 @@ import numpy as np
 from . import AllabError
 from . import expr as ex
 from .expr import Expr, compile_field, compile_kernel
-from .geom import DifferentialForm, UV, curl_residual, one_form, torus_samples
+from .geom import DifferentialForm, UV, curl_residual, one_form
 
 
 class FoliationError(AllabError):
@@ -34,33 +34,51 @@ class TransversalError(FoliationError):
     exactly the Reeb-carrying situation, so no return map exists."""
 
 
+def _grid_values(e: Expr, t: np.ndarray) -> np.ndarray:
+    """e on the torus grid (t_i, t_j) at its kernel's shape: a column for a
+    field of u alone, a row for one of v alone, a 0-d array for a constant,
+    the full square only for a field of both."""
+    return np.asarray(compile_kernel(e, UV)(t[:, None], t))
+
+
 @dataclass(frozen=True)
 class Foliation2:
+    """The oriented foliation of the direction field (V1, V2) on the torus.
+
+    It is refused unless (V1, V2) is finite and nonzero on the 256 x 256
+    grid, and 1-periodic in u and in v on the 33 x 33 grid of [0, 1]^2.  The
+    checks evaluate each component at its kernel's shape (``_grid_values``),
+    so a constant field costs one value, not a grid; only the first failing
+    point is read off the full grid, as the refusal names it."""
+
     V1: Expr
     V2: Expr
 
     @np.errstate(all="ignore")  # a domain error gives NaN, refused below
     def __post_init__(self):
         n = 256
-        v1, v2 = torus_samples(self.V1, n), torus_samples(self.V2, n)
+        t = np.arange(n) / n
+        v1, v2 = _grid_values(self.V1, t), _grid_values(self.V2, t)
         bad = ~(np.isfinite(v1) & np.isfinite(v2))
         if bad.any():
-            i, j = np.argwhere(bad)[0] / n
+            i, j = np.argwhere(np.broadcast_to(bad, (n, n)))[0] / n
             raise FoliationError(
                 f"direction field is not finite at (u, v) = ({i:.4f}, {j:.4f})"
             )
         norm = np.hypot(v1, v2)
         if norm.min() <= 1e-9:
-            i, j = np.unravel_index(int(np.argmin(norm)), norm.shape)
+            i, j = np.unravel_index(int(np.argmin(np.broadcast_to(norm, (n, n)))), (n, n))
             raise FoliationError(
                 f"direction field vanishes near (u, v) = ({i / n:.4f}, {j / n:.4f})"
             )
         worst = 0.0
         t = np.linspace(0.0, 1.0, 33)
+        u = t[:, None]
         for e in (self.V1, self.V2):
-            fn = compile_field(e, UV)
-            worst = max(worst, float(np.max(np.abs(fn(t, t + 1.0) - fn(t, t)))))
-            worst = max(worst, float(np.max(np.abs(fn(t + 1.0, t) - fn(t, t)))))
+            fn = compile_kernel(e, UV)
+            at = fn(u, t)
+            worst = max(worst, float(np.max(np.abs(fn(u, t + 1.0) - at))))
+            worst = max(worst, float(np.max(np.abs(fn(u + 1.0, t) - at))))
         if worst > 1e-9:
             raise FoliationError(f"field is not 1-periodic (residual {worst:.2e})")
 
@@ -129,7 +147,9 @@ _NOT_FINITE = "the direction field is not finite off its validation grid"
 def _rk4(rhs, x: float, y: np.ndarray, h: float, n: int, out=None) -> np.ndarray:
     """n classical RK4 steps of dy/dx = rhs(x, y) for an array of states y;
     returns the last state, and writes every state to ``out[0..n]`` if given:
-    all of it, or its leading block of shape ``out.shape[1:]``."""
+    all of it, or its leading block of shape ``out.shape[1:]``.  Every stage
+    evaluates rhs at every point: the route of a field that uses y
+    (``_quadrature`` is the route of one that does not)."""
     h2, h6 = 0.5 * h, h / 6.0  # 0.5 * h * k already evaluates as (0.5 * h) * k
     if out is not None:
         keep = tuple(map(slice, out.shape[1:]))
@@ -141,6 +161,30 @@ def _rk4(rhs, x: float, y: np.ndarray, h: float, n: int, out=None) -> np.ndarray
         k4 = rhs(x + h, y + h * k3)
         y = y + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
         x += h
+        if out is not None:
+            out[i + 1] = y[keep]
+    return y
+
+
+def _quadrature(slope, x: float, y: np.ndarray, h: float, n: int, out) -> np.ndarray:
+    """``_rk4`` for a slope of x alone, bit for bit: RK4 is then a quadrature
+    whose n increments all points share.  The slope is evaluated once, on the
+    array of its 2n + 1 stage abscissae, built as ``_rk4`` builds them (x +=
+    h in order, then x + h/2 and x + h, which is the next x); the increments
+    h/6 (k1 + 2 k2 + 2 k3 + k4) are formed in ``_rk4``'s order and added to
+    every point in step order."""
+    h2, h6 = 0.5 * h, h / 6.0
+    xs = np.full(n + 1, h)
+    xs[0] = x
+    np.add.accumulate(xs, out=xs)  # sequential: xs[i + 1] = xs[i] + h
+    k = np.broadcast_to(slope(np.concatenate([xs, xs[:-1] + h2]), 0.0), (2 * n + 1,))
+    k1, k4, k2 = k[:n], k[1 : n + 1], k[n + 1 :]  # k3 = k2: the slope ignores y
+    step = h6 * (k1 + 2 * k2 + 2 * k2 + k4)
+    if out is not None:
+        keep = tuple(map(slice, out.shape[1:]))
+        out[0] = y[keep]
+    for i in range(n):
+        y = y + step[i]
         if out is not None:
             out[i + 1] = y[keep]
     return y
@@ -187,11 +231,24 @@ def integrate_leaf(
 _STRIP_STEPS = 256  # RK4 steps across one fundamental strip
 
 
+def _straight(e: Expr, y: str) -> bool:
+    """Whether the slope e leaves y and ``^`` out, so that ``_quadrature``
+    integrates it with ``_rk4``'s bits: numpy's power of a scalar calls
+    libm's pow and its power of an array a vector loop, which can differ in
+    the last bit, while the rest of a kernel is exact arithmetic or ufuncs,
+    which run one loop for a scalar and an array."""
+    if isinstance(e, ex.Var):
+        return e.name != y
+    if isinstance(e, ex.BinOp):
+        return e.op != "^" and _straight(e.left, y) and _straight(e.right, y)
+    return not isinstance(e, ex.Func) or _straight(e.arg, y)
+
+
 def _strip_flow(F: Foliation2, axis: str):
     """The slope of the leaves over the coordinate across the circles
-    axis = const, as a raw kernel of (x, y), and the sign in which the leaves
-    cross them."""
-    comp = torus_samples(F.V1 if axis == "u" else F.V2, 192)
+    axis = const, as a raw kernel of (x, y); the sign in which the leaves
+    cross them; and whether the slope is straight (``_straight``)."""
+    comp = _grid_values(F.V1 if axis == "u" else F.V2, np.arange(192) / 192)
     if not np.isfinite(comp).all():  # NaN fails every comparison below
         raise FoliationError(_NOT_FINITE)
     if np.min(np.abs(comp)) <= 1e-6 or np.min(comp) * np.max(comp) < 0:
@@ -201,24 +258,29 @@ def _strip_flow(F: Foliation2, axis: str):
         )
     sign = 1 if comp.flat[0] > 0 else -1
     if axis == "u":  # dy/dx along the leaf, x = u
-        return compile_kernel(ex.div(F.V2, F.V1), ("u", "v")), sign
-    return compile_kernel(ex.div(F.V1, F.V2), ("v", "u")), sign  # x = v
+        slope, names = ex.div(F.V2, F.V1), ("u", "v")
+    else:  # x = v
+        slope, names = ex.div(F.V1, F.V2), ("v", "u")
+    return compile_kernel(slope, names), sign, _straight(slope, names[1])
 
 
 def _lifts(flow, x0: float, ts, q: int, out=None) -> np.ndarray:
     """lift^k(ts) for k = 1..q, as a (q, ...) array: the leaves through the
-    points ts of the circle x = x0, integrated across q fundamental strips.
-    With ``out``, a (q * _STRIP_STEPS + 1, ...) array, every RK4 state goes
-    there too (its leading block, as in ``_rk4``): state i lies on the circle
-    x = x0 + sign * i / _STRIP_STEPS.
-    x goes in as a numpy float, so the slope kernel keeps numpy's semantics
-    (a pole gives inf, not ZeroDivisionError) on terms of x alone."""
-    slope, sign = flow
+    points ts of the circle x = x0, integrated across q fundamental strips,
+    by ``_quadrature`` for a straight slope and by ``_rk4`` otherwise, with
+    the same bits.  With ``out``, a (q * _STRIP_STEPS + 1, ...) array, every
+    RK4 state goes there too (its leading block, as in ``_rk4``): state i
+    lies on the circle x = x0 + sign * i / _STRIP_STEPS.
+    x goes in as a numpy float (an array of them for ``_quadrature``), so
+    the slope kernel keeps numpy's semantics (a pole gives inf, not
+    ZeroDivisionError) on terms of x alone."""
+    slope, sign, straight = flow
+    march = _quadrature if straight else _rk4
     lifts = np.empty((q,) + np.shape(ts))
     for k in range(q):
         y = lifts[k - 1] if k else ts
         states = None if out is None else out[k * _STRIP_STEPS : (k + 1) * _STRIP_STEPS + 1]
-        lifts[k] = _rk4(
+        lifts[k] = march(
             slope, np.float64(x0 + sign * k), y, sign / _STRIP_STEPS, _STRIP_STEPS, states
         )
     if not np.isfinite(lifts).all():
@@ -408,7 +470,10 @@ def _axis_leaves(F: Foliation2, axis: str) -> list[CompactLeaf]:
 
     vs = np.arange(17) / 17.0
     xs = np.arange(n_scan) / n_scan
-    prof = np.max(np.abs(at(fn_t, xs[:, None], vs)), axis=1)
+    # the largest |component| on each circle, taken at the kernel's shape:
+    # one value for a component that does not use the coordinate across them
+    prof = np.atleast_1d(at(compile_kernel(e_t, UV), xs[:, None], vs))
+    prof = np.broadcast_to(np.max(np.abs(prof), axis=-1), xs.shape)
     if prof.max() < 1e-8:
         # transverse component vanishes identically: every leaf is an
         # axis-parallel circle
@@ -617,8 +682,10 @@ def reeb_annuli(F: Foliation2, leaves: list[CompactLeaf] | None = None) -> list[
 def _check_transverse_pair(F: Foliation2, G: Foliation2):
     # offset grid: isolated tangency circles (shared compact leaves) should
     # not fail the check, a tangency on a band should.  A pair that fails is
-    # not cached, so it raises from every stage that checks it.
-    f1, f2, g1, g2 = (torus_samples(e, 128, offset=0.382) for e in (F.V1, F.V2, G.V1, G.V2))
+    # not cached, so it raises from every stage that checks it.  Each
+    # component is taken at its kernel's shape, so det is too.
+    t = (np.arange(128) + 0.382) / 128
+    f1, f2, g1, g2 = (_grid_values(e, t) for e in (F.V1, F.V2, G.V1, G.V2))
     det = f1 * g2 - f2 * g1
     worst = float(np.min(np.abs(det)))
     if not worst > 1e-9:  # NaN refuses too

@@ -298,10 +298,10 @@ def fiber_embedding(gluing: Gluing3, z: float = 0.0) -> TorusEmbedding:
     )
 
 
-def torus_samples(e: Expr, n: int, offset: float = 0.0) -> np.ndarray:
-    """Values of e(u, v) on the torus grid ((i + offset)/n, (j + offset)/n),
-    i, j < n, as an n x n array."""
-    t = (np.arange(n) + offset) / n
+def torus_samples(e: Expr, n: int) -> np.ndarray:
+    """Values of e(u, v) on the torus grid (i/n, j/n), i, j < n, as an n x n
+    array."""
+    t = np.arange(n) / n
     return compile_field(e, UV)(t[:, None], t)
 
 

@@ -31,7 +31,7 @@ from allab.foliation import (
     rotation_number,
     winding,
 )
-from allab.geom import UV, one_form
+from allab.geom import UV, one_form, torus_samples
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -49,6 +49,47 @@ def test_foliation_rejects_non_finite_field():
 def test_foliation_rejects_nonperiodic_field():
     with pytest.raises(FoliationError, match="periodic"):
         Foliation2(parse_expr("u + 1"), ex.ONE)
+
+
+def _full_grid_refusal(v1, v2):
+    """The refusal of a field that is not finite or vanishes, read off the
+    full 256 x 256 grid of both components."""
+    n = 256
+    with np.errstate(all="ignore"):
+        a, b = torus_samples(parse_expr(v1), n), torus_samples(parse_expr(v2), n)
+        bad = ~(np.isfinite(a) & np.isfinite(b))
+        if bad.any():
+            i, j = np.argwhere(bad)[0] / n
+            return f"direction field is not finite at (u, v) = ({i:.4f}, {j:.4f})"
+        i, j = np.unravel_index(int(np.argmin(np.hypot(a, b))), (n, n))
+        return f"direction field vanishes near (u, v) = ({i / n:.4f}, {j / n:.4f})"
+
+
+@pytest.mark.parametrize("v1, v2, message", [
+    # a constant, a field of u alone, of v alone, and of both
+    ("log(0-1)", "1", "is not finite at (u, v) = (0.0000, 0.0000)"),
+    ("1/(u - 0.375)", "1", "is not finite at (u, v) = (0.3750, 0.0000)"),
+    ("1", "1/(v - 0.625)", "is not finite at (u, v) = (0.0000, 0.6250)"),
+    ("1/(u + v - 1.375)", "1", "is not finite at (u, v) = (0.3789, 0.9961)"),
+    ("1e-10", "0", "vanishes near (u, v) = (0.0000, 0.0000)"),
+    ("u - 0.375", "0", "vanishes near (u, v) = (0.3750, 0.0000)"),
+    ("0", "v - 0.625", "vanishes near (u, v) = (0.0000, 0.6250)"),
+    ("u - 0.375", "v - 0.625", "vanishes near (u, v) = (0.3750, 0.6250)"),
+])
+def test_foliation_refusals_name_the_first_failing_grid_point(v1, v2, message):
+    # the checks run at each kernel's shape, and name the point the full
+    # grid names
+    with pytest.raises(FoliationError) as err:
+        Foliation2(parse_expr(v1), parse_expr(v2))
+    assert str(err.value) == "direction field " + message == _full_grid_refusal(v1, v2)
+
+
+def test_foliation_checks_periodicity_off_the_diagonal():
+    # 0.1 u sin(pi (u - v)) repeats on the diagonal u = v but not off it:
+    # under u -> u + 1 it moves by 0.1 (2u + 1) sin(pi (u - v)), 0.3 at (1, 1/2)
+    with pytest.raises(FoliationError) as err:
+        Foliation2(parse_expr("1"), parse_expr("2 + 0.1*u*sin(pi*(u - v))"))
+    assert str(err.value) == "field is not 1-periodic (residual 3.00e-01)"
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +227,42 @@ def _textbook_rk4(rhs, x, y, h, n):
     ("1", "0.4"),  # a constant slope: the kernel returns a Python float
     ("-1", "0.3 + 0.1*cos(2*pi*u)"),  # u alone, crossing the strips backward
     _ISOLATED,  # u and v
+    # v alone: straight across the circles v = const, crossed backward, and
+    # a slope that uses y across the circles u = const
+    ("0.3 + 0.1*cos(2*pi*v)", "-1"),
+    # u alone, but a power: numpy's power of a scalar and of an array can
+    # differ in the last bit here, so the slope takes _rk4
+    ("1", "(1.2 + sin(6*pi*u))^2.3"),
 ])
 def test_rk4_matches_the_textbook_on_return_map_slopes(v1, v2):
-    slope, sign = fol._strip_flow(Foliation2(parse_expr(v1), parse_expr(v2)), "u")
-    ts, h = np.arange(33) / 32, sign / fol._STRIP_STEPS
-    out = np.empty((fol._STRIP_STEPS + 1, 33))
-    last = fol._rk4(slope, np.float64(0.25), ts, h, fol._STRIP_STEPS, out)
-    ref = _textbook_rk4(slope, np.float64(0.25), ts, h, fol._STRIP_STEPS)
-    assert out.tobytes() == ref.tobytes() and last.tobytes() == ref[-1].tobytes()
+    # whichever route _lifts takes, every state has the bits of the textbook
+    # RK4, strip after strip, into a full out and into its leading block
+    F = Foliation2(parse_expr(v1), parse_expr(v2))
+    for axis in ("u", "v"):
+        try:
+            slope, sign, straight = fol._strip_flow(F, axis)
+        except TransversalError:
+            continue
+        across = "v" if axis == "u" else "u"  # the coordinate the slope may use
+        assert straight == (across not in v1 + v2 and "^" not in v1 + v2)
+        march = fol._quadrature if straight else fol._rk4
+        ts, h = np.arange(33) / 32, sign / fol._STRIP_STEPS
+        out = np.empty((fol._STRIP_STEPS + 1, 33))
+        last = march(slope, np.float64(0.3), ts, h, fol._STRIP_STEPS, out)
+        ref = _textbook_rk4(slope, np.float64(0.3), ts, h, fol._STRIP_STEPS)
+        assert out.tobytes() == ref.tobytes() and last.tobytes() == ref[-1].tobytes()
+
+        q, m = 3, 3 * fol._STRIP_STEPS + 1
+        strips, y = [], ts
+        for k in range(q):  # each strip starts again from its own circle
+            strips.append(_textbook_rk4(slope, np.float64(0.3 + sign * k), y, h, fol._STRIP_STEPS))
+            y = strips[-1][-1]
+        ref = np.concatenate([strips[0]] + [r[1:] for r in strips[1:]])
+        full, block = np.empty((m, 33)), np.empty((m, 5))
+        lifts = fol._lifts((slope, sign, straight), 0.3, ts, q, full)
+        fol._lifts((slope, sign, straight), 0.3, ts, q, block)
+        assert lifts.tobytes() == ref[:: fol._STRIP_STEPS][1:].tobytes()
+        assert full.tobytes() == ref.tobytes() and block.tobytes() == ref[:, :5].tobytes()
 
 
 @pytest.mark.parametrize("field", [_ISOLATED, ("2 + sin(2*pi*v)", "cos(2*pi*u) + 0.3")])
@@ -566,23 +635,25 @@ def test_periodic_orbits_of_every_period_up_to_8(p, q):
     assert [l.cls for l in leaves] == [(q, p), (q, p)]
 
 
-def _count_rk4(monkeypatch):
+def _count_strips(monkeypatch):
+    # strips integrated by either route: _rk4, or _quadrature for a straight slope
     calls = []
-    rk4 = fol._rk4
-    monkeypatch.setattr(fol, "_rk4", lambda *a: calls.append(1) or rk4(*a))
+    for name in ("_rk4", "_quadrature"):
+        march = getattr(fol, name)
+        monkeypatch.setattr(fol, name, lambda *a, march=march: calls.append(1) or march(*a))
     return calls
 
 
 def test_scan_stops_once_no_period_can_hold_a_leaf(monkeypatch):
     # the first strip puts rho within 1/1024 of 0.618..., where no p/q with
     # q <= 8 lies, so no further strip is integrated
-    calls = _count_rk4(monkeypatch)
+    calls = _count_strips(monkeypatch)
     assert compact_leaves(constant_slope(0.6180339887)) == []
     assert len(calls) == 1
 
 
 def test_scan_stops_at_the_period_of_a_family(monkeypatch):
-    calls = _count_rk4(monkeypatch)
+    calls = _count_strips(monkeypatch)
     leaves = compact_leaves(constant_slope(0.4))
     assert [(l.cls, l.family) for l in leaves] == [((5, 2), True)]
     assert len(calls) == 5

@@ -101,13 +101,13 @@ def test_transversality_is_checked_once_per_pipeline_run(monkeypatch):
     F, G = library.eight_band_pair()
     fol._check_transverse_pair.cache_clear()
     offsets = []
-    samples = fol.torus_samples
+    values = fol._grid_values
 
-    def recorded(e, n, offset=0.0):
-        offsets.append(offset)
-        return samples(e, n, offset)
+    def recorded(e, t):
+        offsets.append(t[0] * len(t))  # the grid (i + offset) / n
+        return values(e, t)
 
-    monkeypatch.setattr(fol, "torus_samples", recorded)
+    monkeypatch.setattr(fol, "_grid_values", recorded)
     rep = pre_lagrangian_certificate(foliations=(F, G))
     assert rep.parallel_verdict == "parallel"  # every stage ran
     assert offsets.count(0.382) == 4
