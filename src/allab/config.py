@@ -126,11 +126,13 @@ def load_config(path: str, analysis: dict[str, str] | None = None) -> RunConfig:
         if raw is None:
             violations.append("model.matrix: required for a suspension model")
         else:
-            parts = raw.replace(",", " ").split()
-            if len(parts) != 4 or not all(p.lstrip("-").isdigit() for p in parts):
+            try:
+                matrix = tuple(int(p) for p in raw.replace(",", " ").split())
+            except ValueError:
+                matrix = ()
+            if len(matrix) != 4:
                 violations.append(f"model.matrix: expected four integers, got {raw!r}")
-            else:
-                matrix = tuple(int(p) for p in parts)
+                matrix = None
     fiber_z = get_float("model", "fiber_z", 0.0)
 
     source = get("foliation", "source")

@@ -3,9 +3,8 @@ evaluation, and compilation to fast numeric callables.
 
 The grammar is infix with the usual precedence, ``^`` right-associative,
 and function-call syntax for the unary functions ``exp``, ``log``, ``sin``,
-``cos``, ``sqrt``, ``neg``.  Recognized variables are ``x y z s u v``;
-every other identifier must be a declared named parameter (``pi`` is
-predefined).  See docs/grammar.md for the EBNF.
+``cos``, ``sqrt``, ``neg``.  Recognized variables are ``x y z s u v``,
+and the one named parameter is ``pi``.  See docs/grammar.md for the EBNF.
 
 Expressions are immutable trees.  The only simplification performed by the
 parser is constant folding of literal-only subtrees, to the value that
@@ -27,7 +26,7 @@ from . import AllabError
 
 VARIABLES = ("x", "y", "z", "s", "u", "v")
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt", "neg")
-DEFAULT_PARAMETERS = frozenset({"pi"})
+PARAMETERS = ("pi",)
 
 class ExprError(AllabError):
     """Base class for expression-layer errors."""
@@ -55,7 +54,7 @@ class UnknownIdentifierError(ParseError):
 class UnboundVariableError(ExprError):
     def __init__(self, name: str):
         self.name = name
-        super().__init__(f"variable {name!r} is not bound in the environment")
+        super().__init__(f"variable {name!r} is not bound")
 
 
 class DomainError(ExprError):
@@ -226,11 +225,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str, parameters: frozenset[str]):
+    def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
-        self.parameters = parameters
 
     def peek(self):
         return self.tokens[self.i]
@@ -302,11 +300,9 @@ class _Parser:
                 arg = self.expr()
                 self.expect_op(")")
                 return _fold_func(val, arg)
-            if val in VARIABLES or val in self.parameters:
+            if val in VARIABLES or val in PARAMETERS:
                 return Var(val)
-            raise UnknownIdentifierError(
-                val, off, set(VARIABLES) | self.parameters | set(FUNCTIONS)
-            )
+            raise UnknownIdentifierError(val, off, VARIABLES + PARAMETERS + FUNCTIONS)
         if kind == "op" and val == "(":
             e = self.expr()
             self.expect_op(")")
@@ -318,14 +314,12 @@ class _Parser:
         )
 
 
-def parse_expr(text: str, parameters: Iterable[str] = DEFAULT_PARAMETERS) -> Expr:
-    """Parse ``text`` into an expression tree.
-
-    ``parameters`` is the set of allowed named parameters besides the fixed
-    coordinate variables; it always includes ``pi``.  Input nested too
-    deeply for the recursive descent is a ParseError too.
+def parse_expr(text: str) -> Expr:
+    """Parse ``text`` into an expression tree over the coordinate variables
+    and ``pi``.  Input nested too deeply for the recursive descent is a
+    ParseError too.
     """
-    parser = _Parser(text, frozenset(parameters) | DEFAULT_PARAMETERS)
+    parser = _Parser(text)
     try:
         return parser.parse()
     except RecursionError:
@@ -561,13 +555,20 @@ def compile_kernel(e: Expr, names: tuple[str, ...]) -> Callable:
     variables the tree uses, or one of its own arguments for a bare
     variable.  So only a caller that broadcasts the result into its own
     arithmetic, and never writes to it, may use it; everyone else calls
-    ``compile_field``.  Equal trees share one kernel.
+    ``compile_field``.  Equal trees share one kernel.  A tree that uses a
+    variable outside ``names`` (``pi`` is a constant) is an
+    UnboundVariableError.
     """
     src = "lambda " + ", ".join(f"_v_{n}" for n in names) + ": " + _codegen(e)
     try:
-        return eval(src, dict(_NAMESPACE))  # noqa: S307 - generated from our own AST
+        fn = eval(src, dict(_NAMESPACE))  # noqa: S307 - generated from our own AST
     except (SyntaxError, RecursionError, MemoryError):
         raise ExprError("expression is nested too deeply to compile") from None
+    # the lambda binds names; any other variable it reads is a global name
+    for name in fn.__code__.co_names:
+        if name.startswith("_v_"):
+            raise UnboundVariableError(name[3:])
+    return fn
 
 
 @functools.lru_cache(maxsize=4096)

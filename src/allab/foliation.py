@@ -18,7 +18,7 @@ import numpy as np
 from . import AllabError
 from . import expr as ex
 from .expr import Expr, compile_field, compile_kernel
-from .geom import DifferentialForm, UV, curl_residual, one_form
+from .geom import DifferentialForm, UV, curl_residual, grid_argmin, one_form, torus_samples
 
 
 class FoliationError(AllabError):
@@ -34,22 +34,15 @@ class TransversalError(FoliationError):
     exactly the Reeb-carrying situation, so no return map exists."""
 
 
-def _grid_values(e: Expr, t: np.ndarray) -> np.ndarray:
-    """e on the torus grid (t_i, t_j) at its kernel's shape: a column for a
-    field of u alone, a row for one of v alone, a 0-d array for a constant,
-    the full square only for a field of both."""
-    return np.asarray(compile_kernel(e, UV)(t[:, None], t))
-
-
 @dataclass(frozen=True)
 class Foliation2:
     """The oriented foliation of the direction field (V1, V2) on the torus.
 
     It is refused unless (V1, V2) is finite and nonzero on the 256 x 256
     grid, and 1-periodic in u and in v on the 33 x 33 grid of [0, 1]^2.  The
-    checks evaluate each component at its kernel's shape (``_grid_values``),
-    so a constant field costs one value, not a grid; only the first failing
-    point is read off the full grid, as the refusal names it."""
+    checks evaluate each component at its kernel's shape (``torus_samples``),
+    so a constant field costs one value, not a grid; a refusal names the
+    first failing point of the full grid (``grid_argmin``)."""
 
     V1: Expr
     V2: Expr
@@ -58,28 +51,26 @@ class Foliation2:
     def __post_init__(self):
         n = 256
         t = np.arange(n) / n
-        v1, v2 = _grid_values(self.V1, t), _grid_values(self.V2, t)
-        bad = ~(np.isfinite(v1) & np.isfinite(v2))
-        if bad.any():
-            i, j = np.argwhere(np.broadcast_to(bad, (n, n)))[0] / n
+        grid = (t[:, None], t)
+        v1, v2 = torus_samples(self.V1, n), torus_samples(self.V2, n)
+        finite = np.isfinite(v1) & np.isfinite(v2)
+        if not finite.all():
+            _, (i, j) = grid_argmin(finite, grid)  # the first False
             raise FoliationError(
                 f"direction field is not finite at (u, v) = ({i:.4f}, {j:.4f})"
             )
-        norm = np.hypot(v1, v2)
-        if norm.min() <= 1e-9:
-            i, j = np.unravel_index(int(np.argmin(np.broadcast_to(norm, (n, n)))), (n, n))
-            raise FoliationError(
-                f"direction field vanishes near (u, v) = ({i / n:.4f}, {j / n:.4f})"
-            )
-        worst = 0.0
+        low, (i, j) = grid_argmin(np.hypot(v1, v2), grid)
+        if low <= 1e-9:
+            raise FoliationError(f"direction field vanishes near (u, v) = ({i:.4f}, {j:.4f})")
         t = np.linspace(0.0, 1.0, 33)
         u = t[:, None]
+        gaps = []
         for e in (self.V1, self.V2):
             fn = compile_kernel(e, UV)
             at = fn(u, t)
-            worst = max(worst, float(np.max(np.abs(fn(u, t + 1.0) - at))))
-            worst = max(worst, float(np.max(np.abs(fn(u + 1.0, t) - at))))
-        if worst > 1e-9:
+            gaps += [np.max(np.abs(fn(u, t + 1.0) - at)), np.max(np.abs(fn(u + 1.0, t) - at))]
+        worst = float(np.max(gaps))
+        if not worst <= 1e-9:  # NaN refuses too
             raise FoliationError(f"field is not 1-periodic (residual {worst:.2e})")
 
     @staticmethod
@@ -248,7 +239,7 @@ def _strip_flow(F: Foliation2, axis: str):
     """The slope of the leaves over the coordinate across the circles
     axis = const, as a raw kernel of (x, y); the sign in which the leaves
     cross them; and whether the slope is straight (``_straight``)."""
-    comp = _grid_values(F.V1 if axis == "u" else F.V2, np.arange(192) / 192)
+    comp = torus_samples(F.V1 if axis == "u" else F.V2, 192)
     if not np.isfinite(comp).all():  # NaN fails every comparison below
         raise FoliationError(_NOT_FINITE)
     if np.min(np.abs(comp)) <= 1e-6 or np.min(comp) * np.max(comp) < 0:
@@ -685,7 +676,7 @@ def _check_transverse_pair(F: Foliation2, G: Foliation2):
     # not cached, so it raises from every stage that checks it.  Each
     # component is taken at its kernel's shape, so det is too.
     t = (np.arange(128) + 0.382) / 128
-    f1, f2, g1, g2 = (_grid_values(e, t) for e in (F.V1, F.V2, G.V1, G.V2))
+    f1, f2, g1, g2 = (compile_kernel(e, UV)(t[:, None], t) for e in (F.V1, F.V2, G.V1, G.V2))
     det = f1 * g2 - f2 * g1
     worst = float(np.min(np.abs(det)))
     if not worst > 1e-9:  # NaN refuses too

@@ -299,10 +299,14 @@ def fiber_embedding(gluing: Gluing3, z: float = 0.0) -> TorusEmbedding:
 
 
 def torus_samples(e: Expr, n: int) -> np.ndarray:
-    """Values of e(u, v) on the torus grid (i/n, j/n), i, j < n, as an n x n
-    array."""
+    """Values of e(u, v) on the torus grid (i/n, j/n), i, j < n, at its
+    kernel's shape: 0-d for a constant, (n, 1) for a field of u alone, (1, n)
+    for one of v alone, n x n for one of both; read-only floats that
+    broadcast to the grid, where ``grid_argmin`` names their points."""
     t = np.arange(n) / n
-    return compile_field(e, UV)(t[:, None], t)
+    out = np.asarray(ex.compile_kernel(e, UV)(t[:, None], t[None, :]), dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 def grid_point(grid: Sequence[np.ndarray], k: int) -> tuple[float, ...]:

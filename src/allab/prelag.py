@@ -101,7 +101,7 @@ def _dv(F: np.ndarray, k: np.ndarray) -> np.ndarray:
 def _sample_form(a: DifferentialForm, n: int, name: str):
     if a.coords != UV or a.degree != 1:
         raise PreLagError("solver inputs must be 1-forms on (u, v)")
-    c1, c2 = torus_samples(a.coeff((0,)), n), torus_samples(a.coeff((1,)), n)
+    c1, c2 = (np.broadcast_to(torus_samples(a.coeff(i), n), (n, n)) for i in ((0,), (1,)))
     bad = ~(np.isfinite(c1) & np.isfinite(c2))
     if bad.any():
         i, j = np.argwhere(bad)[0] / n
@@ -158,6 +158,9 @@ class ScalingSolution:
 # and sin(_BETA_MARGIN) |a| / |a^b| at every sample, not positive by rounding
 _BETA_MARGIN = 0.01
 
+# the residual below which scaling_solve's scalings close f a - g b
+_SCALING_TOL = 1e-6
+
 
 def _constant_beta(a1, a2, b1, b2):
     """A unit covector beta = (c1, c2) whose scalings f = (beta^b)/(a^b) and
@@ -190,7 +193,7 @@ def _constant_beta(a1, a2, b1, b2):
     return (c1, c2), np.log((c1 * b2 - c2 * b1) / D), np.log((c1 * a2 - c2 * a1) / D)
 
 
-def _descend(a: DifferentialForm, b: DifferentialForm, n: int, tol: float):
+def _descend(a: DifferentialForm, b: DifferentialForm, n: int):
     """H^1 descent from f = g = 1 (Neuberger's Sobolev gradient): each step
     follows the adjoint gradient smoothed by the Riesz map, (1 + |k|^2)^-1
     per Fourier mode, with Barzilai-Borwein step lengths measured in the same
@@ -219,7 +222,7 @@ def _descend(a: DifferentialForm, b: DifferentialForm, n: int, tol: float):
     history = [math.sqrt(J)]
     it = 0
     prev = None
-    while history[-1] >= tol and it < 4000:
+    while history[-1] >= _SCALING_TOL and it < 4000:
         it += 1
         d_phi, d_gamma = sobolev(g_phi), sobolev(g_gamma)
         gnorm2 = float(np.sum(g_phi * d_phi) + np.sum(g_gamma * d_gamma))  # <g, Pg>
@@ -256,12 +259,11 @@ def scaling_solve(
     b: DifferentialForm,
     *,
     n: int = 64,
-    tol: float = 1e-6,
 ) -> ScalingSolution:
     """Positive grid scalings f = e^phi, g = e^gamma making f a - g b closed,
     from the first of three routes that applies:
 
-    1. f = g = 1, when d(a - b) is already below ``tol``;
+    1. f = g = 1, when d(a - b) is already below ``_SCALING_TOL``;
     2. one constant 1-form beta (``_constant_beta``), when a^b has one sign
        and the normals of a and b fit in an open half-plane: then
        f = (beta^b)/(a^b) and g = (beta^a)/(a^b) make f a - g b = beta
@@ -288,10 +290,10 @@ def scaling_solve(
     beta = None
     it = 0
     history = [residual(phi, gamma)]
-    if history[0] >= tol:
+    if history[0] >= _SCALING_TOL:
         found = _constant_beta(a1, a2, b1, b2)
         if found is None:
-            phi, gamma, history, it = _descend(a, b, n, tol)
+            phi, gamma, history, it = _descend(a, b, n)
         else:
             beta, phi, gamma = found
             history = [residual(phi, gamma)]
@@ -309,7 +311,7 @@ def scaling_solve(
         residual=history[-1],
         residual_history=tuple(history),
         iterations=it,
-        success=history[-1] < tol,
+        success=history[-1] < _SCALING_TOL,
         beta=beta,
     )
 
@@ -427,8 +429,8 @@ def pre_lagrangian_certificate(
     r_u = substitute(model.r_u, sigma.chart())
     r_s = substitute(model.r_s, sigma.chart())
     try:
-        ext_u = _collar_extension(ex.ONE, r_u)
-        ext_s = _collar_extension(ex.ONE, ex.zneg(r_s))
+        ext_u = _collar_extension(r_u)
+        ext_s = _collar_extension(ex.zneg(r_s))
     except AllabError as e:
         return stop("failed", f"collar extension failed: {e}")
     common.update(extension_u=ext_u, extension_s=ext_s)
@@ -458,16 +460,14 @@ def pre_lagrangian_certificate(
     )
 
 
-def _collar_extension(f: Expr, r: Expr):
-    """Collar extension with plateau constants chosen from grid bounds with
-    a factor-2 headroom."""
+def _collar_extension(r: Expr):
+    """Collar extension of the scaling f = 1, with plateau constants chosen
+    from grid bounds with a factor-2 headroom."""
     delta, eps = 0.2, 0.1
-    f_vals = torus_samples(f, 24)
-    s_vals = 1.0 - torus_samples(r, 24)  # inner-band exponent
-    s_max = float(np.max(np.abs(s_vals)))
-    C = 2.0 * float(f_vals.max()) * math.exp(s_max * eps)
-    c = 0.5 * float(f_vals.min()) * math.exp(-s_max * eps)
-    return extend_scaling(f, r, delta=delta, eps=eps, c=c, C=C)
+    s_max = float(np.max(np.abs(1.0 - torus_samples(r, 24))))  # inner-band exponent
+    C = 2.0 * math.exp(s_max * eps)
+    c = 0.5 * math.exp(-s_max * eps)
+    return extend_scaling(ex.ONE, r, delta=delta, eps=eps, c=c, C=C)
 
 
 # ---------------------------------------------------------------------------

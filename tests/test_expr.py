@@ -47,7 +47,7 @@ def test_pi_default_binding():
 
 def test_unary_minus_and_power():
     # -a^b parses as -(a^b); (-a)^b needs parentheses
-    e = parse_expr("-2^2", parameters=())
+    e = parse_expr("-2^2")
     assert evaluate(e, {}) == -4.0
     e2 = parse_expr("(-2)^2")
     assert evaluate(e2, {}) == 4.0
@@ -248,6 +248,14 @@ def test_compile_kernel_returns_only_what_the_tree_uses():
         assert np.array_equal(np.broadcast_to(compile_kernel(e, ("u", "v"))(u, v), (3, 4)), want)
     assert compile_kernel(parse_expr("u*v"), ("u", "v")) is compile_kernel(
         parse_expr("u*v"), ("u", "v"))
+
+
+@pytest.mark.parametrize("text, name", [("z", "z"), ("sin(2*pi*u) + x*v", "x")])
+def test_compile_kernel_refuses_a_variable_it_does_not_bind(text, name):
+    for compile_ in (compile_kernel, compile_field):
+        with pytest.raises(ex.UnboundVariableError, match=f"variable '{name}' is not bound"):
+            compile_(parse_expr(text), ("u", "v"))
+    assert compile_kernel(parse_expr(text), ("u", "v", "x", "z"))  # pi is a constant
 
 
 @pytest.mark.parametrize("text", ["1e400*u", "u - 1e400", "u + 1e400*0"])

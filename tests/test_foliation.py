@@ -31,7 +31,7 @@ from allab.foliation import (
     rotation_number,
     winding,
 )
-from allab.geom import UV, one_form, torus_samples
+from allab.geom import UV, one_form
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -55,8 +55,9 @@ def _full_grid_refusal(v1, v2):
     """The refusal of a field that is not finite or vanishes, read off the
     full 256 x 256 grid of both components."""
     n = 256
+    t = np.arange(n) / n
     with np.errstate(all="ignore"):
-        a, b = torus_samples(parse_expr(v1), n), torus_samples(parse_expr(v2), n)
+        a, b = (ex.compile_field(parse_expr(e), UV)(t[:, None], t) for e in (v1, v2))
         bad = ~(np.isfinite(a) & np.isfinite(b))
         if bad.any():
             i, j = np.argwhere(bad)[0] / n
@@ -90,6 +91,13 @@ def test_foliation_checks_periodicity_off_the_diagonal():
     with pytest.raises(FoliationError) as err:
         Foliation2(parse_expr("1"), parse_expr("2 + 0.1*u*sin(pi*(u - v))"))
     assert str(err.value) == "field is not 1-periodic (residual 3.00e-01)"
+
+
+def test_foliation_refuses_a_field_not_finite_at_the_shifted_points():
+    # finite on [0, 1]^2, but sqrt(1.5 - u) is NaN at u + 1 > 1.5
+    with pytest.raises(FoliationError) as err:
+        Foliation2(parse_expr("1 + 0*sqrt(1.5 - u)"), parse_expr("0.4"))
+    assert str(err.value) == "field is not 1-periodic (residual nan)"
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ def planted_solution():
     a = one_form(UV, ex.ZERO, parse_expr("exp(0.3*sin(2*pi*u))"))
     b = one_form(UV, ex.ONE, ex.ZERO)
     t0 = time.monotonic()
-    sol = scaling_solve(a, b, n=64, tol=1e-6)
+    sol = scaling_solve(a, b, n=64)
     sol_time = time.monotonic() - t0
     return sol, sol_time
 
@@ -62,7 +62,7 @@ def _no_beta_pair():
 
 @pytest.fixture(scope="module")
 def descent_solution():
-    return scaling_solve(*_no_beta_pair(), n=16, tol=1e-6)
+    return scaling_solve(*_no_beta_pair(), n=16)
 
 
 # ---------------------------------------------------------------------------
@@ -101,13 +101,19 @@ def test_transversality_is_checked_once_per_pipeline_run(monkeypatch):
     F, G = library.eight_band_pair()
     fol._check_transverse_pair.cache_clear()
     offsets = []
-    values = fol._grid_values
+    kernel = fol.compile_kernel
 
-    def recorded(e, t):
-        offsets.append(t[0] * len(t))  # the grid (i + offset) / n
-        return values(e, t)
+    def recorded(e, names):
+        fn = kernel(e, names)
 
-    monkeypatch.setattr(fol, "_grid_values", recorded)
+        def call(*args):
+            u = np.ravel(args[0])
+            offsets.append(u[0] * u.size)  # the grid (i + offset) / n
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(fol, "compile_kernel", recorded)
     rep = pre_lagrangian_certificate(foliations=(F, G))
     assert rep.parallel_verdict == "parallel"  # every stage ran
     assert offsets.count(0.382) == 4
@@ -184,7 +190,7 @@ def test_scaling_solve_iterations_flat_in_n():
     a = one_form(UV, ex.ZERO, parse_expr("exp(0.3*sin(2*pi*u))"))
     b = one_form(UV, ex.ONE, ex.ZERO)
     for n in (32, 64, 128):
-        sol = scaling_solve(a, b, n=n, tol=1e-6)
+        sol = scaling_solve(a, b, n=n)
         _assert_closed_by_beta(sol, a, b, n)
         _assert_recovers_the_1d_planted_scalings(sol, n)
 
@@ -195,7 +201,7 @@ def test_scaling_solve_iterations_on_the_2d_planted_problem():
     a = one_form(UV, ex.ZERO, parse_expr("exp(0.3*sin(2*pi*u)*cos(2*pi*v))"))
     b = one_form(UV, ex.ONE, ex.ZERO)
     for n in (16, 32, 64):
-        _assert_closed_by_beta(scaling_solve(a, b, n=n, tol=1e-6), a, b, n)
+        _assert_closed_by_beta(scaling_solve(a, b, n=n), a, b, n)
 
 
 def test_scaling_solve_descends_when_no_constant_beta_exists(descent_solution):
@@ -266,6 +272,10 @@ def test_certificate_cat_fiber(cat):
     assert rep.extension_u.margin > 0 and rep.extension_s.margin > 0
     assert rep.final_residual < 1e-9
     assert rep.final_al.verdict == "anosov_liouville"
+    # the fiber restriction is constant, so it is its own target: the
+    # pair is left as it is, and f_0 is exactly 0
+    assert rep.c1_distance == 0.0 and rep.pair == cat.standard_pair(rep.scale_C)
+    assert rep.final_al.f_zero.min == rep.final_al.f_zero.max == 0.0
     # the product of the two expansion densities is scale invariant
     product = rep.final_al.f_plus.min * rep.final_al.f_minus.min
     assert product == pytest.approx(4.0, rel=5e-2)

@@ -52,6 +52,15 @@ def test_config_reports_all_violations(tmp_path):
     assert "unknown section [mystery]" in text
 
 
+@pytest.mark.parametrize("raw", ["--2 1 1 1", "2 1 1 \u00b9", "2 1 1", "2 1 1 1 0", "2 1 1 1.0"])
+def test_config_refuses_a_matrix_of_other_than_four_integers(tmp_path, raw):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"[model]\ntype = suspension\nmatrix = {raw}\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        load_config(str(bad))
+    assert f"model.matrix: expected four integers, got {raw!r}" in str(err.value)
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[analysis]\ngrid = 8\nspeed = fast\n")
@@ -314,8 +323,11 @@ def test_main_out_on_a_file_is_tool_error(tmp_path, capsys):
         # finite on the 256 validation grid only
         "[foliation]\nsource = field\nv1 = 1 + 0*sqrt(cos(512*pi*u) - 0.5)\nv2 = 0.3\n"
         "partner_v1 = 0.2\npartner_v2 = 1\n",
+        "[foliation]\nsource = field\nv1 = z\nv2 = 1\n",
+        "[foliation]\nsource = field\nv1 = 1\nv2 = x\n",
     ],
-    ids=["degenerate-matrix", "vanishing-field", "non-periodic-field", "nan-off-grid"],
+    ids=["degenerate-matrix", "vanishing-field", "non-periodic-field", "nan-off-grid",
+         "unbound-v1", "unbound-v2"],
 )
 def test_main_reports_input_errors_in_one_line(tmp_path, capsys, recwarn, text):
     path = tmp_path / "bad.cfg"

@@ -14,6 +14,9 @@ Left out are calls through a module bound by ``import`` from outside allab,
 such as ``np.linspace`` or ``jsonschema.validate``.  ``dataclasses.replace``
 sets the fields it names by keyword; its ``**`` argument names no class and
 sets nothing here.  Lambdas are not scanned.
+
+A value that every call setting it sets to a literal equal to its own
+literal default has one value in use too, and the second test lists those.
 """
 
 import ast
@@ -42,16 +45,37 @@ def _is_dataclass(cls):
     )
 
 
-def _has_default(value):
+def _default(value):
+    """The default node of a dataclass field's value, or None for none; a
+    ``default_factory`` is a non-literal default."""
     if isinstance(value, ast.Call) and _name(value.func) == "field":
-        return any(k.arg in ("default", "default_factory") for k in value.keywords)
-    return value is not None
+        return next(
+            (k.value for k in value.keywords if k.arg in ("default", "default_factory")), None
+        )
+    return value
+
+
+_NOT_LITERAL = object()
+
+
+def _literal(node):
+    """The value of a literal node (numbers, strings, tuples, ``-1``), or
+    _NOT_LITERAL for anything else, such as a name, a call or None."""
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return _NOT_LITERAL
+
+
+def _same_literal(a, b):
+    return a is not _NOT_LITERAL and type(a) is type(b) and a == b
 
 
 def _settable(tree, module):
-    """(dotted name, callee, positional index or None, is a dataclass field)
-    for every parameter and dataclass field with a default; a value reached
-    through two callees (a class and its ``__init__``) appears once for each."""
+    """(dotted name, callee, positional index or None, is a dataclass field,
+    default node) for every parameter and dataclass field with a default; a
+    value reached through two callees (a class and its ``__init__``) appears
+    once for each."""
     out = []
 
     def visit(node, owner, in_class):
@@ -67,14 +91,17 @@ def _settable(tree, module):
                     callees.append(owner.rsplit(".", 1)[-1])
                 with_default = positional[len(positional) - len(args.defaults):]
                 first = len(positional) - len(with_default)
-                values = [(a.arg, first + i - bound) for i, a in enumerate(with_default)]
+                values = [
+                    (a.arg, first + i - bound, d)
+                    for i, (a, d) in enumerate(zip(with_default, args.defaults))
+                ]
                 values += [
-                    (a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                    (a.arg, None, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)
                     if d is not None
                 ]
                 out.extend(
-                    (f"{qual}.{name}", c, index, False)
-                    for name, index in values for c in callees
+                    (f"{qual}.{name}", c, index, False, d)
+                    for name, index, d in values for c in callees
                 )
                 visit(child, qual, False)
             elif isinstance(child, ast.ClassDef):
@@ -85,8 +112,8 @@ def _settable(tree, module):
                         if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
                     ]
                     out.extend(
-                        (f"{qual}.{s.target.id}", child.name, i, True)
-                        for i, s in enumerate(fields) if _has_default(s.value)
+                        (f"{qual}.{s.target.id}", child.name, i, True, _default(s.value))
+                        for i, s in enumerate(fields) if _default(s.value) is not None
                     )
                 visit(child, qual, True)
 
@@ -110,7 +137,9 @@ def _root(node):
 
 
 def _calls():
-    """callee name -> list of (positional count, keywords, has ** argument)."""
+    """callee name -> list of (positional argument nodes, keyword argument
+    nodes by name, has ** argument); a ``*`` argument stands for every
+    position from its own on."""
     calls = {}
     for d in CALL_DIRS:
         for path in sorted((ROOT / d).rglob("*.py")):
@@ -120,31 +149,67 @@ def _calls():
                 callee = _name(node.func) if isinstance(node, ast.Call) else None
                 if callee is None or _root(node.func) in foreign:
                     continue
-                starred = any(isinstance(a, ast.Starred) for a in node.args)
-                keywords = {k.arg for k in node.keywords if k.arg is not None}
+                keywords = {k.arg: k.value for k in node.keywords if k.arg is not None}
                 double = any(k.arg is None for k in node.keywords)
                 if callee == "replace":
-                    calls.setdefault("<replace>", []).append((0, keywords, False))
-                positional = float("inf") if starred else len(node.args)
-                calls.setdefault(callee, []).append((positional, keywords, double))
+                    calls.setdefault("<replace>", []).append(((), keywords, False))
+                calls.setdefault(callee, []).append((node.args, keywords, double))
     return calls
 
 
-def unset_values():
-    """Dotted names ("module.Owner.name") of the values no call sets."""
+def _setters(calls, callee, name, index):
+    """The literal value each call of ``callee`` sets the value to, or
+    _NOT_LITERAL where it sets it some other way."""
+    for args, keywords, double in calls.get(callee, ()):
+        if name in keywords:
+            yield _literal(keywords[name])
+        elif index is not None and any(
+            isinstance(a, ast.Starred) for a in args[: index + 1]
+        ):
+            yield _NOT_LITERAL
+        elif index is not None and index < len(args):
+            yield _literal(args[index])
+        elif double:
+            yield _NOT_LITERAL
+
+
+def _scan():
+    """dotted name ("module.Owner.name") -> (literal default or
+    _NOT_LITERAL, the values the calls that set it pass)."""
     calls = _calls()
     by_value = {}
     for path in sorted((ROOT / "src" / "allab").glob("*.py")):
-        for key, callee, index, is_field in _settable(_parse(path), path.stem):
+        for key, callee, index, is_field, default in _settable(_parse(path), path.stem):
             name = key.rsplit(".", 1)[1]
-            hit = any(
-                name in keywords or double or (index is not None and index < positional)
-                for positional, keywords, double in calls.get(callee, ())
-            ) or is_field and any(name in kw for _, kw, _ in calls.get("<replace>", ()))
-            by_value[key] = by_value.get(key, False) or hit
-    return sorted(k for k, hit in by_value.items() if not hit)
+            passed = list(_setters(calls, callee, name, index))
+            if is_field:
+                passed += [_literal(kw[name]) for _, kw, _ in calls.get("<replace>", ())
+                           if name in kw]
+            by_value.setdefault(key, (_literal(default), []))[1].extend(passed)
+    return by_value
+
+
+def unset_values():
+    """Dotted names of the values no call sets."""
+    return sorted(k for k, (_, passed) in _scan().items() if not passed)
+
+
+def default_only_values():
+    """Dotted names of the values that every call setting them sets to a
+    literal equal to their own literal default."""
+    return sorted(
+        k for k, (default, passed) in _scan().items()
+        if passed and all(_same_literal(p, default) for p in passed)
+    )
 
 
 def test_every_default_is_set_by_some_call():
     unset = unset_values()
     assert unset == [], "no call sets these; make them constants:\n" + "\n".join(unset)
+
+
+def test_some_call_sets_every_default_to_another_value():
+    same = default_only_values()
+    assert same == [], (
+        "every call sets these to their default; make them constants:\n" + "\n".join(same)
+    )
