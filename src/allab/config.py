@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass
 
 from . import AllabError
-from .expr import Expr, ExprError, parse_expr
+from .expr import Expr, ExprError, UnboundVariableError, compile_kernel, parse_expr
+from .geom import UV
 from .library import BUILTINS
 
 
@@ -29,6 +30,14 @@ _SECTIONS = {
     "analysis": {"grid", "scale_c", "tolerance"},
     "output": {"report", "svg"},
 }
+
+
+def _numerals(raw: str) -> str:
+    """raw, if it holds ASCII numerals only as written: Python's int and
+    float also take '_' between digits and any Unicode decimal digit."""
+    if not raw.isascii() or "_" in raw:
+        raise ValueError(raw)
+    return raw
 
 
 @dataclass(frozen=True)
@@ -82,7 +91,7 @@ def load_config(path: str, analysis: dict[str, str] | None = None) -> RunConfig:
         if raw is None:
             return default
         try:
-            v = float(raw)
+            v = float(_numerals(raw))
         except ValueError:
             violations.append(f"{section}.{key}: not a number: {raw!r}")
             return default
@@ -98,7 +107,7 @@ def load_config(path: str, analysis: dict[str, str] | None = None) -> RunConfig:
         if raw is None:
             return default
         try:
-            v = int(raw)
+            v = int(_numerals(raw))
         except ValueError:
             violations.append(f"{section}.{key}: not an integer: {raw!r}")
             return default
@@ -111,10 +120,18 @@ def load_config(path: str, analysis: dict[str, str] | None = None) -> RunConfig:
         if raw is None:
             return None
         try:
-            return parse_expr(raw)
-        except ExprError as e:
-            violations.append(f"{section}.{key}: does not parse: {e}")
+            e = parse_expr(raw)
+        except ExprError as err:
+            violations.append(f"{section}.{key}: does not parse: {err}")
             return None
+        try:  # cached: the Foliation2 built from e does not compile it again
+            compile_kernel(e, UV)
+        except UnboundVariableError as err:
+            violations.append(f"{section}.{key}: {err}; fields use u and v")
+            return None
+        except ExprError:
+            pass  # too deep to compile: refused where the field is used
+        return e
 
     model_type = get("model", "type", "none") if parser.has_section("model") else "none"
     if model_type not in ("none", "suspension"):
@@ -127,7 +144,7 @@ def load_config(path: str, analysis: dict[str, str] | None = None) -> RunConfig:
             violations.append("model.matrix: required for a suspension model")
         else:
             try:
-                matrix = tuple(int(p) for p in raw.replace(",", " ").split())
+                matrix = tuple(int(p) for p in _numerals(raw).replace(",", " ").split())
             except ValueError:
                 matrix = ()
             if len(matrix) != 4:
@@ -158,7 +175,7 @@ def load_config(path: str, analysis: dict[str, str] | None = None) -> RunConfig:
         violations.append("foliation.v1/v2: required when source = field")
     partner_v1 = get_expr("foliation", "partner_v1")
     partner_v2 = get_expr("foliation", "partner_v2")
-    if (partner_v1 is None) != (partner_v2 is None):
+    if (get("foliation", "partner_v1") is None) != (get("foliation", "partner_v2") is None):
         violations.append("foliation.partner_v1/partner_v2: declare both or neither")
     if source == "model" and model_type == "none":
         violations.append("foliation.source: 'model' needs a [model] section")

@@ -9,6 +9,7 @@ the solver: it takes f = g = 1 when d(a - b) vanishes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,18 +84,19 @@ def obstruction_test(F_ws: Foliation2, F_wu: Foliation2) -> ObstructionResult:
 # grid solver for the closedness objective
 
 def _wavenumbers(n: int) -> np.ndarray:
-    k = np.fft.fftfreq(n, 1.0 / n)
+    """Angular wavenumbers of the n // 2 + 1 modes ``rfft`` keeps."""
+    k = np.fft.rfftfreq(n, 1.0 / n)
     if n % 2 == 0:
-        k[n // 2] = 0.0  # drop the unsigned Nyquist mode from derivatives
+        k[-1] = 0.0  # drop the unsigned Nyquist mode from derivatives
     return 2.0 * np.pi * k
 
 
 def _du(F: np.ndarray, k: np.ndarray) -> np.ndarray:
-    return np.real(np.fft.ifft(1j * k[:, None] * np.fft.fft(F, axis=0), axis=0))
+    return np.fft.irfft(1j * k[:, None] * np.fft.rfft(F, axis=0), F.shape[0], axis=0)
 
 
 def _dv(F: np.ndarray, k: np.ndarray) -> np.ndarray:
-    return np.real(np.fft.ifft(1j * k[None, :] * np.fft.fft(F, axis=1), axis=1))
+    return np.fft.irfft(1j * k[None, :] * np.fft.rfft(F, axis=1), F.shape[1], axis=1)
 
 
 @np.errstate(all="ignore")  # a domain error gives NaN, refused below
@@ -209,9 +211,10 @@ def _descend(a: DifferentialForm, b: DifferentialForm, n: int):
         return J, s * gp - (2.0 * J / phi.size), s * gg
 
     # the H^1 Riesz map P: (1 + |k|^2)^-1 on each mode of rfft2's half
-    # spectrum; it leaves the mean, and so the gauge term, alone
-    k = _wavenumbers(n)
-    riesz = 1.0 / (1.0 + k[:, None] ** 2 + k[None, : n // 2 + 1] ** 2)
+    # spectrum, whose first axis is full: |k| of its row i is that of mode
+    # min(i, n - i).  It leaves the mean, and so the gauge term, alone
+    k, i = _wavenumbers(n), np.arange(n)
+    riesz = 1.0 / (1.0 + k[np.minimum(i, n - i), None] ** 2 + k[None, :] ** 2)
 
     def sobolev(g):
         return np.fft.irfft2(riesz * np.fft.rfft2(g), s=g.shape)
@@ -460,9 +463,16 @@ def pre_lagrangian_certificate(
     )
 
 
-def _collar_extension(r: Expr):
+@functools.lru_cache(maxsize=2)  # the two rates of one model
+def _collar_extension(r: Expr) -> ScalingExtension:
     """Collar extension of the scaling f = 1, with plateau constants chosen
-    from grid bounds with a factor-2 headroom."""
+    from grid bounds with a factor-2 headroom.
+
+    Memoized per rate: the extension depends on r alone, and a suspension
+    model's two rates are both 1 at every fiber, so one build serves both
+    extensions of every certificate.  A ``ScalingExtension`` is frozen (its
+    margin is computed once), so sharing it is safe; a refused rate is not
+    cached and raises on every call."""
     delta, eps = 0.2, 0.1
     s_max = float(np.max(np.abs(1.0 - torus_samples(r, 24))))  # inner-band exponent
     C = 2.0 * math.exp(s_max * eps)

@@ -52,7 +52,8 @@ def test_config_reports_all_violations(tmp_path):
     assert "unknown section [mystery]" in text
 
 
-@pytest.mark.parametrize("raw", ["--2 1 1 1", "2 1 1 \u00b9", "2 1 1", "2 1 1 1 0", "2 1 1 1.0"])
+@pytest.mark.parametrize("raw", ["--2 1 1 1", "2 1 1 \u00b9", "2 1 1", "2 1 1 1 0", "2 1 1 1.0",
+                                 "2 1 1 1_0", "2 1 1 \u0661"])
 def test_config_refuses_a_matrix_of_other_than_four_integers(tmp_path, raw):
     bad = tmp_path / "bad.cfg"
     bad.write_text(f"[model]\ntype = suspension\nmatrix = {raw}\n", encoding="utf-8")
@@ -103,6 +104,25 @@ def test_config_rejects_non_finite_numbers(tmp_path, value):
     bad.write_text(f"[analysis]\ntolerance = {value}\n")
     with pytest.raises(ConfigError, match="analysis.tolerance: not a finite number"):
         load_config(str(bad))
+
+
+@pytest.mark.parametrize(
+    "key, raw, message",
+    [
+        ("grid", "1_2", "not an integer"),
+        ("grid", "\u0661\u0662", "not an integer"),
+        ("scale_c", "1_0.0", "not a number"),
+        ("scale_c", "\u0661\u0660", "not a number"),
+        ("tolerance", "1e-0_6", "not a number"),
+    ],
+)
+def test_config_numbers_are_ascii_numerals(tmp_path, key, raw, message):
+    # Python's int and float take both, as 12, 10.0 and 1e-06
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"[analysis]\n{key} = {raw}\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        load_config(str(bad))
+    assert err.value.violations == (f"analysis.{key}: {message}: {raw!r}",)
 
 
 def test_docs_list_exactly_the_keys_the_config_accepts():
@@ -323,11 +343,8 @@ def test_main_out_on_a_file_is_tool_error(tmp_path, capsys):
         # finite on the 256 validation grid only
         "[foliation]\nsource = field\nv1 = 1 + 0*sqrt(cos(512*pi*u) - 0.5)\nv2 = 0.3\n"
         "partner_v1 = 0.2\npartner_v2 = 1\n",
-        "[foliation]\nsource = field\nv1 = z\nv2 = 1\n",
-        "[foliation]\nsource = field\nv1 = 1\nv2 = x\n",
     ],
-    ids=["degenerate-matrix", "vanishing-field", "non-periodic-field", "nan-off-grid",
-         "unbound-v1", "unbound-v2"],
+    ids=["degenerate-matrix", "vanishing-field", "non-periodic-field", "nan-off-grid"],
 )
 def test_main_reports_input_errors_in_one_line(tmp_path, capsys, recwarn, text):
     path = tmp_path / "bad.cfg"
@@ -339,6 +356,29 @@ def test_main_reports_input_errors_in_one_line(tmp_path, capsys, recwarn, text):
         assert "Traceback" not in err
     # numpy's warnings go to stderr outside capsys, ahead of the one line
     assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+
+
+@pytest.mark.parametrize(
+    "fields, key, name",
+    [
+        ("v1 = z\nv2 = 1\n", "v1", "z"),
+        ("v1 = 1\nv2 = x\n", "v2", "x"),
+        ("v1 = 1\nv2 = 0.3\npartner_v1 = z\npartner_v2 = 1\n", "partner_v1", "z"),
+        ("v1 = 1\nv2 = 0.3\npartner_v1 = 0.2\npartner_v2 = sin(s)\n", "partner_v2", "s"),
+    ],
+    ids=["unbound-v1", "unbound-v2", "unbound-partner-v1", "unbound-partner-v2"],
+)
+def test_main_names_the_key_of_an_unbound_field_variable(tmp_path, capsys, fields, key, name):
+    path = tmp_path / "bad.cfg"
+    path.write_text("[foliation]\nsource = field\n" + fields + "[analysis]\ngrid = 0\n")
+    for command in ("all", "pre-lagrangian"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        # with the file's other violations
+        assert capsys.readouterr().err == (
+            "allab: invalid configuration:\n"
+            f"  - foliation.{key}: variable {name!r} is not bound; fields use u and v\n"
+            "  - analysis.grid: must be positive, got 0\n"
+        )
 
 
 def test_main_rejects_bad_override(tmp_path, capsys):
@@ -373,6 +413,7 @@ def test_config_digest_covers_the_overrides(tmp_path):
     "flag, value, message",
     [
         ("--grid", "abc", "analysis.grid: not an integer: 'abc'"),
+        ("--grid", "1_2", "analysis.grid: not an integer: '1_2'"),
         ("--scale-C", "0", "analysis.scale_c: must be positive, got 0.0"),
         ("--tolerance", "1e-6%", "analysis.tolerance: not a number: '1e-6%'"),
     ],
