@@ -28,7 +28,7 @@ from .geom import (
     restrict,
 )
 from .contact import FormPair, al_check
-from .foliation import Foliation2, _check_transverse_pair
+from .foliation import Foliation2, FoliationError, _check_transverse_pair
 
 
 class ModelError(AllabError):
@@ -174,7 +174,7 @@ def weak_foliations_on_torus(
     F_wu = Foliation2.from_form(restrict(m.alpha_s, sigma))
     try:
         _check_transverse_pair(F_ws, F_wu)
-    except Exception as e:
+    except FoliationError as e:
         raise ModelError(f"induced foliations are not transverse: {e}") from e
     return F_ws, F_wu
 

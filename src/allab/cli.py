@@ -21,7 +21,7 @@ from .anosov import FlowModel, suspension_model, weak_foliations_on_torus
 from .config import RunConfig, load_config
 from .contact import al_check
 from .foliation import Foliation2, compact_leaves, reeb_annuli, winding
-from .prelag import pre_lagrangian_certificate
+from .prelag import AL_GRID, pre_lagrangian_certificate
 from .render import render_foliation
 
 COMMANDS = ("check-pair", "foliation", "pre-lagrangian", "render", "all")
@@ -127,7 +127,7 @@ def run(cfg: RunConfig, command: str, out_dir: str) -> tuple[int, dict]:
             raise ToolError("check-pair needs a suspension model in the config")
 
         def check_pair():
-            rep = al_check(model.standard_pair(), n=cfg.grid)
+            rep = al_check(model.standard_pair(), n=AL_GRID)
             return {"al": rep.to_dict()}, rep.verdict == "anosov_liouville"
 
         stage("check-pair", check_pair)
@@ -155,13 +155,7 @@ def run(cfg: RunConfig, command: str, out_dir: str) -> tuple[int, dict]:
 
         def prelag():
             if model is not None:
-                rep = pre_lagrangian_certificate(
-                    model,
-                    model.fiber(cfg.fiber_z),
-                    scale_C=cfg.scale_c,
-                    grid_n=cfg.grid,
-                    tol=cfg.tolerance,
-                )
+                rep = pre_lagrangian_certificate(model, model.fiber(cfg.fiber_z))
                 ok = rep.outcome == "certificate"
             else:
                 if G is None:
@@ -170,11 +164,7 @@ def run(cfg: RunConfig, command: str, out_dir: str) -> tuple[int, dict]:
                     raise ToolError(
                         "pre-lagrangian on foliation data needs a partner foliation"
                     )
-                rep = pre_lagrangian_certificate(
-                    foliations=(F, G),
-                    scale_C=cfg.scale_c,
-                    tol=cfg.tolerance,
-                )
+                rep = pre_lagrangian_certificate(foliations=(F, G))
                 ok = (
                     rep.outcome == "not_attempted"
                     and rep.obstruction is not None
@@ -224,18 +214,10 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default="out")
-    parser.add_argument("--grid")
-    parser.add_argument("--scale-C", dest="scale_c")
-    parser.add_argument("--tolerance")
 
     try:
         args = parser.parse_args(argv)
-        # a flag replaces the [analysis] key it is named after, and is
-        # checked as that key
-        analysis = {
-            k: v for k in ("grid", "scale_c", "tolerance") if (v := getattr(args, k)) is not None
-        }
-        cfg = load_config(args.config, analysis)
+        cfg = load_config(args.config)
         code, report = run(cfg, args.command, args.out)
     except (AllabError, OSError) as e:
         print(f"allab: {e}", file=sys.stderr)

@@ -1,6 +1,6 @@
 """Run configuration: a small INI-style file describing a model, foliation
-data, analysis parameters, and output names.  Validation reports every
-violation at once instead of stopping at the first.
+data and output names.  Validation reports every violation at once instead of
+stopping at the first.
 """
 
 from __future__ import annotations
@@ -8,6 +8,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
+import os
 from dataclasses import dataclass
 
 from . import AllabError
@@ -27,7 +28,6 @@ class ConfigError(AllabError):
 _SECTIONS = {
     "model": {"type", "matrix", "fiber_z"},
     "foliation": {"source", "builtin", "v1", "v2", "partner_v1", "partner_v2"},
-    "analysis": {"grid", "scale_c", "tolerance"},
     "output": {"report", "svg"},
 }
 
@@ -51,17 +51,12 @@ class RunConfig:
     v2: Expr | None
     partner_v1: Expr | None
     partner_v2: Expr | None
-    grid: int
-    scale_c: float
-    tolerance: float
     report_name: str
     svg_name: str
 
 
-def load_config(path: str, analysis: dict[str, str] | None = None) -> RunConfig:
-    """Read and check the file at path.  ``analysis`` holds ``[analysis]``
-    values, such as the command line's flags, that replace the file's before
-    the check, so they are checked and reported as the keys they replace."""
+def load_config(path: str) -> RunConfig:
+    """Read and check the file at path."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     parser = configparser.ConfigParser(interpolation=None)
@@ -70,8 +65,6 @@ def load_config(path: str, analysis: dict[str, str] | None = None) -> RunConfig:
         parser.read_string(text, source=path)
     except configparser.Error as e:
         raise ConfigError([f"parse error: {e}"]) from e
-    if analysis:
-        parser.read_dict({"analysis": analysis})
 
     for section in parser.sections():
         if section not in _SECTIONS:
@@ -86,7 +79,7 @@ def load_config(path: str, analysis: dict[str, str] | None = None) -> RunConfig:
             return parser.get(section, key).strip()
         return default
 
-    def get_float(section, key, default, positive=False):
+    def get_float(section, key, default):
         raw = get(section, key)
         if raw is None:
             return default
@@ -98,22 +91,15 @@ def load_config(path: str, analysis: dict[str, str] | None = None) -> RunConfig:
         if not math.isfinite(v):
             violations.append(f"{section}.{key}: not a finite number: {raw!r}")
             return default
-        if positive and v <= 0:
-            violations.append(f"{section}.{key}: must be positive, got {v}")
         return v
 
-    def get_int(section, key, default):  # a positive integer
-        raw = get(section, key)
-        if raw is None:
-            return default
-        try:
-            v = int(_numerals(raw))
-        except ValueError:
-            violations.append(f"{section}.{key}: not an integer: {raw!r}")
-            return default
-        if v <= 0:
-            violations.append(f"{section}.{key}: must be positive, got {v}")
-        return v
+    def get_name(key, default):  # a file name in the output directory
+        name = get("output", key, default)
+        if name in ("", ".", "..") or os.path.basename(name) != name:
+            violations.append(
+                f"output.{key}: must be a file name in the output directory, got {name!r}"
+            )
+        return name
 
     def get_expr(section, key):
         raw = get(section, key)
@@ -129,8 +115,9 @@ def load_config(path: str, analysis: dict[str, str] | None = None) -> RunConfig:
         except UnboundVariableError as err:
             violations.append(f"{section}.{key}: {err}; fields use u and v")
             return None
-        except ExprError:
-            pass  # too deep to compile: refused where the field is used
+        except ExprError as err:  # too deep to compile
+            violations.append(f"{section}.{key}: {err}")
+            return None
         return e
 
     model_type = get("model", "type", "none") if parser.has_section("model") else "none"
@@ -189,15 +176,10 @@ def load_config(path: str, analysis: dict[str, str] | None = None) -> RunConfig:
         v2=v2,
         partner_v1=partner_v1,
         partner_v2=partner_v2,
-        grid=get_int("analysis", "grid", 12),
-        scale_c=get_float("analysis", "scale_c", 10.0, positive=True),
-        tolerance=get_float("analysis", "tolerance", 1e-6, positive=True),
-        report_name=get("output", "report", "report.json"),
-        svg_name=get("output", "svg", "foliation.svg"),
+        report_name=get_name("report", "report.json"),
+        svg_name=get_name("svg", "foliation.svg"),
     )
 
     if violations:
         raise ConfigError(violations)
-    if analysis:  # after a NUL; with none, the digest is the file's own
-        text += "\0" + "\n".join(f"{k} = {v}" for k, v in sorted(analysis.items()))
     return RunConfig(digest=hashlib.sha256(text.encode()).hexdigest(), **values)

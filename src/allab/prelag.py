@@ -366,14 +366,21 @@ def _mean_constant_form(beta: DifferentialForm) -> DifferentialForm:
     return DifferentialForm(UV, 1, coeffs)
 
 
+# per-axis samples of the AL checks the CLI's check-pair stage and the
+# certificate's final check make
+AL_GRID = 12
+
+# the bound on max |d(a - b)| below which the pipeline takes f = g = 1, and
+# on max |d| of the final restricted sum
+_TOL = 1e-6
+
+
 def pre_lagrangian_certificate(
     model: FlowModel | None = None,
     sigma: TorusEmbedding | None = None,
     *,
     foliations: tuple[Foliation2, Foliation2] | None = None,
     scale_C: float = 10.0,
-    grid_n: int = 12,
-    tol: float = 1e-6,
 ) -> PreLagReport:
     """Fail-soft pipeline: obstruction test, shared-compact-leaf analysis,
     closedness of a - b (a and b being alpha_u and alpha_s restricted to
@@ -382,8 +389,8 @@ def pre_lagrangian_certificate(
     passes the AL test.  Bare foliation pairs run the decision stages only.
 
     The scalings are f = g = 1, taken when max |d(a - b)| on the
-    ``curl_residual`` grid is below ``tol``; otherwise the outcome is
-    ``failed``.  ``tol`` also bounds the final restricted sum's residual.
+    ``curl_residual`` grid is below ``_TOL``; otherwise the outcome is
+    ``failed``.  ``_TOL`` also bounds the final restricted sum's residual.
     """
     if model is not None:
         if sigma is None:
@@ -422,10 +429,10 @@ def pre_lagrangian_certificate(
     b = restrict(model.alpha_s, sigma)
     res = curl_residual(a - b)
     common["scaling_residual"] = res
-    if not res < tol:  # NaN refuses too
+    if not res < _TOL:  # NaN refuses too
         return stop(
             "failed",
-            f"f = g = 1 leaves max |d(a - b)| = {res:.2e}, not below {tol:.2e}: "
+            f"f = g = 1 leaves max |d(a - b)| = {res:.2e}, not below {_TOL:.2e}: "
             "no other scalings are tried",
         )
 
@@ -447,9 +454,9 @@ def pre_lagrangian_certificate(
         return stop("failed", f"collar perturbation failed: {e}")
     final_pair = perturbed.pair
 
-    final_al = al_check(final_pair, n=grid_n)
+    final_al = al_check(final_pair, n=AL_GRID)
     final_res = curl_residual(restrict(final_pair.plus + final_pair.minus, sigma))
-    ok = final_al.verdict == "anosov_liouville" and final_res < tol
+    ok = final_al.verdict == "anosov_liouville" and final_res < _TOL
     return PreLagReport(
         outcome="certificate" if ok else "failed",
         diagnostics=perturbed.warnings
@@ -490,7 +497,7 @@ class GraphCheck:
 
 
 def check_graph_lagrangian(pair: FormPair, sigma: TorusEmbedding, f: Expr) -> GraphCheck:
-    """Is d[(e^f alpha_+ + e^-f alpha_-)|_Sigma] below 1e-6 on the grid?"""
+    """Is d[(e^f alpha_+ + e^-f alpha_-)|_Sigma] below ``_TOL`` on the grid?"""
     rep = al_check(pair, n=8)
     if rep.verdict == "fail":
         raise PreLagError("pair fails the AL check")
@@ -498,4 +505,4 @@ def check_graph_lagrangian(pair: FormPair, sigma: TorusEmbedding, f: Expr) -> Gr
         pair.minus, sigma
     ).scale(ex.func("exp", ex.zneg(f)))
     res = curl_residual(beta)
-    return GraphCheck(res < 1e-6, res)
+    return GraphCheck(res < _TOL, res)

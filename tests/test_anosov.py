@@ -26,6 +26,7 @@ from allab.geom import (
     exterior_derivative,
     one_form,
     restrict,
+    torus3,
     wedge,
 )
 
@@ -142,6 +143,22 @@ def test_weak_foliations_have_no_winding_and_no_shared_leaves(cat):
     assert winding(F_wu) == (0, 0)
     verdict = parallel_compact_leaves(F_ws, F_wu)
     assert verdict.verdict == "not_parallel"
+
+
+def test_tangent_induced_foliations_are_a_model_error():
+    # alpha_u = dx and alpha_s = 2 dx cut the same foliation on every fiber
+    gluing = torus3()
+    dx = one_form(XYZ, ex.ONE, ex.ZERO, ex.ZERO)
+    model = FlowModel(
+        gluing=gluing,
+        X=VectorField3((ex.ZERO, ex.ZERO, ex.ONE)),
+        alpha_u=dx,
+        alpha_s=dx.scale(2.0),
+        r_u=ex.ONE,
+        r_s=ex.const(-1.0),
+    )
+    with pytest.raises(ModelError, match=r"not transverse: .*min \|det\|"):
+        weak_foliations_on_torus(model, model.fiber(0.0))
 
 
 def test_splitting_estimate_unstable(cat):

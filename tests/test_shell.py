@@ -25,9 +25,9 @@ def cfg_path(name):
 def test_load_cat_map_config():
     cfg = load_config(cfg_path("cat-map.cfg"))
     assert cfg.matrix == (2, 1, 1, 1)
-    assert cfg.scale_c == 10.0
     assert cfg.foliation_source == "model"
-    assert len(cfg.digest) == 64
+    with open(cfg_path("cat-map.cfg"), "rb") as fh:  # the file's own digest
+        assert cfg.digest == hashlib.sha256(fh.read()).hexdigest()
 
 
 def test_config_reports_all_violations(tmp_path):
@@ -64,9 +64,40 @@ def test_config_refuses_a_matrix_of_other_than_four_integers(tmp_path, raw):
 
 def test_config_rejects_unknown_keys(tmp_path):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("[analysis]\ngrid = 8\nspeed = fast\n")
-    with pytest.raises(ConfigError, match="unknown key analysis.speed"):
+    bad.write_text("[output]\nreport = r.json\nspeed = fast\n")
+    with pytest.raises(ConfigError, match="unknown key output.speed"):
         load_config(str(bad))
+
+
+def test_main_refuses_the_analysis_section(tmp_path, capsys):
+    # the AL grid, C and the tolerance are constants of allab.prelag
+    path = tmp_path / "old.cfg"
+    with open(cfg_path("cat-map.cfg"), encoding="utf-8") as fh:
+        path.write_text(fh.read() + "\n[analysis]\ngrid = 12\n")
+    assert main(["check-pair", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "allab: invalid configuration:\n  - unknown section [analysis]\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, name",
+    [("report", "../escaped-report.json"), ("svg", "/abs/path.svg"), ("svg", "sub/x.svg"),
+     ("report", ".."), ("svg", "."), ("report", "")],
+    ids=["relative", "absolute", "nested", "dot-dot", "dot", "empty"],
+)
+def test_config_keeps_output_names_inside_the_output_directory(tmp_path, key, name):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"[foliation]\nsource = builtin\nbuiltin = two-reeb-band\n"
+                   f"[output]\n{key} = {name}\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(str(bad))
+    assert err.value.violations == (
+        f"output.{key}: must be a file name in the output directory, got {name!r}",
+    )
+    assert main(["render", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+    assert os.listdir(tmp_path) == ["bad.cfg"]  # nothing written, in or out of --out
 
 
 def test_config_lists_the_builtin_names(tmp_path):
@@ -93,36 +124,29 @@ def test_main_refuses_a_field_nested_too_deeply_to_compile(tmp_path, capsys):
         e = f"sin(1+{e})"
     path = tmp_path / "deep.cfg"
     path.write_text(f"[foliation]\nsource = field\nv1 = 1\nv2 = 0.3 + 0.01*{e}\n")
-    assert load_config(str(path)).v2 is not None
     assert main(["foliation", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == "allab: expression is nested too deeply to compile\n"
+    assert capsys.readouterr().err == (
+        "allab: invalid configuration:\n"
+        "  - foliation.v2: expression is nested too deeply to compile\n"
+    )
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_config_rejects_non_finite_numbers(tmp_path, value):
     bad = tmp_path / "bad.cfg"
-    bad.write_text(f"[analysis]\ntolerance = {value}\n")
-    with pytest.raises(ConfigError, match="analysis.tolerance: not a finite number"):
+    bad.write_text(f"[model]\nfiber_z = {value}\n")
+    with pytest.raises(ConfigError, match="model.fiber_z: not a finite number"):
         load_config(str(bad))
 
 
-@pytest.mark.parametrize(
-    "key, raw, message",
-    [
-        ("grid", "1_2", "not an integer"),
-        ("grid", "\u0661\u0662", "not an integer"),
-        ("scale_c", "1_0.0", "not a number"),
-        ("scale_c", "\u0661\u0660", "not a number"),
-        ("tolerance", "1e-0_6", "not a number"),
-    ],
-)
-def test_config_numbers_are_ascii_numerals(tmp_path, key, raw, message):
-    # Python's int and float take both, as 12, 10.0 and 1e-06
+@pytest.mark.parametrize("raw", ["1_2", "1_0.0", "\u0661\u0660", "0.\u0665", "1e-0_6"])
+def test_config_numbers_are_ascii_numerals(tmp_path, raw):
+    # Python's float takes them all, as 12.0, 10.0, 10.0, 0.5 and 1e-06
     bad = tmp_path / "bad.cfg"
-    bad.write_text(f"[analysis]\n{key} = {raw}\n", encoding="utf-8")
+    bad.write_text(f"[model]\nfiber_z = {raw}\n", encoding="utf-8")
     with pytest.raises(ConfigError) as err:
         load_config(str(bad))
-    assert err.value.violations == (f"analysis.{key}: {message}: {raw!r}",)
+    assert err.value.violations == (f"model.fiber_z: not a number: {raw!r}",)
 
 
 def test_docs_list_exactly_the_keys_the_config_accepts():
@@ -140,6 +164,16 @@ def test_docs_list_exactly_the_keys_the_config_accepts():
             elif section and line.startswith("| `"):
                 documented[section] |= set(re.findall(r"`(\w+)`", line.split("|")[1]))
     assert documented == _SECTIONS
+
+
+def test_docs_name_exactly_the_flags_the_cli_accepts(capsys):
+    path = os.path.join(os.path.dirname(__file__), "..", "docs", "config.md")
+    with open(path, encoding="utf-8") as fh:
+        usage = next(line for line in fh if line.startswith("allab <command>"))
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    flags = set(re.findall(r"--[\w-]+", capsys.readouterr().out)) - {"--help"}
+    assert set(re.findall(r"--[\w-]+", usage)) == flags
 
 
 # ---------------------------------------------------------------------------
@@ -370,65 +404,15 @@ def test_main_reports_input_errors_in_one_line(tmp_path, capsys, recwarn, text):
 )
 def test_main_names_the_key_of_an_unbound_field_variable(tmp_path, capsys, fields, key, name):
     path = tmp_path / "bad.cfg"
-    path.write_text("[foliation]\nsource = field\n" + fields + "[analysis]\ngrid = 0\n")
+    path.write_text("[model]\nfiber_z = nan\n[foliation]\nsource = field\n" + fields)
     for command in ("all", "pre-lagrangian"):
         assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         # with the file's other violations
         assert capsys.readouterr().err == (
             "allab: invalid configuration:\n"
+            "  - model.fiber_z: not a finite number: 'nan'\n"
             f"  - foliation.{key}: variable {name!r} is not bound; fields use u and v\n"
-            "  - analysis.grid: must be positive, got 0\n"
         )
-
-
-def test_main_rejects_bad_override(tmp_path, capsys):
-    code = main(
-        [
-            "check-pair",
-            "--config",
-            cfg_path("cat-map.cfg"),
-            "--out",
-            str(tmp_path),
-            "--grid",
-            "-4",
-        ]
-    )
-    assert code == 1
-    assert "analysis.grid: must be positive, got -4" in capsys.readouterr().err
-
-
-def test_config_digest_covers_the_overrides(tmp_path):
-    reports = {}
-    for flags in ([], ["--grid", "8"]):
-        out = tmp_path / str(len(flags))
-        assert main(["check-pair", "--config", cfg_path("cat-map.cfg"), "--out", str(out)]
-                    + flags) == 0
-        reports[len(flags)] = json.loads((out / "report.json").read_text())
-    assert reports[0]["config_digest"] != reports[2]["config_digest"]
-    with open(cfg_path("cat-map.cfg"), "rb") as fh:  # no flag: the file's own digest
-        assert reports[0]["config_digest"] == hashlib.sha256(fh.read()).hexdigest()
-
-
-@pytest.mark.parametrize(
-    "flag, value, message",
-    [
-        ("--grid", "abc", "analysis.grid: not an integer: 'abc'"),
-        ("--grid", "1_2", "analysis.grid: not an integer: '1_2'"),
-        ("--scale-C", "0", "analysis.scale_c: must be positive, got 0.0"),
-        ("--tolerance", "1e-6%", "analysis.tolerance: not a number: '1e-6%'"),
-    ],
-)
-def test_main_checks_a_flag_as_the_key_it_replaces(tmp_path, capsys, flag, value, message):
-    args = ["check-pair", "--config", cfg_path("cat-map.cfg"), "--out", str(tmp_path)]
-    assert main(args + [flag, value]) == 1
-    assert f"  - {message}\n" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_main_rejects_non_finite_tolerance(tmp_path, capsys, value):
-    args = ["check-pair", "--config", cfg_path("cat-map.cfg"), "--out", str(tmp_path)]
-    assert main(args + ["--tolerance", value]) == 1
-    assert f"analysis.tolerance: not a finite number: '{value}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -438,6 +422,8 @@ def test_main_rejects_non_finite_tolerance(tmp_path, capsys, value):
         (["foliation"], "the following arguments are required: --config"),
         (["foliation", "--config", cfg_path("cat-map.cfg"), "--speed", "2"],
          "unrecognized arguments: --speed 2"),
+        (["check-pair", "--config", cfg_path("cat-map.cfg"), "--grid", "8"],
+         "unrecognized arguments: --grid 8"),
     ],
 )
 def test_main_usage_errors_exit_1_in_one_line(capsys, args, message):
@@ -450,7 +436,7 @@ def test_main_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exit_:
         main(["--help"])
     assert exit_.value.code == 0
-    assert "--scale-C SCALE_C" in capsys.readouterr().out
+    assert "--config CONFIG" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("v1", ["u + 1/0", "2 + 2^10000*u", "(-8)^(1/3) + 1"])
@@ -461,20 +447,3 @@ def test_main_refuses_a_constant_evaluate_refuses_as_not_finite(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("allab: direction field is not finite") and err.count("\n") == 1
 
-
-def test_main_scale_override(tmp_path):
-    code = main(
-        [
-            "pre-lagrangian",
-            "--config",
-            cfg_path("cat-map.cfg"),
-            "--out",
-            str(tmp_path),
-            "--scale-C",
-            "2.0",
-        ]
-    )
-    assert code == 0
-    with open(tmp_path / "report.json") as fh:
-        report = json.load(fh)
-    assert report["stages"]["pre-lagrangian"]["prelag"]["scale_C"] == 2.0
