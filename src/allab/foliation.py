@@ -162,8 +162,9 @@ def _quadrature(slope, x: float, y: np.ndarray, h: float, n: int, out) -> np.nda
     whose n increments all points share.  The slope is evaluated once, on the
     array of its 2n + 1 stage abscissae, built as ``_rk4`` builds them (x +=
     h in order, then x + h/2 and x + h, which is the next x); the increments
-    h/6 (k1 + 2 k2 + 2 k3 + k4) are formed in ``_rk4``'s order and added to
-    every point in step order."""
+    h/6 (k1 + 2 k2 + 2 k3 + k4) are formed in ``_rk4``'s order and stacked
+    under the points, row 0, and one sequential accumulate down the rows
+    adds them in step order: row i is state i."""
     h2, h6 = 0.5 * h, h / 6.0
     xs = np.full(n + 1, h)
     xs[0] = x
@@ -171,14 +172,12 @@ def _quadrature(slope, x: float, y: np.ndarray, h: float, n: int, out) -> np.nda
     k = np.broadcast_to(slope(np.concatenate([xs, xs[:-1] + h2]), 0.0), (2 * n + 1,))
     k1, k4, k2 = k[:n], k[1 : n + 1], k[n + 1 :]  # k3 = k2: the slope ignores y
     step = h6 * (k1 + 2 * k2 + 2 * k2 + k4)
+    states = np.empty((n + 1,) + np.shape(y))
+    states[0], states[1:] = y, step.reshape((n,) + (1,) * np.ndim(y))
+    np.add.accumulate(states, axis=0, out=states)  # sequential, as y = y + step[i]
     if out is not None:
-        keep = tuple(map(slice, out.shape[1:]))
-        out[0] = y[keep]
-    for i in range(n):
-        y = y + step[i]
-        if out is not None:
-            out[i + 1] = y[keep]
-    return y
+        out[:] = states[(slice(None),) + tuple(map(slice, out.shape[1:]))]
+    return states[-1]
 
 
 @np.errstate(all="ignore")  # a domain error gives NaN, refused below
@@ -193,8 +192,8 @@ def integrate_leaf(
     the polyline as an (n+1, 2) array starting at ``start``, or a
     (k, n+1, 2) array of k polylines, all integrated in one pass, for a
     (k, 2) array of starts."""
-    if not 0 < length < math.inf:
-        raise FoliationError("leaf length must be positive and finite")
+    if not (0 < length < math.inf and 0 < max_step < math.inf):
+        raise FoliationError("leaf length and max_step must be positive and finite")
     f1, f2 = compile_kernel(F.V1, UV), compile_kernel(F.V2, UV)
 
     def rhs(_, y):  # y[0], y[1]: the u and v rows
@@ -393,6 +392,8 @@ def return_map(F: Foliation2, transversal: Transversal) -> ReturnMap:
 def rotation_number(R: ReturnMap, iterations: int = 10000) -> tuple[float, float]:
     """Birkhoff average of the lift displacement; the error bound 1/n is the
     standard one for monotone circle maps."""
+    if iterations < 1:
+        raise FoliationError("rotation_number needs at least one iteration")
     t0 = t = float(R.ts[0])
     for _ in range(iterations):
         t = R.lift(t)
@@ -470,6 +471,8 @@ def _axis_leaves(F: Foliation2, axis: str) -> list[CompactLeaf]:
         # axis-parallel circle
         return [leaf(0.0, True)]
     i = np.flatnonzero((prof <= np.roll(prof, 1)) & (prof <= np.roll(prof, -1)) & (prof < 0.05))
+    if not i.size:  # no circle is a candidate
+        return []
     lo, hi = (i - 1) / n_scan, (i + 1) / n_scan
     # a leaf the field crosses is a sign change of the component; one it
     # touches is a double root, where the x-derivative changes sign
@@ -520,16 +523,18 @@ def _return_map_leaves(F: Foliation2, axis: str) -> list[CompactLeaf]:
     most 8: the roots of lift^q(t) - t - p, scanning one strip q at a time.
     Poincare: an increasing degree-one lift has periodic points only if its
     rotation number rho is rational, all of the minimal period q of rho = p/q.
-    Between nodes, lift^q(t) - t leaves its sampled range by at most one cell
-    1/_SCAN, which bounds q rho.  The scan stops after a period with a leaf,
-    or once no untried reduced p/q' (q' <= 8) is in bounds; a lift that
-    steps down (``_check_lift``) is refused.
+    The sampled range of lift^q(t) - t, widened by one cell 1/_SCAN, bounds
+    q rho.  The scan stops after a period with a leaf, or once no untried
+    reduced p/q' (q' <= 8) is in bounds; a lift that steps down
+    (``_check_lift``) is refused.  A straight flow (dy/dx of x alone) is a
+    rotation: lift(t) - t is the same at every t, so it is sampled at t = 0
+    and 1 only, and it has a root only as a whole family of closed leaves.
 
     Each leaf keeps the RK4 states that found its point as its path: the
     scan's column t = 0 for a family, its root's column of the last
     refinement pass for an isolated leaf."""
-    s = (flow := _strip_flow(F, axis))[1]
-    ts = np.linspace(0.0, 1.0, _SCAN + 1)
+    s, straight = (flow := _strip_flow(F, axis))[1:]
+    ts = np.linspace(0.0, 1.0, 2 if straight else _SCAN + 1)
     lift, lo, hi = ts, -math.inf, math.inf
     col0 = np.empty((8 * _STRIP_STEPS + 1, 1))  # the scan's leaf through t = 0
 
@@ -568,6 +573,8 @@ def _return_map_leaves(F: Foliation2, axis: str) -> list[CompactLeaf]:
                 if not any(l.family and l.cls == cls(q, p) for l in leaves):
                     leaves.append(leaf(0.0, cls(q, p), col0[:, 0], family=True))
                 break
+            if straight:  # a rotation has no isolated periodic point
+                continue
             cells = ts[_dips(h)]
             cells = cells[~near(cells + 0.5 / _SCAN, 1.5 / _SCAN)]  # its cell or the next
             if cells.size:  # two roots may share a cell: re-scan it finer

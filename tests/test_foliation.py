@@ -212,6 +212,14 @@ def test_leaf_batch_matches_single_starts():
         assert np.max(np.abs(pts - integrate_leaf(F, tuple(start), 1.5, max_step=5e-3))) < 1e-12
 
 
+@pytest.mark.parametrize("length, max_step", [
+    (1.0, 0.0), (1.0, math.nan), (1.0, -1.0), (1.0, math.inf), (0.0, 1e-3), (math.nan, 1e-3),
+])
+def test_integrate_leaf_refuses_a_bad_length_or_step(length, max_step):
+    with pytest.raises(FoliationError, match="must be positive and finite"):
+        integrate_leaf(constant_slope(0.4), (0.1, 0.2), length, max_step)
+
+
 # an isolated pair of leaves v = 0.2 + 0.05 sin 2 pi u + k/2, of period 1
 _ISOLATED = ("1", "2*pi*0.05*cos(2*pi*u) + 0.1*sin(2*pi*(v - 0.2 - 0.05*sin(2*pi*u)))")
 
@@ -231,7 +239,7 @@ def _textbook_rk4(rhs, x, y, h, n):
     return np.array(states)
 
 
-@pytest.mark.parametrize("v1, v2", [
+_SLOPE_FIELDS = [
     ("1", "0.4"),  # a constant slope: the kernel returns a Python float
     ("-1", "0.3 + 0.1*cos(2*pi*u)"),  # u alone, crossing the strips backward
     _ISOLATED,  # u and v
@@ -241,7 +249,10 @@ def _textbook_rk4(rhs, x, y, h, n):
     # u alone, but a power: numpy's power of a scalar and of an array can
     # differ in the last bit here, so the slope takes _rk4
     ("1", "(1.2 + sin(6*pi*u))^2.3"),
-])
+]
+
+
+@pytest.mark.parametrize("v1, v2", _SLOPE_FIELDS)
 def test_rk4_matches_the_textbook_on_return_map_slopes(v1, v2):
     # whichever route _lifts takes, every state has the bits of the textbook
     # RK4, strip after strip, into a full out and into its leading block
@@ -271,6 +282,25 @@ def test_rk4_matches_the_textbook_on_return_map_slopes(v1, v2):
         fol._lifts((slope, sign, straight), 0.3, ts, q, block)
         assert lifts.tobytes() == ref[:: fol._STRIP_STEPS][1:].tobytes()
         assert full.tobytes() == ref.tobytes() and block.tobytes() == ref[:, :5].tobytes()
+
+
+def test_a_straight_strip_flow_is_a_rotation():
+    # dy/dx of x alone moves every point of the circle by the same amount,
+    # which is why the compact-leaf scan follows only the orbit of t = 0
+    checked = []
+    for v1, v2 in _SLOPE_FIELDS:
+        F = Foliation2(parse_expr(v1), parse_expr(v2))
+        for axis in ("u", "v"):
+            try:
+                straight = fol._strip_flow(F, axis)[2]
+            except TransversalError:
+                continue
+            if straight:
+                R = return_map(F, Transversal(axis))
+                assert np.ptp(R.lift_values - R.ts) <= 1e-12
+                checked.append((v1, v2, axis))
+    # the constant slope on both axes, and the slopes of u alone and v alone
+    assert [axis for *_, axis in checked] == ["u", "v", "u", "v"]
 
 
 @pytest.mark.parametrize("field", [_ISOLATED, ("2 + sin(2*pi*v)", "cos(2*pi*u) + 0.3")])
@@ -598,6 +628,14 @@ def test_rotation_number_conjugation_invariance():
         assert rho == pytest.approx(base, abs=2.0 / iterations)
 
 
+@pytest.mark.parametrize("iterations", [0, -5])
+def test_rotation_number_refuses_fewer_than_one_iteration(iterations):
+    ts = np.arange(1024) / 1024.0
+    R = ReturnMap.from_lift_samples(ts, ts + 0.25)
+    with pytest.raises(FoliationError, match="at least one iteration"):
+        rotation_number(R, iterations)
+
+
 # ---------------------------------------------------------------------------
 # compact leaves
 
@@ -644,7 +682,9 @@ def test_periodic_orbits_of_every_period_up_to_8(p, q):
 
 
 def _count_strips(monkeypatch):
-    # strips integrated by either route: _rk4, or _quadrature for a straight slope
+    # strips integrated by either route: _rk4, or _quadrature for a straight slope;
+    # the leaf cache is emptied, so a field an earlier test computed is integrated again
+    fol._compact_leaves.cache_clear()
     calls = []
     for name in ("_rk4", "_quadrature"):
         march = getattr(fol, name)
@@ -665,6 +705,58 @@ def test_scan_stops_at_the_period_of_a_family(monkeypatch):
     leaves = compact_leaves(constant_slope(0.4))
     assert [(l.cls, l.family) for l in leaves] == [((5, 2), True)]
     assert len(calls) == 5
+
+
+def _fail(*_, **__):
+    raise AssertionError("not called on a rotation")
+
+
+@pytest.mark.parametrize("v2, leaves, strips", [
+    ("0.4", [((5, 2), True)], 5),
+    ("0.6180339887", [], 1),
+    ("2/5 + 0.1*cos(2*pi*u)", [((5, 2), True)], 5),
+])
+def test_a_straight_scan_follows_one_orbit(monkeypatch, v2, leaves, strips):
+    # each strip integrates the nodes t = 0 and 1 of the circle u = 0, and no
+    # bracket is refined: a rotation's periodic points come as a whole family
+    shapes, march = [], fol._quadrature
+    monkeypatch.setattr(fol, "_quadrature", lambda *a: shapes.append(np.shape(a[2])) or march(*a))
+    for name in ("_rk4", "_dips", "_seeds", "_refine"):
+        monkeypatch.setattr(fol, name, _fail)
+    fol._compact_leaves.cache_clear()
+    found = compact_leaves(Foliation2(ex.ONE, parse_expr(v2)))
+    assert [(l.cls, l.family) for l in found] == leaves
+    assert shapes == [(2,)] * strips
+
+
+@pytest.mark.parametrize("q", range(1, 10))
+def test_constant_rational_slopes_are_one_family_up_to_period_8(q):
+    for p in range(-q, 2 * q + 1):
+        if math.gcd(p, q) == 1:
+            leaves = compact_leaves(constant_slope(p / q))
+            assert [(l.cls, l.family) for l in leaves] == ([((q, p), True)] if q <= 8 else []), p
+
+
+def test_a_rotation_family_keeps_the_textbook_orbit_of_t_0():
+    F = Foliation2(ex.ONE, parse_expr("2/5 + 0.1*cos(2*pi*u)"))
+    [leaf] = compact_leaves(F)
+    assert (leaf.cls, leaf.family, leaf.point) == ((5, 2), True, (0.0, 0.0))
+    slope, h = fol._strip_flow(F, "u")[0], 1 / fol._STRIP_STEPS
+    strips, y = [], np.zeros(1)
+    for k in range(5):  # strip k starts on the circle u = k
+        strips.append(_textbook_rk4(slope, np.float64(k), y, h, fol._STRIP_STEPS))
+        y = strips[-1][-1]
+    ref = np.concatenate([strips[0]] + [r[1:] for r in strips[1:]])[:, 0]
+    assert leaf.path[:, 1].tobytes() == ref.tobytes()
+    assert leaf.path[:, 0].tobytes() == (np.arange(len(ref)) / fol._STRIP_STEPS).tobytes()
+
+
+def test_axis_scan_stops_when_no_circle_is_a_candidate(monkeypatch):
+    # |V1| = 1 and |V2| = 0.4 stay above 0.05: no circle u = c or v = c can be a leaf
+    monkeypatch.setattr(fol, "_refine", _fail)
+    monkeypatch.setattr(ex, "diff", _fail)
+    F = constant_slope(0.4)
+    assert fol._axis_leaves(F, "u") == [] and fol._axis_leaves(F, "v") == []
 
 
 def _refine_one(fn, x, lo, hi):
