@@ -180,6 +180,9 @@ def _quadrature(slope, x: float, y: np.ndarray, h: float, n: int, out) -> np.nda
     return states[-1]
 
 
+_MAX_LEAF_STEPS = 10**6  # the most steps integrate_leaf takes: 16 MB of polyline per start
+
+
 @np.errstate(all="ignore")  # a domain error gives NaN, refused below
 def integrate_leaf(
     F: Foliation2,
@@ -191,9 +194,13 @@ def integrate_leaf(
     ``length`` in n = max(1, ceil(length / max_step)) equal steps; returns
     the polyline as an (n+1, 2) array starting at ``start``, or a
     (k, n+1, 2) array of k polylines, all integrated in one pass, for a
-    (k, 2) array of starts."""
+    (k, 2) array of starts.  More than ``_MAX_LEAF_STEPS`` steps are refused
+    before anything is allocated."""
     if not (0 < length < math.inf and 0 < max_step < math.inf):
         raise FoliationError("leaf length and max_step must be positive and finite")
+    if not length / max_step <= _MAX_LEAF_STEPS:
+        raise FoliationError(
+            f"length / max_step = {length / max_step:.3g}: more than {_MAX_LEAF_STEPS} steps")
     f1, f2 = compile_kernel(F.V1, UV), compile_kernel(F.V2, UV)
 
     def rhs(_, y):  # y[0], y[1]: the u and v rows

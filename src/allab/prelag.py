@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,18 +93,30 @@ def _wavenumbers(n: int) -> np.ndarray:
 
 
 def _du(F: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """d/du of grid samples; exactly 0 for one row, constant in u."""
+    if F.shape[0] == 1:
+        return 0.0
     return np.fft.irfft(1j * k[:, None] * np.fft.rfft(F, axis=0), F.shape[0], axis=0)
 
 
 def _dv(F: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """d/dv of grid samples; exactly 0 for one column, constant in v."""
+    if F.shape[1] == 1:
+        return 0.0
     return np.fft.irfft(1j * k[None, :] * np.fft.rfft(F, axis=1), F.shape[1], axis=1)
 
 
 @np.errstate(all="ignore")  # a domain error gives NaN, refused below
 def _sample_form(a: DifferentialForm, n: int, name: str):
+    """The (du, dv) coefficients of a on the n x n torus grid, each at its
+    kernel's shape made 2-D; a non-finite one is named at its first point of
+    that grid, which has index 0 on every broadcast axis.  On n < 3 every
+    spectral derivative vanishes, so n is refused there."""
+    if not (hasattr(n, "__index__") and operator.index(n) >= 3):
+        raise PreLagError(f"the solver grid size n = {n!r} is not an integer of at least 3")
     if a.coords != UV or a.degree != 1:
         raise PreLagError("solver inputs must be 1-forms on (u, v)")
-    c1, c2 = (np.broadcast_to(torus_samples(a.coeff(i), n), (n, n)) for i in ((0,), (1,)))
+    c1, c2 = (np.atleast_2d(torus_samples(a.coeff(i), n)) for i in ((0,), (1,)))
     bad = ~(np.isfinite(c1) & np.isfinite(c2))
     if bad.any():
         i, j = np.argwhere(bad)[0] / n
@@ -171,10 +184,12 @@ def _constant_beta(a1, a2, b1, b2):
 
     f a - g b = beta then holds pointwise, so it is closed.  With s the sign
     of a^b, f > 0 means beta . s (b2, -b1) > 0, and g > 0 means
-    beta . s (a2, -a1) > 0: all 2 n^2 normals must lie in an open
-    half-plane.  They do, with margin, iff the largest gap between their
-    sorted angles exceeds pi + 2 _BETA_MARGIN, and beta then points away
-    from that gap's centre.
+    beta . s (a2, -a1) > 0: all normals must lie in an open half-plane.
+    They do, with margin, iff the largest gap between their sorted angles
+    exceeds pi + 2 _BETA_MARGIN, and beta then points away from that gap's
+    centre.  At the samples' kernel shapes each distinct normal is sorted
+    once, which leaves every gap and beta the same floats; log f and log g
+    keep those shapes.
     """
     D = a1 * b2 - a2 * b1
     if D.min() > 0.0:
@@ -283,13 +298,15 @@ def scaling_solve(
     b1, b2 = _sample_form(b, n, "b")
     k = _wavenumbers(n)
 
+    def grid(x):  # n x n, C-ordered: np.mean of a broadcast view may sum in another order
+        return np.ascontiguousarray(np.broadcast_to(x, (n, n)))
+
     def residual(phi, gamma):
         # the descent's gauge-fixed measure
         rho = _curl(np.exp(phi), np.exp(gamma), a1, a2, b1, b2, k)
-        return math.sqrt(math.exp(-2.0 * float(np.mean(phi))) * float(np.mean(rho * rho)))
+        return math.sqrt(math.exp(-2.0 * np.mean(grid(phi))) * np.mean(grid(rho * rho)))
 
-    phi = np.zeros((n, n))
-    gamma = np.zeros((n, n))
+    phi = gamma = np.zeros((1, 1))
     beta = None
     it = 0
     history = [residual(phi, gamma)]
@@ -302,9 +319,9 @@ def scaling_solve(
             history = [residual(phi, gamma)]
     # gauge: joint constant shift, zero-mean phi (leaves the gauge-fixed
     # residual unchanged)
-    m = float(np.mean(phi))
-    phi = phi - m
-    gamma = gamma - m
+    m = float(np.mean(grid(phi)))
+    phi = grid(phi) - m
+    gamma = grid(gamma) - m
     if beta is not None:
         beta = (math.exp(-m) * beta[0], math.exp(-m) * beta[1])
     return ScalingSolution(

@@ -220,6 +220,20 @@ def test_integrate_leaf_refuses_a_bad_length_or_step(length, max_step):
         integrate_leaf(constant_slope(0.4), (0.1, 0.2), length, max_step)
 
 
+@pytest.mark.parametrize("length, max_step", [
+    (1.0, 1e-320), (1.0, 5e-324), (1.0, 1e-300), (1e308, 1e-3), (1e300, 1e-3), (1.0, 1e-9),
+])
+def test_integrate_leaf_refuses_a_step_count_above_the_cap(monkeypatch, length, max_step):
+    # refused before the field is compiled, so before any array is allocated
+    def unreachable(*args):
+        raise AssertionError("integrate_leaf compiled the field")
+
+    F = constant_slope(0.4)
+    monkeypatch.setattr(fol, "compile_kernel", unreachable)
+    with pytest.raises(FoliationError, match=f"more than {fol._MAX_LEAF_STEPS} steps"):
+        integrate_leaf(F, (0.1, 0.2), length, max_step)
+
+
 # an isolated pair of leaves v = 0.2 + 0.05 sin 2 pi u + k/2, of period 1
 _ISOLATED = ("1", "2*pi*0.05*cos(2*pi*u) + 0.1*sin(2*pi*(v - 0.2 - 0.05*sin(2*pi*u)))")
 

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -137,6 +138,7 @@ def test_scaling_solve_trivial_closed_inputs():
     assert sol.success
     assert sol.iterations == 0
     assert sol.residual_history[0] < 1e-12
+    assert sol.log_f.shape == sol.log_g.shape == (32, 32)
     assert np.max(np.abs(sol.log_f)) == 0.0
     assert np.max(np.abs(sol.log_g)) == 0.0
     assert sol.beta is None
@@ -156,6 +158,8 @@ def _assert_closed_by_beta(sol, a, b, n):
     assert sol.success and sol.iterations == 0
     assert sol.residual < 1e-12 and sol.residual_history == (sol.residual,)
     assert sol.beta is not None
+    for log in (sol.log_f, sol.log_g):  # full grids, whatever shape the route worked at
+        assert log.shape == (n, n) and log.flags.c_contiguous and log.flags.writeable
     f, g = np.exp(sol.log_f), np.exp(sol.log_g)
     for i, beta_i in enumerate(sol.beta):
         ai, bi = torus_samples(a.coeff((i,)), n), torus_samples(b.coeff((i,)), n)
@@ -235,6 +239,107 @@ def test_scaling_solve_refuses_non_finite_inputs():
         scaling_solve(a, b, n=16)
     with pytest.raises(PreLagError, match=r"solver input b is not finite .* 8 x 8 grid"):
         scaling_solve(b, a, n=8)
+    # the first point of the full grid, for a field of u, of v and of both
+    for text, at in [("1/(u - 0.375)", "0.3750, 0.0000"), ("1/(v - 0.625)", "0.0000, 0.6250"),
+                     ("1/(u*v - 0.125)", "0.2500, 0.5000")]:
+        bad = one_form(UV, ex.ZERO, parse_expr(text))
+        with pytest.raises(PreLagError, match=rf"input a is not finite at \(u, v\) = \({at}\)"):
+            scaling_solve(bad, b, n=16)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, -4, 2.5, np.int64(2), "16"])
+def test_scaling_solve_refuses_a_grid_size_not_an_integer_of_at_least_3(n):
+    # d(a - b) = 2 pi cos(2 pi u) du^dv is not 0, but every spectral
+    # derivative vanishes on a 1 x 1 or 2 x 2 grid
+    a = one_form(UV, ex.ONE, parse_expr("sin(2*pi*u)"))
+    b = one_form(UV, ex.ONE, ex.ZERO)
+    for solve in (scaling_solve, closedness_objective):
+        with pytest.raises(PreLagError, match=rf"grid size n = {re.escape(repr(n))} is not"):
+            solve(a, b, n=n)
+
+
+def test_scaling_solve_takes_a_numpy_integer_grid_size():
+    a = one_form(UV, ex.ZERO, parse_expr("exp(0.3*sin(2*pi*u))"))
+    b = one_form(UV, ex.ONE, ex.ZERO)
+    sol = scaling_solve(a, b, n=np.int64(32))
+    _assert_closed_by_beta(sol, a, b, 32)
+    assert sol.log_f.tobytes() == scaling_solve(a, b, n=32).log_f.tobytes()
+
+
+@pytest.mark.parametrize("n", [15, 16, 64, 128])
+def test_spectral_derivatives_of_samples_constant_along_their_axis(n):
+    # the premise of solving at the kernel's shape: a column (n, 1) or row
+    # (1, n) differentiates, bit for bit, as each column or row of its n x n
+    # copy, and its derivative along the constant axis is 0
+    def grid(x):
+        return np.broadcast_to(x, (n, n))
+
+    rng = np.random.default_rng(n)
+    k = prelag._wavenumbers(n)
+    col, row = rng.standard_normal((n, 1)), rng.standard_normal((1, n))
+    full_col, full_row = grid(col).copy(), grid(row).copy()
+    assert prelag._dv(col, k) == 0.0 and prelag._du(row, k) == 0.0
+    assert prelag._du(full_col, k).tobytes() == grid(prelag._du(col, k)).tobytes()
+    assert prelag._dv(full_row, k).tobytes() == grid(prelag._dv(row, k)).tobytes()
+    # pocketfft leaves rounding noise in the modes of a constant whose length
+    # has a prime factor above 3, where the shortcut gives the exact 0
+    noise = 0.0 if n in (16, 64, 128) else 1e-13
+    assert np.max(np.abs(prelag._dv(full_col, k))) <= noise
+    assert np.max(np.abs(prelag._du(full_row, k))) <= noise
+
+
+def _routes_1_and_2_on_the_full_grid(a, b, n):
+    # the reference: the f = g = 1 check and the constant-beta route on n x n
+    # copies of the samples, as the solver ran them before it kept their shape
+    a1, a2, b1, b2 = (np.broadcast_to(c, (n, n))
+                      for c in prelag._sample_form(a, n, "a") + prelag._sample_form(b, n, "b"))
+    k = prelag._wavenumbers(n)
+
+    def residual(phi, gamma):
+        rho = prelag._curl(np.exp(phi), np.exp(gamma), a1, a2, b1, b2, k)
+        return math.sqrt(math.exp(-2.0 * float(np.mean(phi))) * float(np.mean(rho * rho)))
+
+    phi = gamma = np.zeros((n, n))
+    beta, res = None, residual(phi, gamma)
+    if res >= prelag._SCALING_TOL:
+        beta, phi, gamma = prelag._constant_beta(a1, a2, b1, b2)
+        res = residual(phi, gamma)
+    m = float(np.mean(phi))
+    if beta is not None:
+        beta = (math.exp(-m) * beta[0], math.exp(-m) * beta[1])
+    return (phi - m).tobytes(), (gamma - m).tobytes(), res, beta
+
+
+@pytest.mark.parametrize("a1, a2, b1, b2", [
+    ("0", "exp(0.3*sin(2*pi*u))", "1", "0"),
+    ("exp(0.2*cos(2*pi*v) + 0.1*sin(6*pi*v))", "0", "0", "1"),
+    ("1 + 0.2*cos(2*pi*u)", "1", "1", "1"),
+    ("0.3 + 0.2*sin(2*pi*u)", "exp(0.3*sin(2*pi*u) + 0.1*cos(6*pi*u))", "1", "0.1*cos(2*pi*u)"),
+    ("0", "exp(0.3*sin(2*pi*u)*cos(2*pi*v))", "1", "0"),
+])
+def test_scaling_solve_at_the_kernel_shape_keeps_the_full_grid_bits(a1, a2, b1, b2):
+    # the means are taken over the same n x n floats in the same order, and
+    # a 2^a 3^b grid differentiates a constant to exactly 0 (pinned above)
+    a = one_form(UV, parse_expr(a1), parse_expr(a2))
+    b = one_form(UV, parse_expr(b1), parse_expr(b2))
+    for n in (16, 48, 128, 256):  # at 256, np.mean of a broadcast view can miss its copy's bits
+        sol = scaling_solve(a, b, n=n)
+        got = (sol.log_f.tobytes(), sol.log_g.tobytes(), sol.residual, sol.beta)
+        assert got == _routes_1_and_2_on_the_full_grid(a, b, n)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 32), (1, 64), (1, 128), (2, 16), (2, 32)])
+def test_constant_beta_at_the_kernel_shape_matches_the_full_grid(dim, n):
+    h = "0.3*sin(2*pi*u)" if dim == 1 else "0.3*sin(2*pi*u)*cos(2*pi*v)"
+    a = one_form(UV, ex.ZERO, parse_expr(f"exp({h})"))
+    b = one_form(UV, ex.ONE, ex.ZERO)
+    samples = prelag._sample_form(a, n, "a") + prelag._sample_form(b, n, "b")
+    assert samples[1].shape == ((n, 1) if dim == 1 else (n, n)) and samples[2].shape == (1, 1)
+    beta, log_f, log_g = prelag._constant_beta(*samples)
+    full = prelag._constant_beta(*(np.broadcast_to(c, (n, n)) for c in samples))
+    assert beta == full[0]
+    for log, log_full in ((log_f, full[1]), (log_g, full[2])):
+        assert np.broadcast_to(log, (n, n)).tobytes() == log_full.tobytes()
 
 
 def test_adjoint_gradient_matches_finite_differences():
