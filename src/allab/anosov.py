@@ -53,7 +53,10 @@ class FlowModel:
         return self.alpha_u + self.alpha_s
 
     def standard_pair(self, C: float = 1.0) -> FormPair:
-        """(C alpha_plus, alpha_minus / C) on the gluing."""
+        """(C alpha_plus, alpha_minus / C) on the gluing.  A negative C
+        negates both forms, which leaves every density unchanged."""
+        if not (C != 0.0 and math.isfinite(C)):
+            raise ModelError(f"the pair scale C = {C!r} is not finite and nonzero")
         plus, minus = self.alpha_plus, self.alpha_minus
         return FormPair(plus.scale(ex.const(C)), minus.scale(ex.const(1.0 / C)), self.gluing)
 

@@ -11,6 +11,7 @@ increasing multi-indices over the basis covectors.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -227,7 +228,10 @@ class Gluing3:
     def sample_points(self, n: int, z_lo: float | None = None) -> Grid3:
         """Open grid of chart points covering one fundamental domain: x and y
         of shape (n, n, 1) over the lattice steps i/n, j/n, and z of shape
-        (n,); they broadcast to the n^3 points in (i, j, k) order."""
+        (n,); they broadcast to the n^3 points in (i, j, k) order.  n must
+        be an integer of at least 1."""
+        if not (hasattr(n, "__index__") and operator.index(n) >= 1):
+            raise GeomError(f"the sampling grid size n = {n!r} is not an integer of at least 1")
         a = np.arange(n) / n
         A, B = a[:, None, None], a[None, :, None]
         P = self.P_mat
@@ -381,8 +385,6 @@ def check_periodicity(
     mapping torus, the deck transformation: max |psi* omega - omega| over
     the coefficients and the sample grid, where a residual that is not
     finite counts as infinite."""
-    if n <= 0:
-        raise GeomError("empty sampling grid")
     grid = gluing.sample_points(n, z_lo=0.0)
     ident = np.eye(3)
     transforms = {

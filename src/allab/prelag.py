@@ -2,9 +2,9 @@
 torus: the loop-winding obstruction, a grid solver for positive scalings
 making f a - g b closed, and the end-to-end certificate pipeline that
 rebuilds a form pair whose restricted sum is exactly closed.  The solver
-tries f = g = 1, then the closed-form scalings of one constant 1-form beta,
-and descends only when neither closes f a - g b.  The pipeline does not use
-the solver: it takes f = g = 1 when d(a - b) vanishes.
+tries f = g = 1, then the closed-form scalings of a closed 1-form beta: one
+constant beta when it fits, else beta = c + dh from a convex iteration.  The
+pipeline does not use the solver: it takes f = g = 1 when d(a - b) vanishes.
 """
 
 from __future__ import annotations
@@ -134,7 +134,8 @@ def _curl(ef, eg, a1, a2, b1, b2, k) -> np.ndarray:
 
 def closedness_objective(a: DifferentialForm, b: DifferentialForm, n: int = 64):
     """Mean-square curl of e^phi a - e^gamma b on the n x n grid, with its
-    adjoint gradient; derivatives are trigonometric."""
+    adjoint gradient; derivatives are trigonometric.  ``scaling_solve`` no
+    longer calls it: its scalings come from a closed beta."""
     a1, a2 = _sample_form(a, n, "a")
     b1, b2 = _sample_form(b, n, "b")
     k = _wavenumbers(n)
@@ -160,7 +161,6 @@ class ScalingSolution:
     log_f: np.ndarray
     log_g: np.ndarray
     residual: float
-    residual_history: tuple[float, ...]
     iterations: int
     success: bool
     # the constant 1-form e^log_f a - e^log_g b equals, as its (du, dv)
@@ -168,131 +168,123 @@ class ScalingSolution:
     beta: tuple[float, float] | None
 
 
-# a constant beta must clear the edge of every normal's half-plane by this
-# angle (radians): f and g are then at least sin(_BETA_MARGIN) |b| / |a^b|
-# and sin(_BETA_MARGIN) |a| / |a^b| at every sample, not positive by rounding
+# beta must clear the edge of every normal's half-plane by this angle
+# (radians): f and g are then at least sin(_BETA_MARGIN) |beta| |b| / |a^b|
+# and sin(_BETA_MARGIN) |beta| |a| / |a^b|, not positive by rounding
 _BETA_MARGIN = 0.01
 
 # the residual below which scaling_solve's scalings close f a - g b
 _SCALING_TOL = 1e-6
 
+# the beta iteration's penalty on each unit normal N is
+# softplus(_SOFTPLUS_SLOPE (_BETA_TARGET - beta . N))
+_SOFTPLUS_SLOPE = 8.0
+_BETA_TARGET = 0.25
 
-def _constant_beta(a1, a2, b1, b2):
-    """A unit covector beta = (c1, c2) whose scalings f = (beta^b)/(a^b) and
-    g = (beta^a)/(a^b) are positive at every sample, with log f and log g;
-    or None.
 
-    f a - g b = beta then holds pointwise, so it is closed.  With s the sign
-    of a^b, f > 0 means beta . s (b2, -b1) > 0, and g > 0 means
-    beta . s (a2, -a1) > 0: all normals must lie in an open half-plane.
-    They do, with margin, iff the largest gap between their sorted angles
-    exceeds pi + 2 _BETA_MARGIN, and beta then points away from that gap's
-    centre.  At the samples' kernel shapes each distinct normal is sorted
-    once, which leaves every gap and beta the same floats; log f and log g
-    keep those shapes.
+def _beta_penalty(c, h, N, k):
+    """Mean penalty of beta = c + dh over the unit normals N, shape
+    (2, fields, n, n) with the (du, dv) components first, its gradient in c
+    and in h's entries, and the least beta . N - sin(_BETA_MARGIN) |beta|,
+    positive once beta clears every normal.  beta . N is linear in (c, h),
+    so the penalty is convex."""
+    beta1, beta2 = c[0] + _du(h, k), c[1] + _dv(h, k)
+    bn = beta1 * N[0] + beta2 * N[1]
+    z = _SOFTPLUS_SLOPE * (_BETA_TARGET - bn)
+    # dJ / d(beta . N): the logistic function, written without overflow
+    w = (-0.5 * _SOFTPLUS_SLOPE / z.size) * (1.0 + np.tanh(0.5 * z))
+    p1, p2 = np.sum(w * N[0], axis=0), np.sum(w * N[1], axis=0)
+    clearance = float(np.min(bn - math.sin(_BETA_MARGIN) * np.hypot(beta1, beta2)))
+    # adjoint: the spectral derivative is antisymmetric
+    g_c, g_h = np.array([p1.sum(), p2.sum()]), -(_du(p1, k) + _dv(p2, k))
+    return float(np.mean(np.logaddexp(0.0, z))), g_c, g_h, clearance
+
+
+def _closed_beta(a1, a2, b1, b2, n):
+    """A closed 1-form beta whose scalings f = (beta^b)/(a^b) and
+    g = (beta^a)/(a^b) are positive at every sample, so f a - g b = beta:
+    returns the constant beta = (c1, c2) or None, log f, log g (0 when a^b
+    has no strict sign or no beta is found) and the iterations spent.
+
+    With s the sign of a^b, f > 0 means beta . s (b2, -b1) > 0, and g > 0
+    means beta . s (a2, -a1) > 0.  The first step tries a constant beta:
+    all normals lie, with margin, in an open half-plane iff the largest gap
+    between their sorted angles exceeds pi + 2 _BETA_MARGIN, and beta then
+    points away from that gap's centre.  At the samples' kernel shapes each
+    distinct normal is sorted once, which leaves every gap and beta the same
+    floats; log f and log g keep those shapes, in 0 iterations.  Otherwise
+    beta = c + dh, from that c and h = 0 on the n x n grid: the constraints
+    are linear in (c, h), and ``_beta_penalty`` falls by H^1 gradient steps
+    (Neuberger's Sobolev gradient) of Barzilai-Borwein length in the same
+    metric, with backtracking, until beta clears every normal.
     """
+    zero = np.zeros((1, 1))
     D = a1 * b2 - a2 * b1
     if D.min() > 0.0:
         s = 1.0
     elif D.max() < 0.0:
         s = -1.0
     else:
-        return None
+        return None, zero, zero, 0
     theta = np.sort(
         np.concatenate((np.arctan2(-s * b1, s * b2).ravel(), np.arctan2(-s * a1, s * a2).ravel()))
     )
     gaps = np.diff(theta, append=theta[0] + 2.0 * np.pi)
     i = int(np.argmax(gaps))
-    if not gaps[i] > np.pi + 2.0 * _BETA_MARGIN:
-        return None
     mid = float(theta[i] + 0.5 * gaps[i]) + math.pi
-    c1, c2 = math.cos(mid), math.sin(mid)
-    return (c1, c2), np.log((c1 * b2 - c2 * b1) / D), np.log((c1 * a2 - c2 * a1) / D)
-
-
-def _descend(a: DifferentialForm, b: DifferentialForm, n: int):
-    """H^1 descent from f = g = 1 (Neuberger's Sobolev gradient): each step
-    follows the adjoint gradient smoothed by the Riesz map, (1 + |k|^2)^-1
-    per Fourier mode, with Barzilai-Borwein step lengths measured in the same
-    metric and a backtracking sufficient-decrease line search, so the
-    recorded residual history never increases.  Returns phi, gamma, that
-    history and the iteration count."""
-    raw = closedness_objective(a, b, n)
-
-    def objective(phi, gamma):
-        J0, gp, gg = raw(phi, gamma)
-        s = math.exp(-2.0 * float(np.mean(phi)))
-        J = s * J0
-        return J, s * gp - (2.0 * J / phi.size), s * gg
-
-    # the H^1 Riesz map P: (1 + |k|^2)^-1 on each mode of rfft2's half
-    # spectrum, whose first axis is full: |k| of its row i is that of mode
-    # min(i, n - i).  It leaves the mean, and so the gauge term, alone
-    k, i = _wavenumbers(n), np.arange(n)
-    riesz = 1.0 / (1.0 + k[np.minimum(i, n - i), None] ** 2 + k[None, :] ** 2)
-
-    def sobolev(g):
-        return np.fft.irfft2(riesz * np.fft.rfft2(g), s=g.shape)
-
-    phi = np.zeros((n, n))
-    gamma = np.zeros((n, n))
-    J, g_phi, g_gamma = objective(phi, gamma)
-    history = [math.sqrt(J)]
+    c1, c2 = beta = math.cos(mid), math.sin(mid)
     it = 0
-    prev = None
-    while history[-1] >= _SCALING_TOL and it < 4000:
-        it += 1
-        d_phi, d_gamma = sobolev(g_phi), sobolev(g_gamma)
-        gnorm2 = float(np.sum(g_phi * d_phi) + np.sum(g_gamma * d_gamma))  # <g, Pg>
-        if gnorm2 == 0.0:
-            break
-        if prev is None:
-            step = 1.0 / max(1.0, math.sqrt(gnorm2))
-        else:
-            # BB step in H^1: the step s = -t Pg has <s, P^-1 s> = t^2 <g, Pg>
-            s_phi, s_gamma, y_phi, y_gamma, ss = prev
-            sy = float(np.sum(s_phi * y_phi) + np.sum(s_gamma * y_gamma))
-            if sy > 0:
-                step = ss / sy
-        accepted = False
-        t = step
-        while t > 1e-18:
-            phi_t = phi - t * d_phi
-            gamma_t = gamma - t * d_gamma
-            J_t, gp_t, gg_t = objective(phi_t, gamma_t)
-            if J_t <= J - 1e-4 * t * gnorm2:
-                accepted = True
+    if not gaps[i] > np.pi + 2.0 * _BETA_MARGIN:
+        ra, rb = np.hypot(a1, a2), np.hypot(b1, b2)
+        N = np.reshape([np.broadcast_to(x, (n, n)) for x in
+                        (s * b2 / rb, s * a2 / ra, -s * b1 / rb, -s * a1 / ra)], (2, 2, n, n))
+        # the metric |c|^2 + mean(h^2 + |dh|^2): its Riesz map P is n^2 (1 +
+        # |k|^2)^-1 on each mode of h's rfft2, whose first axis is full, so
+        # |k| of row j is that of mode min(j, n - j)
+        k, j = _wavenumbers(n), np.arange(n)
+        riesz = n * n / (1.0 + k[np.minimum(j, n - j), None] ** 2 + k[None, :] ** 2)
+        c, h, prev = np.array(beta), np.zeros((n, n)), None
+        J, g_c, g_h, clearance = _beta_penalty(c, h, N, k)
+        while not clearance > 0.0 and it < 4000:
+            it += 1
+            d_h = np.fft.irfft2(riesz * np.fft.rfft2(g_h), s=(n, n))
+            gnorm2 = float(g_c @ g_c + np.sum(g_h * d_h))  # <g, Pg>
+            if prev is None:
+                step = 1.0 / max(1.0, math.sqrt(gnorm2))
+            elif prev[1] > 0.0:  # BB in H^1: a step s = -t Pg has <s, P^-1 s> = t^2 <g, Pg>
+                step = prev[0] / prev[1]
+            t = step
+            while t > 1e-18:  # Armijo backtracking
+                c_t, h_t = c - t * g_c, h - t * d_h
+                J_t, gc_t, gh_t, clearance_t = _beta_penalty(c_t, h_t, N, k)
+                if J_t <= J - 1e-4 * t * gnorm2:
+                    break
+                t *= 0.5
+            else:
                 break
-            t *= 0.5
-        if not accepted:
-            break
-        prev = (phi_t - phi, gamma_t - gamma, gp_t - g_phi, gg_t - g_gamma, t * t * gnorm2)
-        phi, gamma, J, g_phi, g_gamma = phi_t, gamma_t, J_t, gp_t, gg_t
-        history.append(math.sqrt(J))
-    return phi, gamma, history, it
+            sy = float((c_t - c) @ (gc_t - g_c) + np.sum((h_t - h) * (gh_t - g_h)))
+            prev = t * t * gnorm2, sy
+            c, h, J, g_c, g_h, clearance = c_t, h_t, J_t, gc_t, gh_t, clearance_t
+        if not clearance > 0.0:
+            return None, zero, zero, it
+        c1, c2, beta = c[0] + _du(h, k), c[1] + _dv(h, k), None
+    return beta, np.log((c1 * b2 - c2 * b1) / D), np.log((c1 * a2 - c2 * a1) / D), it
 
 
-def scaling_solve(
-    a: DifferentialForm,
-    b: DifferentialForm,
-    *,
-    n: int = 64,
-) -> ScalingSolution:
-    """Positive grid scalings f = e^phi, g = e^gamma making f a - g b closed,
-    from the first of three routes that applies:
-
-    1. f = g = 1, when d(a - b) is already below ``_SCALING_TOL``;
-    2. one constant 1-form beta (``_constant_beta``), when a^b has one sign
-       and the normals of a and b fit in an open half-plane: then
-       f = (beta^b)/(a^b) and g = (beta^a)/(a^b) make f a - g b = beta
-       exactly, in 0 iterations;
-    3. otherwise ``_descend`` minimizes the mean-square curl of
-       e^phi a - e^gamma b.
+def scaling_solve(a: DifferentialForm, b: DifferentialForm, *, n: int = 64) -> ScalingSolution:
+    """Positive grid scalings f = e^phi, g = e^gamma making f a - g b closed:
+    f = g = 1 when d(a - b) is already below ``_SCALING_TOL``, else
+    f = (beta^b)/(a^b) and g = (beta^a)/(a^b) for a closed 1-form beta from
+    ``_closed_beta``, which make f a - g b = beta exactly: one constant beta
+    in 0 iterations when the normals of a and b fit in an open half-plane,
+    otherwise beta = c + dh from a convex iteration.  A pair whose a^b has
+    no strict sign, or for which no beta is found, keeps f = g = 1 and gets
+    ``success=False``.
 
     Jointly shrinking f and g scales the curl down without changing
-    anything, so every route measures the gauge-fixed residual, that of the
-    representative with mean(phi) = 0, and returns that representative.
-    Non-finite samples of a or b raise ``PreLagError`` before any route.
+    anything, so the residual is gauge-fixed, that of the representative
+    with mean(phi) = 0, which is returned.  Non-finite samples of a or b
+    raise ``PreLagError``.
     """
     a1, a2 = _sample_form(a, n, "a")
     b1, b2 = _sample_form(b, n, "b")
@@ -302,21 +294,15 @@ def scaling_solve(
         return np.ascontiguousarray(np.broadcast_to(x, (n, n)))
 
     def residual(phi, gamma):
-        # the descent's gauge-fixed measure
         rho = _curl(np.exp(phi), np.exp(gamma), a1, a2, b1, b2, k)
         return math.sqrt(math.exp(-2.0 * np.mean(grid(phi))) * np.mean(grid(rho * rho)))
 
     phi = gamma = np.zeros((1, 1))
-    beta = None
-    it = 0
-    history = [residual(phi, gamma)]
-    if history[0] >= _SCALING_TOL:
-        found = _constant_beta(a1, a2, b1, b2)
-        if found is None:
-            phi, gamma, history, it = _descend(a, b, n)
-        else:
-            beta, phi, gamma = found
-            history = [residual(phi, gamma)]
+    beta, it = None, 0
+    res = residual(phi, gamma)
+    if res >= _SCALING_TOL:
+        beta, phi, gamma, it = _closed_beta(a1, a2, b1, b2, n)
+        res = residual(phi, gamma)
     # gauge: joint constant shift, zero-mean phi (leaves the gauge-fixed
     # residual unchanged)
     m = float(np.mean(grid(phi)))
@@ -324,16 +310,8 @@ def scaling_solve(
     gamma = grid(gamma) - m
     if beta is not None:
         beta = (math.exp(-m) * beta[0], math.exp(-m) * beta[1])
-    return ScalingSolution(
-        n=n,
-        log_f=phi,
-        log_g=gamma,
-        residual=history[-1],
-        residual_history=tuple(history),
-        iterations=it,
-        success=history[-1] < _SCALING_TOL,
-        beta=beta,
-    )
+    return ScalingSolution(n=n, log_f=phi, log_g=gamma, residual=res, iterations=it,
+                           success=res < _SCALING_TOL, beta=beta)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,42 @@ def test_standard_pair_is_anosov_liouville(cat):
     assert rep.f_plus.min == pytest.approx(2.0, rel=1e-12)
     assert rep.f_minus.min == pytest.approx(2.0, rel=1e-12)
     assert rep.f_zero.max == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("C", [0.0, -0.0, math.nan, math.inf, -math.inf])
+def test_standard_pair_refuses_a_scale_that_is_zero_or_not_finite(cat, C):
+    # C = 0 raised ZeroDivisionError before
+    with pytest.raises(ModelError, match=rf"C = {re.escape(repr(C))} is not finite and nonzero"):
+        cat.standard_pair(C)
+
+
+def test_standard_pair_with_a_negative_scale_has_the_same_densities(cat):
+    # -C negates both forms: a ^ da and d(a_- ^ a_+) are quadratic in them
+    got, want = al_check(cat.standard_pair(-2.0), n=6), al_check(cat.standard_pair(2.0), n=6)
+    assert got.verdict == want.verdict == "anosov_liouville"
+    for q in ("f_plus", "f_minus", "f_zero"):
+        assert getattr(got, q).min == pytest.approx(getattr(want, q).min, rel=1e-12, abs=1e-12)
+        assert getattr(got, q).max == pytest.approx(getattr(want, q).max, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.5, np.int64(0), "4"])
+def test_grid_checks_refuse_a_size_not_an_integer_of_at_least_1(cat, n):
+    # every check samples Gluing3.sample_points: n = 0 and -3 raised numpy
+    # errors, and al_check took n = 2.5 as the 3-point grid 0, 0.4, 0.8
+    pair = cat.standard_pair()
+    checks = (lambda: al_check(pair, n=n), lambda: liouville_direct_check(pair, n=n),
+              lambda: check_periodicity(cat.alpha_u, cat.gluing, n=n))
+    refusal = rf"grid size n = {re.escape(repr(n))} is not an integer of at least 1"
+    for check in checks:
+        with pytest.raises(GeomError, match=refusal):
+            check()
+
+
+def test_grid_checks_take_one_point_and_numpy_integers(cat):
+    pair = cat.standard_pair()
+    assert al_check(pair, n=np.int64(1)).verdict == "anosov_liouville"
+    assert liouville_direct_check(pair, n=1).passed
+    assert check_periodicity(cat.alpha_u, cat.gluing, n=np.int64(2)).passed
 
 
 def test_fiber_restrictions_are_closed(cat):

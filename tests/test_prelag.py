@@ -8,7 +8,7 @@ import pytest
 from allab import expr as ex
 from allab import foliation as fol
 from allab import library, prelag
-from allab.anosov import FlowModel, suspension_model, weak_foliations_on_torus
+from allab.anosov import FlowModel, ModelError, suspension_model, weak_foliations_on_torus
 from allab.contact import ContactError
 from allab.expr import Const, compile_field, parse_expr
 from allab.foliation import FoliationError, cone_separation, parallel_compact_leaves
@@ -62,9 +62,29 @@ def _no_beta_pair():
     return a, b
 
 
-@pytest.fixture(scope="module")
-def descent_solution():
-    return scaling_solve(*_no_beta_pair(), n=16)
+def _planted_no_beta_pair():
+    # a = X2 du - X1 dv and b = Y2 du - Y1 dv for X = e^s R(tx) omega and
+    # Y = R(ty) omega, where omega = du + d((3/2 pi) sin 2 pi v
+    # + (0.5/2 pi) sin 2 pi (u + v)), s = 0.3 sin 2 pi v,
+    # tx = pi/3 + 0.4 sin 2 pi u and ty = -pi/3 + 0.3 cos 2 pi (u - v):
+    # beta = omega is closed, and |tx|, |ty| < pi/2 make beta(X), beta(Y) > 0.
+    # omega's direction turns with v, so no constant beta exists
+    w1, w2 = "(1 + 0.5*cos(2*pi*(u + v)))", "(3*cos(2*pi*v) + 0.5*cos(2*pi*(u + v)))"
+
+    def turned(t, scale):
+        t = f"({t})"
+        return (parse_expr(f"{scale}*(sin{t}*{w1} + cos{t}*{w2})"),
+                parse_expr(f"-{scale}*(cos{t}*{w1} - sin{t}*{w2})"))
+
+    a = one_form(UV, *turned("pi/3 + 0.4*sin(2*pi*u)", "exp(0.3*sin(2*pi*v))"))
+    b = one_form(UV, *turned("-pi/3 + 0.3*cos(2*pi*(u - v))", "1"))
+    return a, b
+
+
+def _eight_band_forms():
+    # a = V2 du - V1 dv for each field: leaves of opposite oriented classes
+    # leave no closed beta positive on both fields
+    return tuple(one_form(UV, H.V2, ex.zneg(H.V1)) for H in library.eight_band_pair())
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +157,7 @@ def test_scaling_solve_trivial_closed_inputs():
     sol = scaling_solve(a, b, n=32)
     assert sol.success
     assert sol.iterations == 0
-    assert sol.residual_history[0] < 1e-12
+    assert sol.residual < 1e-12
     assert sol.log_f.shape == sol.log_g.shape == (32, 32)
     assert np.max(np.abs(sol.log_f)) == 0.0
     assert np.max(np.abs(sol.log_g)) == 0.0
@@ -156,7 +176,7 @@ def test_scaling_solve_cat_fiber_forms(cat):
 def _assert_closed_by_beta(sol, a, b, n):
     # f a - g b is the reported constant beta at every sample
     assert sol.success and sol.iterations == 0
-    assert sol.residual < 1e-12 and sol.residual_history == (sol.residual,)
+    assert sol.residual < 1e-12
     assert sol.beta is not None
     for log in (sol.log_f, sol.log_g):  # full grids, whatever shape the route worked at
         assert log.shape == (n, n) and log.flags.c_contiguous and log.flags.writeable
@@ -182,13 +202,6 @@ def test_scaling_solve_planted(planted_solution):
     _assert_recovers_the_1d_planted_scalings(sol, 64)
 
 
-def test_scaling_solve_history_non_increasing(descent_solution):
-    sol = descent_solution
-    hist = np.array(sol.residual_history)
-    assert np.all(np.diff(hist) <= 0.0)
-    assert len(hist) == sol.iterations + 1
-
-
 def test_scaling_solve_iterations_flat_in_n():
     # the constant beta = -du + dv gives f = e^-h and g = 1 in closed form,
     # so every n takes 0 iterations
@@ -209,16 +222,65 @@ def test_scaling_solve_iterations_on_the_2d_planted_problem():
         _assert_closed_by_beta(scaling_solve(a, b, n=n), a, b, n)
 
 
-def test_scaling_solve_descends_when_no_constant_beta_exists(descent_solution):
-    a, b = _no_beta_pair()
-    for n in (16, 32, 64):
-        assert prelag._constant_beta(*prelag._sample_form(a, n, "a"), *prelag._sample_form(b, n, "b")) is None
-    sol = descent_solution
-    assert sol.success and sol.residual < 1e-6
+def _upsampled(x, m):
+    # the trigonometric interpolant of n x n samples on the mn x mn grid; an
+    # even n's Nyquist mode is split between +n/2 and -n/2
+    for axis in (0, 1):
+        n = x.shape[axis]
+        X = np.fft.rfft(x, axis=axis)
+        if n % 2 == 0:
+            X[(slice(None),) * axis + (n // 2,)] *= 0.5
+        x = m * np.fft.irfft(X, m * n, axis=axis)
+    return x
+
+
+def _full(e, n):
+    return np.broadcast_to(torus_samples(e, n), (n, n))
+
+
+def test_scaling_solve_descends_when_no_constant_beta_exists():
+    # the convex beta iteration took 1, 1, 1 and 4, 5, 5 iterations at
+    # n = 16, 32 and 64 on the two pairs; each bound is twice the largest
+    for pair, bound in ((_no_beta_pair, 2), (_planted_no_beta_pair, 10)):
+        a, b = pair()
+        for n in (16, 32, 64):
+            sol = scaling_solve(a, b, n=n)
+            assert sol.success and sol.residual < 1e-11
+            assert sol.beta is None
+            assert 0 < sol.iterations <= bound
+            # beta = f a - g b, interpolated on the 4x finer grid, keeps f and
+            # g positive there
+            f, g = np.exp(sol.log_f), np.exp(sol.log_g)
+            beta = [f * _full(a.coeff((i,)), n) - g * _full(b.coeff((i,)), n) for i in (0, 1)]
+            fine = [_upsampled(x, 4) for x in beta]
+            for x, x_fine in zip(beta, fine):
+                assert np.max(np.abs(x_fine[::4, ::4] - x)) < 1e-12
+            a1, a2, b1, b2 = (_full(e.coeff((i,)), 4 * n) for e in (a, b) for i in (0, 1))
+            D = a1 * b2 - a2 * b1
+            assert np.min((fine[0] * b2 - fine[1] * b1) / D) > 0.0
+            assert np.min((fine[0] * a2 - fine[1] * a1) / D) > 0.0
+
+
+def test_scaling_solve_finds_no_beta_for_leaves_of_opposite_classes():
+    a, b = _eight_band_forms()
+    sol = scaling_solve(a, b, n=16)
+    assert not sol.success and sol.iterations == 4000  # the cap
     assert sol.beta is None
-    # 365 iterations when measured with rfft derivatives (317 with complex
-    # FFTs, whose last bits differ); the bound was set at 1.25 times 317
-    assert 0 < sol.iterations <= 400
+    assert np.max(np.abs(sol.log_f)) == np.max(np.abs(sol.log_g)) == 0.0
+    assert sol.residual > prelag._SCALING_TOL  # that of f = g = 1
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 8, 16, 32])
+def test_scaling_solve_gives_no_scalings_when_a_wedge_b_changes_sign(n):
+    # a = du + sin(2 pi u) dv, b = du: a^b = -sin 2 pi u vanishes at u = 0,
+    # and closedness forces the v-mean of f times sin 2 pi u to be constant
+    # in u, hence 0, which no f > 0 allows
+    a = one_form(UV, ex.ONE, parse_expr("sin(2*pi*u)"))
+    b = one_form(UV, ex.ONE, ex.ZERO)
+    sol = scaling_solve(a, b, n=n)
+    assert not sol.success and sol.iterations == 0 and sol.beta is None
+    assert sol.log_f.shape == (n, n)
+    assert np.max(np.abs(sol.log_f)) == np.max(np.abs(sol.log_g)) == 0.0
 
 
 def test_scaling_solve_closes_unequal_constant_scalings_by_formula():
@@ -302,7 +364,7 @@ def _routes_1_and_2_on_the_full_grid(a, b, n):
     phi = gamma = np.zeros((n, n))
     beta, res = None, residual(phi, gamma)
     if res >= prelag._SCALING_TOL:
-        beta, phi, gamma = prelag._constant_beta(a1, a2, b1, b2)
+        beta, phi, gamma, _ = prelag._closed_beta(a1, a2, b1, b2, n)
         res = residual(phi, gamma)
     m = float(np.mean(phi))
     if beta is not None:
@@ -335,8 +397,8 @@ def test_constant_beta_at_the_kernel_shape_matches_the_full_grid(dim, n):
     b = one_form(UV, ex.ONE, ex.ZERO)
     samples = prelag._sample_form(a, n, "a") + prelag._sample_form(b, n, "b")
     assert samples[1].shape == ((n, 1) if dim == 1 else (n, n)) and samples[2].shape == (1, 1)
-    beta, log_f, log_g = prelag._constant_beta(*samples)
-    full = prelag._constant_beta(*(np.broadcast_to(c, (n, n)) for c in samples))
+    beta, log_f, log_g, _ = prelag._closed_beta(*samples, n)
+    full = prelag._closed_beta(*(np.broadcast_to(c, (n, n)) for c in samples), n)
     assert beta == full[0]
     for log, log_full in ((log_f, full[1]), (log_g, full[2])):
         assert np.broadcast_to(log, (n, n)).tobytes() == log_full.tobytes()
@@ -364,6 +426,36 @@ def test_adjoint_gradient_matches_finite_differences():
         base[i, j] += h
         fd = (J_hi - J_lo) / (2 * h)
         assert fd == pytest.approx(grad[i, j], rel=1e-5, abs=1e-12)
+
+
+def test_beta_penalty_gradient_matches_finite_differences():
+    # the convex objective in beta = c + dh, on the unit normals of the
+    # planted pair, at a point where some normals are cleared and some not
+    rng = np.random.default_rng(12)
+    n = 16
+    a1, a2, b1, b2 = (_full(e.coeff((i,)), n) for e in _planted_no_beta_pair() for i in (0, 1))
+    s = np.sign(a1[0, 0] * b2[0, 0] - a2[0, 0] * b1[0, 0])
+    ra, rb = np.hypot(a1, a2), np.hypot(b1, b2)
+    N = s * np.array([[b2 / rb, a2 / ra], [-b1 / rb, -a1 / ra]])
+    k = prelag._wavenumbers(n)
+    c = np.array([0.6, -0.2])
+    h = 0.05 * rng.standard_normal((n, n))
+    _, g_c, g_h, _ = prelag._beta_penalty(c, h, N, k)
+    step = 1e-6
+
+    def central(x, idx):
+        x[idx] += step
+        hi = prelag._beta_penalty(c, h, N, k)[0]
+        x[idx] -= 2 * step
+        lo = prelag._beta_penalty(c, h, N, k)[0]
+        x[idx] += step
+        return (hi - lo) / (2 * step)
+
+    for i in (0, 1):
+        assert central(c, i) == pytest.approx(g_c[i], rel=1e-6, abs=1e-12)
+    for _ in range(20):
+        idx = tuple(rng.integers(n, size=2))
+        assert central(h, idx) == pytest.approx(g_h[idx], rel=1e-5, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +506,20 @@ def test_certificate_scale_invariance(cat):
         assert rep.parallel_verdict == "not_parallel"
         product = rep.final_al.f_plus.min * rep.final_al.f_minus.min
         assert product == pytest.approx(4.0, rel=5e-2)
+
+
+@pytest.mark.parametrize("C", [0.0, math.nan, math.inf])
+def test_certificate_refuses_a_scale_that_is_zero_or_not_finite(cat, C):
+    # 0 raised ZeroDivisionError; NaN and inf answered failed with "perturbation
+    # target has non-finite coefficients"
+    with pytest.raises(ModelError, match=r"scale C = .* is not finite and nonzero"):
+        pre_lagrangian_certificate(cat, cat.fiber(0.0), scale_C=C)
+
+
+def test_certificate_with_a_negative_scale(cat):
+    rep = pre_lagrangian_certificate(cat, cat.fiber(0.0), scale_C=-10.0)
+    assert rep.outcome == "certificate"
+    assert rep.final_al.verdict == "anosov_liouville"
 
 
 def test_certificate_obstructed_foliation_data():
