@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,12 @@ class PerturbationError(ContactError):
 
 @dataclass(frozen=True)
 class FormPair:
+    """A pair of 1-forms (a_+, a_-) over (x, y, z) and the gluing whose
+    fundamental domain ``al_check`` samples (the unit cube when None).
+
+    The pair's contact volumes are derived once, on first use, and kept
+    with the pair (``contact_volumes``); they are not part of its value."""
+
     plus: DifferentialForm
     minus: DifferentialForm
     gluing: Gluing3 | None = None
@@ -63,6 +70,14 @@ class FormPair:
         if self.gluing is not None:
             return self.gluing.sample_points(n)
         return torus3().sample_points(n, z_lo=0.0)
+
+    @functools.cached_property
+    def contact_volumes(self) -> tuple[DifferentialForm, DifferentialForm, DifferentialForm]:
+        """a_+ ^ da_+, a_- ^ da_- and d(a_- ^ a_+), derived once per pair:
+        every grid ``al_check`` samples them on reads these."""
+        wp = wedge(self.plus, exterior_derivative(self.plus))
+        wm = wedge(self.minus, exterior_derivative(self.minus))
+        return wp, wm, exterior_derivative(wedge(self.minus, self.plus))
 
 
 @dataclass(frozen=True)
@@ -128,9 +143,7 @@ def al_check(
     bad = np.abs(vol_vals) < 1e-300
     if np.any(bad):
         raise ContactError("volume form vanishes at a grid point")
-    wp = wedge(pair.plus, exterior_derivative(pair.plus))
-    wm = wedge(pair.minus, exterior_derivative(pair.minus))
-    w0 = exterior_derivative(wedge(pair.minus, pair.plus))
+    wp, wm, w0 = pair.contact_volumes
     f_plus = _coeff_values(wp, pts) / vol_vals
     f_minus = -_coeff_values(wm, pts) / vol_vals
     f_zero = _coeff_values(w0, pts) / vol_vals
@@ -148,7 +161,7 @@ def al_check(
     else:
         verdict = "fail"
     return ALReport(
-        grid_n=n if points is None else np.broadcast(*pts).size,
+        grid_n=operator.index(n) if points is None else np.broadcast(*pts).size,
         f_plus=_stats(f_plus, pts),
         f_minus=_stats(f_minus, pts),
         f_zero=_stats(f_zero, pts),
@@ -213,11 +226,19 @@ def quintic_bump(t: Expr) -> Expr:
 
 @np.errstate(all="ignore")  # a domain error gives NaN, refused below
 def perturb_pair(
-    pair: FormPair, beta_target: DifferentialForm, sigma: TorusEmbedding
+    pair: FormPair,
+    beta_target: DifferentialForm,
+    sigma: TorusEmbedding,
+    restricted_sum: DifferentialForm,
 ) -> PerturbResult:
     """Adds the same collar-supported 1-form to both members of the pair so
     that the restricted sum becomes exactly ``beta_target`` on the torus;
-    the collar has half-width 0.15 in z."""
+    the collar has half-width 0.15 in z.
+
+    ``restricted_sum`` is ``restrict(pair.plus + pair.minus, sigma)``,
+    which the caller has derived already (the certificate pipeline takes
+    its target from it).  When it equals the target, the pair comes back
+    unchanged."""
     if beta_target.coords != UV or beta_target.degree != 1:
         raise ContactError("perturbation target must be a 1-form on the torus")
     # a constant has no curl, so the closedness check below passes NaN
@@ -228,11 +249,10 @@ def perturb_pair(
         raise PerturbationError(
             f"perturbation target is not closed (curl residual {res:.2e})"
         )
-    restricted = restrict(pair.plus + pair.minus, sigma)
     half = ex.const(0.5)
     coeffs = {}
     for idx in ((0,), (1,)):
-        cb, cr = beta_target.coeff(idx), restricted.coeff(idx)
+        cb, cr = beta_target.coeff(idx), restricted_sum.coeff(idx)
         if cb == cr:
             continue
         coeffs[idx] = ex.zmul(half, ex.zsub(cb, cr))

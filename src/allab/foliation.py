@@ -82,9 +82,16 @@ class Foliation2:
         return Foliation2(ex.zneg(a.coeff((1,))), a.coeff((0,)))
 
     @property
+    def form(self) -> DifferentialForm:
+        """The defining 1-form V2 du - V1 dv.  For ``from_form(a)`` it is a,
+        coefficient by coefficient: negating a coefficient twice keeps its
+        values bit for bit."""
+        return one_form(UV, self.V2, ex.zneg(self.V1))
+
+    @property
     def closed_form(self) -> bool:
-        """Whether the defining 1-form V2 du - V1 dv is closed."""
-        return curl_residual(one_form(UV, self.V2, ex.zneg(self.V1))) < 1e-9
+        """Whether the defining 1-form is closed."""
+        return curl_residual(self.form) < 1e-9
 
 
 def constant_slope(rho: float) -> Foliation2:

@@ -315,10 +315,16 @@ def torus_samples(e: Expr, n: int) -> np.ndarray:
 
 def grid_point(grid: Sequence[np.ndarray], k: int) -> tuple[float, ...]:
     """The point at flat index k of the broadcast grid, as np.argmin and
-    np.argmax give it for values over the grid."""
+    np.argmax give it for values over the grid.  Each coordinate is indexed
+    at its own shape: index 0 along an axis it is broadcast over."""
     shape = np.broadcast_shapes(*(np.shape(c) for c in grid))
     i = np.unravel_index(k, shape)
-    return tuple(float(np.broadcast_to(c, shape)[i]) for c in grid)
+    point = []
+    for c in grid:
+        c = np.asarray(c)
+        at = i[len(i) - c.ndim:]
+        point.append(float(c[tuple(j if m > 1 else 0 for j, m in zip(at, c.shape))]))
+    return tuple(point)
 
 
 def grid_argmin(values, grid: Sequence[np.ndarray]) -> tuple[float, tuple[float, ...]]:

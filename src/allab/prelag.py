@@ -386,6 +386,11 @@ def pre_lagrangian_certificate(
     The scalings are f = g = 1, taken when max |d(a - b)| on the
     ``curl_residual`` grid is below ``_TOL``; otherwise the outcome is
     ``failed``.  ``_TOL`` also bounds the final restricted sum's residual.
+
+    Each form is restricted to sigma once: a and b are the defining forms
+    of the weak foliations (``Foliation2.form``), and the standard pair's
+    restricted sum gives the target, the perturbation and, when the
+    perturbation leaves the pair as it is, the final residual.
     """
     if model is not None:
         if sigma is None:
@@ -420,9 +425,7 @@ def pre_lagrangian_certificate(
     if model is None:
         return stop("not_attempted", "foliation data only: no ambient pair to rebuild")
 
-    a = restrict(model.alpha_u, sigma)
-    b = restrict(model.alpha_s, sigma)
-    res = curl_residual(a - b)
+    res = curl_residual(F_ws.form - F_wu.form)
     common["scaling_residual"] = res
     if not res < _TOL:  # NaN refuses too
         return stop(
@@ -444,13 +447,15 @@ def pre_lagrangian_certificate(
     restricted = restrict(pair.plus + pair.minus, sigma)
     beta = _mean_constant_form(restricted)
     try:
-        perturbed = perturb_pair(pair, beta, sigma)
+        perturbed = perturb_pair(pair, beta, sigma, restricted)
     except PerturbationError as e:
         return stop("failed", f"collar perturbation failed: {e}")
     final_pair = perturbed.pair
+    if perturbed.changed:
+        restricted = restrict(final_pair.plus + final_pair.minus, sigma)
 
     final_al = al_check(final_pair, n=AL_GRID)
-    final_res = curl_residual(restrict(final_pair.plus + final_pair.minus, sigma))
+    final_res = curl_residual(restricted)
     ok = final_al.verdict == "anosov_liouville" and final_res < _TOL
     return PreLagReport(
         outcome="certificate" if ok else "failed",

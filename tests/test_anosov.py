@@ -166,7 +166,12 @@ def test_fiber_restrictions_are_closed(cat):
 
 
 def test_weak_foliation_slopes(cat):
-    F_ws, F_wu = weak_foliations_on_torus(cat, cat.fiber(0.0))
+    sigma = cat.fiber(0.0)
+    F_ws, F_wu = weak_foliations_on_torus(cat, sigma)
+    # their defining forms are the restricted ones, which the certificate
+    # pipeline reads from them
+    assert F_ws.form == restrict(cat.alpha_u, sigma)
+    assert F_wu.form == restrict(cat.alpha_s, sigma)
     p = {"u": 0.2, "v": 0.6}
     slope_ws = evaluate(F_ws.V2, p) / evaluate(F_ws.V1, p)
     slope_wu = evaluate(F_wu.V2, p) / evaluate(F_wu.V1, p)

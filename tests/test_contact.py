@@ -201,6 +201,35 @@ def test_al_check_matches_the_full_grid():
     assert al_check(wobbly, points=scattered).grid_n == 5
 
 
+def test_al_check_derives_the_contact_volumes_once_per_pair(monkeypatch):
+    calls = []
+
+    def counted(omega):
+        calls.append(omega)
+        return exterior_derivative(omega)
+
+    def cat_pair():
+        return suspension_model(((2, 1), (1, 1))).standard_pair()
+
+    pair = cat_pair()
+    monkeypatch.setattr(contact, "exterior_derivative", counted)
+    reports = [al_check(pair, n=n).to_dict() for n in (48, 96)]
+    # da_+, da_- and d(a_- ^ a_+), for both grids
+    assert len(calls) == 3
+    monkeypatch.undo()
+    fresh = cat_pair()
+    assert fresh == pair and "contact_volumes" not in vars(fresh)
+    for n, rep in zip((48, 96), reports):
+        assert json.dumps(rep) == json.dumps(al_check(fresh, n=n).to_dict())
+
+
+def test_al_check_report_serializes_with_a_numpy_grid_size():
+    pair = suspension_model(((2, 1), (1, 1))).standard_pair()
+    d = al_check(pair, n=np.int64(3)).to_dict()
+    assert type(d["grid_n"]) is int and d["grid_n"] == 3
+    assert json.loads(json.dumps(d)) == d
+
+
 def test_al_check_memory_stays_at_the_shape_of_the_densities():
     # z-only densities: 96 values each, not 96^3 (43.5 MB traced on the full grid)
     pair = suspension_model(((2, 1), (1, 1))).standard_pair()
@@ -224,7 +253,7 @@ def test_perturb_identity_returns_same_pair():
     p = standard_pair()
     sigma = _fiber()
     beta = restrict(p.plus + p.minus, sigma)
-    out = perturb_pair(p, beta, sigma)
+    out = perturb_pair(p, beta, sigma, beta)
     assert not out.changed
     assert out.pair is p
 
@@ -232,8 +261,9 @@ def test_perturb_identity_returns_same_pair():
 def test_perturb_small_target_keeps_margins():
     p = standard_pair()
     sigma = _fiber()
-    beta = restrict(p.plus + p.minus, sigma).scale(Const(1.0 + 1e-3))
-    out = perturb_pair(p, beta, sigma)
+    restricted = restrict(p.plus + p.minus, sigma)
+    beta = restricted.scale(Const(1.0 + 1e-3))
+    out = perturb_pair(p, beta, sigma, restricted)
     assert out.changed
     assert out.restriction_residual < 1e-12
     assert out.warnings == ()
@@ -251,16 +281,18 @@ def test_perturb_small_target_keeps_margins():
 def test_perturb_huge_target_fails_al_check():
     p = standard_pair()
     sigma = _fiber()
-    beta = restrict(p.plus + p.minus, sigma).scale(Const(11.0))
+    restricted = restrict(p.plus + p.minus, sigma)
+    beta = restricted.scale(Const(11.0))
     with pytest.raises(PerturbationError, match="AL check failed after perturbation"):
-        perturb_pair(p, beta, sigma)
+        perturb_pair(p, beta, sigma, restricted)
 
 
 def test_perturb_rejects_nonclosed_target():
     p = standard_pair()
+    sigma = _fiber()
     beta = one_form(UV, parse_expr("sin(2*pi*v)"), ex.ZERO)
     with pytest.raises(PerturbationError, match="not closed"):
-        perturb_pair(p, beta, _fiber())
+        perturb_pair(p, beta, sigma, restrict(p.plus + p.minus, sigma))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -270,16 +302,18 @@ def test_perturb_rejects_nonclosed_target():
 ])
 def test_perturb_rejects_a_non_finite_target(du):
     cat = suspension_model(((2, 1), (1, 1)))
+    p, sigma = cat.standard_pair(10.0), cat.fiber(0.0)
     beta = DifferentialForm(UV, 1, {(0,): du, (1,): ex.ONE})
     with pytest.raises(PerturbationError, match="non-finite coefficients"):
-        perturb_pair(cat.standard_pair(10.0), beta, cat.fiber(0.0))
+        perturb_pair(p, beta, sigma, restrict(p.plus + p.minus, sigma))
 
 
 def test_perturb_large_but_valid_target_warns():
     p = standard_pair()
     sigma = _fiber()
-    beta = restrict(p.plus + p.minus, sigma).scale(Const(1.05))
-    out = perturb_pair(p, beta, sigma)
+    restricted = restrict(p.plus + p.minus, sigma)
+    beta = restricted.scale(Const(1.05))
+    out = perturb_pair(p, beta, sigma, restricted)
     assert out.changed
     assert any("threshold" in w for w in out.warnings)
     assert out.al_report.verdict == "anosov_liouville"

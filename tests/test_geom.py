@@ -198,6 +198,18 @@ def test_restrict_pair_sum_is_closed_constant():
     assert restrict(exterior_derivative(plus + minus), _unit_fiber(z=c)).is_zero()
 
 
+def test_grid_point_matches_the_broadcast_grid():
+    n = 7
+    rng = np.random.default_rng(20)
+    grid = (np.array(rng.random()), rng.random(n), rng.random((n, 1)), rng.random((n, n, 1)))
+    shape = (n, n, n)
+    flat = [0, n**3 - 1, *rng.integers(0, n**3, 20)]
+    for k in flat:
+        i = np.unravel_index(k, shape)
+        ref = tuple(float(np.broadcast_to(c, shape)[i]) for c in grid)
+        assert geom.grid_point(grid, int(k)) == ref
+
+
 def test_restrict_commutes_with_d():
     sigma = TorusEmbedding(
         base=(0.1, -0.2, 0.5),

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import time
 
 import numpy as np
@@ -489,6 +490,25 @@ def test_certificate_builds_one_collar_extension_per_rate(cat):
     again = pre_lagrangian_certificate(other, other.fiber(0.2))
     assert again.outcome == "certificate"
     assert again.extension_u is again.extension_s is rep.extension_u
+
+
+def test_certificate_restricts_each_form_once(cat, monkeypatch):
+    # alpha_u, alpha_s and the standard pair's sum: the fiber's restricted
+    # sum is its own target, so it also gives the final residual
+    calls = []
+
+    def counted(omega, sigma):
+        calls.append(omega)
+        return restrict(omega, sigma)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "allab" or name.startswith("allab."):
+            for k, v in list(vars(mod).items()):
+                if v is restrict:
+                    monkeypatch.setattr(mod, k, counted)
+    rep = pre_lagrangian_certificate(cat, cat.fiber(0.0))
+    assert rep.outcome == "certificate"
+    assert len(calls) == 3
 
 
 def test_collar_extension_refuses_a_negative_rate_on_every_call():
