@@ -1,5 +1,6 @@
 """Scalar expressions in chart coordinates: parsing, exact differentiation,
-evaluation, and compilation to fast numeric callables.
+evaluation, compilation to fast numeric callables, and interval enclosure
+over boxes (``interval``), which bounds what the compiled callables compute.
 
 The grammar is infix with the usual precedence, ``^`` right-associative,
 and function-call syntax for the unary functions ``exp``, ``log``, ``sin``,
@@ -589,3 +590,106 @@ def compile_field(e: Expr, names: tuple[str, ...]) -> Callable:
         return out
 
     return field
+
+
+# ---------------------------------------------------------------------------
+# interval enclosure
+
+_WIDEN = 2.0**-44  # outward move of an endpoint, relative to its magnitude
+
+
+def _outward(lo, hi):
+    """[lo, hi] widened by _WIDEN, or (-inf, inf) where an end is not finite."""
+    lo, hi = lo - np.abs(lo) * _WIDEN, hi + np.abs(hi) * _WIDEN
+    ok = np.isfinite(lo) & np.isfinite(hi)
+    return np.where(ok, lo, -math.inf), np.where(ok, hi, math.inf)
+
+
+def _corners(fn, a, b):
+    """min and max of fn over the corners of the rectangle a x b."""
+    c = [fn(x, y) for x in a for y in b]
+    return functools.reduce(np.minimum, c), functools.reduce(np.maximum, c)
+
+
+def _trig(fn, shift, lo, hi):
+    """fn = sin or cos over [lo, hi]: the values at its ends, and 1 or -1 where
+    the interval may hold one of fn's extrema (k + shift) pi, a maximum for
+    even k, a minimum for odd k.  The test errs toward holding one."""
+    k0, k1 = lo / math.pi - shift, hi / math.pi - shift
+    first = np.ceil(k0 - 1e-9 * (1.0 + np.abs(k0)))  # the integers in [k0, k1], widened
+    last = np.floor(k1 + 1e-9 * (1.0 + np.abs(k1)))
+    one = last == first
+    top = (last > first) | (one & (first % 2 == 0))
+    bottom = (last > first) | (one & (first % 2 == 1))
+    a, b = fn(lo), fn(hi)
+    return (np.minimum(np.minimum(a, b), np.where(bottom, -1.0, math.inf)),
+            np.maximum(np.maximum(a, b), np.where(top, 1.0, -math.inf)))
+
+
+@np.errstate(all="ignore")  # a domain error gives NaN or inf, unbounded by _outward
+def interval(e: Expr, box: Mapping[str, tuple]) -> tuple:
+    """An enclosure (lo, hi) of e over boxes: ``box`` maps each variable e
+    uses to a pair of arrays (lo, hi) of its bounds, which broadcast, and the
+    result has the broadcast shape of only the variables e uses (a constant
+    tree gives its own value twice).  ``pi`` is math.pi unless rebound.
+
+    The enclosure holds the value ``compile_kernel`` computes at every point
+    of each box, not only the exact value.  Each node's ends are computed in
+    floats from its arguments' ends (the corners of + - * / ^, the monotone
+    pieces of exp log sqrt sin cos) and each moves outward by 2^-44 of its
+    magnitude: at least 255 units in the last place, above the half unit by
+    which + - * / round and the few units by which numpy's float64 exp, log,
+    sin, cos, sqrt and power err.  neg and step are exact and are not
+    widened.  Where a node cannot be bounded its enclosure is (-inf, inf),
+    and so is every node above it but a step (which is 0 or 1 whatever it
+    reads): division by an interval that holds 0, log of one that reaches 0,
+    sqrt of one that reaches below 0, a power of a base that is not positive
+    (unless the exponent is a constant integer), overflow, NaN.  So a finite
+    enclosure also proves that every value the kernel computes on the box is
+    finite.  The ends of a node in the subnormal range round by an absolute
+    amount; the widening covers the computed values there, not the exact
+    ones.
+    """
+    if isinstance(e, Const):
+        return e.value, e.value
+    if isinstance(e, Var):
+        if e.name in box:
+            lo, hi = box[e.name]
+            return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        if e.name == "pi":
+            return math.pi, math.pi
+        raise UnboundVariableError(e.name)
+    if isinstance(e, Func):
+        a, b = interval(e.arg, box)
+        if e.name == "neg":
+            return -b, -a
+        if e.name == "pos":
+            return _outward(np.maximum(a, 0.0), np.maximum(b, 0.0))
+        if e.name == "step":
+            return np.where(a > 0.0, 1.0, 0.0), np.where(b > 0.0, 1.0, 0.0)
+        fn = _NAMESPACE["_f_" + e.name]
+        if e.name in ("sin", "cos"):
+            return _outward(*_trig(fn, 0.5 if e.name == "sin" else 0.0, a, b))
+        return _outward(fn(a), fn(b))  # exp, log and sqrt increase
+    a, b = interval(e.left, box), interval(e.right, box)
+    if e.op == "+":
+        return _outward(a[0] + b[0], a[1] + b[1])
+    if e.op == "-":
+        return _outward(a[0] - b[1], a[1] - b[0])
+    if e.op == "*":
+        return _outward(*_corners(np.multiply, a, b))
+    if e.op == "/":
+        lo, hi = _corners(np.divide, a, b)
+        through = (b[0] <= 0.0) & (b[1] >= 0.0)
+        return _outward(np.where(through, math.nan, lo), hi)
+    lo, hi = _corners(np.power, a, b)
+    if not (isinstance(e.right, Const) and e.right.value.is_integer()):
+        # a^b = exp(b log a), whose extremes are at corners for a > 0
+        return _outward(np.where(a[0] > 0.0, lo, math.nan), hi)
+    # x^n: monotone on each side of 0, so at a corner, unless 0 is inside
+    n, through = e.right.value, (a[0] <= 0.0) & (a[1] >= 0.0)
+    if n < 0:
+        lo = np.where(through, math.nan, lo)
+    elif n % 2 == 0:
+        lo = np.where(through, 0.0, lo)
+    return _outward(lo, hi)

@@ -778,6 +778,60 @@ def _direction_arc(H: Foliation2, t: np.ndarray) -> tuple[float, float] | None:
     return (float(lo), float(hi)) if resolved else None
 
 
+_BOX = 16  # samples along each side of a box of _enclosed_arc
+_ANGLE_SLACK = 1e-12  # outward move of a box's angle bounds: above numpy's arctan2 error
+
+
+def _enclosed_arc(H: Foliation2, t: np.ndarray) -> tuple[float, float] | None:
+    """``_direction_arc(H, t)``, bit for bit, from the samples of only the
+    boxes that may hold its ends, once an interval enclosure proves that it
+    is an arc; None when the proof fails, and then ``_direction_arc`` decides.
+
+    The grid (len(t) a multiple of _BOX) is cut into closed boxes of _BOX x
+    _BOX samples: each also holds the first row and column of the next box,
+    at coordinate 1 after the last.  ``expr.interval`` encloses (V1, V2) on
+    each box in a rectangle, and the angle by the arctan2 of its four
+    corners, moved out by _ANGLE_SLACK.  The proof holds when every box has
+    - a finite rectangle: every sample is finite;
+    - a rectangle that misses arctan2's branch cut V1 <= 0, V2 = 0 (so the
+      origin too): the corners bound the angle;
+    - an angle within half a turn of every angle of box (0, 0), which holds
+      a0: ``_direction_arc``'s unwrap is the identity;
+    - an angle that spans at most pi/4 together with the next box along each
+      axis (box 0 after the last): every step between neighbouring samples
+      lies within one of those pairs, so the grid resolves H.
+    The arc is then the min and max of the raw angles.  No box whose angle
+    ends below the largest lower bound holds the max, nor one whose angle
+    starts above the smallest upper bound the min; the others are sampled in
+    one call of each kernel, at the grid's own floats.  Only a field whose
+    components together use u and v is tried: ``_direction_arc`` samples a
+    field of one variable or none at n points or one."""
+    if isinstance(H.V1, ex.Const) and isinstance(H.V2, ex.Const):
+        return None  # one sample: nothing to rule out
+    edges = np.append(t, t[0] + 1.0)  # the last box closes at coordinate 1
+    lo, hi = edges[:-1:_BOX], edges[_BOX::_BOX]
+    box = {"u": (lo[:, None], hi[:, None]), "v": (lo, hi)}
+    p1, q1, p2, q2 = np.broadcast_arrays(*ex.interval(H.V1, box), *ex.interval(H.V2, box))
+    if p1.shape != (len(lo),) * 2:
+        return None  # H leaves u or v out
+    if not np.isfinite([p1, q1, p2, q2]).all() or ((p1 <= 0) & (p2 <= 0) & (q2 >= 0)).any():
+        return None
+    corners = np.arctan2([p2, q2, p2, q2], [p1, p1, q1, q1])
+    a_lo, a_hi = corners.min(axis=0) - _ANGLE_SLACK, corners.max(axis=0) + _ANGLE_SLACK
+    if not (a_hi.max() < a_lo[0, 0] + math.pi and a_lo.min() > a_hi[0, 0] - math.pi):
+        return None
+    for axis in (0, 1):
+        span = (np.maximum(a_hi, np.roll(a_hi, -1, axis))
+                - np.minimum(a_lo, np.roll(a_lo, -1, axis)))
+        if not span.max() <= _EIGHTH:
+            return None
+    i, j = np.nonzero((a_hi >= a_lo.max()) | (a_lo <= a_hi.min()))
+    rows = np.arange(_BOX)
+    u, v = t[(_BOX * i)[:, None] + rows, None], t[(_BOX * j)[:, None, None] + rows]
+    angle = np.arctan2(compile_kernel(H.V2, UV)(u, v), compile_kernel(H.V1, UV)(u, v))
+    return float(angle.min()), float(angle.max())
+
+
 @np.errstate(all="ignore")  # a domain error gives NaN, refused in _direction_arc
 def cone_separation(
     F: Foliation2, G: Foliation2, search: SlopeSearch = SlopeSearch()
@@ -788,20 +842,26 @@ def cone_separation(
 
     The torus is connected, so a field's line directions (mod pi) fill one
     arc of the circle of directions: [lo, hi] of its angle on the grid, each
-    sample taken within half a turn of the angle at (0, 0)
-    (``_direction_arc``, which samples only the axes the field uses).  A
-    candidate at angle a is transverse to every direction t of the arc
-    (|sin(a - t)| > 4e-3) iff a lies more than asin(4e-3) outside [lo, hi]
-    mod pi, so nothing clears once hi - lo + 2 asin(4e-3) >= pi.  No pair is
-    certified when neighbouring samples of that angle differ by more than
-    pi/4: the grid does not resolve the field, or the field turns half a
-    turn away from its angle at (0, 0) and no direction clears it.
+    sample taken within half a turn of the angle at (0, 0).  Two routes read
+    that arc, with the same bits.  ``_enclosed_arc`` goes first: for a field
+    of u and v whose interval enclosure proves every sample finite, within
+    half a turn of that angle and resolved (the pi/4 test below), the arc is
+    the min and max of the raw samples, and it takes them from the few boxes
+    the enclosure cannot rule out, at the grid's own floats.  Otherwise
+    ``_direction_arc`` samples the grid (only the axes the field uses), and
+    it alone gives every None and every refusal.  A candidate at angle a is
+    transverse to every direction t of the arc (|sin(a - t)| > 4e-3) iff a
+    lies more than asin(4e-3) outside [lo, hi] mod pi, so nothing clears
+    once hi - lo + 2 asin(4e-3) >= pi.  No pair is certified when
+    neighbouring samples of that angle differ by more than pi/4: the grid
+    does not resolve the field, or the field turns half a turn away from its
+    angle at (0, 0) and no direction clears it.
     """
     _check_transverse_pair(F, G)
     t, margin = np.arange(search.grid_n) / search.grid_n, math.asin(4e-3)
     arcs = []
     for H in (F, G):
-        if (arc := _direction_arc(H, t)) is None:
+        if (arc := _enclosed_arc(H, t) or _direction_arc(H, t)) is None:
             return None
         arcs.append(arc)
     good = [

@@ -1,8 +1,10 @@
 """Golden verdicts of ``allab all`` on the four shipped configs: exit code,
-winding, compact leaves (class exactly, point to 1e-9), Reeb annuli and the
-pre-Lagrangian outcome.  Any change to the numeric layers that moves one of
-these is a change of verdict, not a refactor."""
+winding, compact leaves (class exactly, point to 1e-9), Reeb annuli, the
+pre-Lagrangian outcome and cone pair, and the SVG byte for byte.  Any change
+to the numeric layers that moves one of these is a change of verdict, not a
+refactor."""
 
+import hashlib
 import os
 
 import pytest
@@ -39,6 +41,16 @@ GOLDEN = {
     ),
 }
 
+# the pairs of cone_separation where the pipeline reaches it
+CONE_PAIR = {"cat-map": [[1, 0], [0, 1]], "eight-band": None}
+
+SVG_SHA256 = {
+    "cat-map": "cbabd079b3b9e0988528b19f05a6e9a7d4e4f7069bc28ec0fb425fd49d9acd11",
+    "eight-band": "209590234c912e6d0a5af09402799c4460fb5a0c3d809bd35599b7f37dc10069",
+    "franks-williams": "27254fd8facd42dda54f8a2d4d4d2df972a466de719cfb92a4da06300b2631a9",
+    "two-reeb-band": "6d5507b7149922934de1f7e41a98f7d82ae019ad76792aa63793526837ce6c1a",
+}
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_all_keeps_its_verdicts(name, tmp_path):
@@ -58,5 +70,8 @@ def test_all_keeps_its_verdicts(name, tmp_path):
         assert pre["skipped"] == "needs a partner foliation" and pre["ok"]
     else:
         assert pre["prelag"]["outcome"] == want_outcome
+    if name in CONE_PAIR:
+        assert pre["prelag"]["cone_pair"] == CONE_PAIR[name]
     assert (tmp_path / "report.json").exists()
-    assert (tmp_path / report["stages"]["render"]["svg"]).exists()
+    svg = (tmp_path / report["stages"]["render"]["svg"]).read_bytes()
+    assert hashlib.sha256(svg).hexdigest() == SVG_SHA256[name]

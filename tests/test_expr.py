@@ -297,3 +297,73 @@ def test_compile_field_gives_numpys_value_for_a_constant_evaluate_refuses(text, 
     with np.errstate(all="ignore"):
         got = compile_field(parse_expr(text), ("u",))(np.array([0.5, 1.0]))
     assert np.array_equal(got, [want, want], equal_nan=True)
+
+
+def _box(rng, names, scale):
+    """Random boxes, 20 per variable: centres in [-3, 3], half-widths up to scale."""
+    import numpy as np
+
+    c = rng.uniform(-3.0, 3.0, (len(names), 20))
+    w = rng.uniform(0.0, scale, (len(names), 20))
+    return {n: (c[i] - w[i], c[i] + w[i]) for i, n in enumerate(names)}
+
+
+def test_interval_encloses_every_finite_kernel_value():
+    import numpy as np
+
+    rng, nprng = random.Random(20240817), np.random.default_rng(31)
+    trees = [_random_tree(rng, rng.randint(1, 8)) for _ in range(600)]
+    trees += [parse_expr(text) for text in SMOOTH_CORPUS]
+    bounded = 0
+    for k, tree in enumerate(trees):
+        box = _box(nprng, ex.VARIABLES, (1e-3, 0.1, 1.0, 3.0)[k % 4])
+        lo, hi = (np.broadcast_to(a, (20,)) for a in ex.interval(tree, box))
+        assert not (lo > hi).any()
+        bounded += np.isfinite(lo).all()
+        fn = compile_kernel(tree, ex.VARIABLES)
+        corners = [[box[n][(c >> i) & 1] for i, n in enumerate(ex.VARIABLES)] for c in range(64)]
+        ends = [box[n] for n in ex.VARIABLES]
+        inside = [[np.clip(a + f[i] * (b - a), a, b) for i, (a, b) in enumerate(ends)]
+                  for f in nprng.uniform(0.0, 1.0, (20, len(ends), 20))]
+        with np.errstate(all="ignore"):
+            for point in corners + inside:
+                value = np.broadcast_to(fn(*point), (20,))
+                ok = ~np.isfinite(value) | ((lo <= value) & (value <= hi))
+                assert ok.all(), (to_text(tree), lo[~ok], value[~ok], hi[~ok])
+    assert bounded > len(trees) // 2  # the enclosure is not (-inf, inf) everywhere
+
+
+def test_interval_of_a_constant_tree_is_its_value():
+    for text in ("2.5", "-3", "2*pi"):
+        value = evaluate(parse_expr(text), {})
+        lo, hi = ex.interval(parse_expr(text), {})
+        assert lo <= value <= hi and hi - lo <= 1e-12 * abs(value)
+    assert ex.interval(parse_expr("2.5"), {}) == (2.5, 2.5)
+
+
+def test_interval_keeps_the_shape_of_the_variables_used():
+    import numpy as np
+
+    box = {"u": (np.zeros((3, 1)), np.ones((3, 1))), "v": (np.zeros(4), np.ones(4))}
+    for text, shape in (("sin(2*pi*u)", (3, 1)), ("v", (4,)), ("u*v", (3, 4)), ("pi", ())):
+        assert [np.shape(a) for a in ex.interval(parse_expr(text), box)] == [shape] * 2
+    with pytest.raises(ex.UnboundVariableError, match="'z'"):
+        ex.interval(parse_expr("u + z"), box)
+
+
+@pytest.mark.parametrize("text, box", [
+    ("log(u - 0.5)", (0.4, 0.6)),
+    ("log(u - 0.5)", (0.5, 0.6)),
+    ("sqrt(u - 0.5)", (0.4, 0.6)),
+    ("1/(u - 0.5)", (0.4, 0.6)),
+    ("(u - 0.5)^0.5", (0.5, 0.6)),
+    ("exp(1000*u)", (0.5, 0.8)),
+    ("sin(1/(u - 0.5))", (0.4, 0.6)),
+])
+def test_interval_is_unbounded_where_the_tree_is(text, box):
+    import numpy as np
+
+    lo, hi = ex.interval(parse_expr(text), {"u": tuple(map(np.array, box))})
+    assert (lo, hi) == (-math.inf, math.inf)
+    # a box that keeps away from the bad point is bounded
+    assert np.isfinite(ex.interval(parse_expr(text), {"u": (np.array(0.61), np.array(0.62))})).all()

@@ -1214,3 +1214,87 @@ def test_direction_arc_of_a_field_with_one_variable_per_component(monkeypatch):
     monkeypatch.setattr(fol, "compile_kernel", ex.compile_field)
     assert arc == fol._direction_arc(F, t)
     assert arc[0] == -arc[1] == pytest.approx(-math.atan(0.5))
+
+
+def _variables(e):
+    if isinstance(e, ex.Var):
+        return {e.name}
+    args = (getattr(e, k, None) for k in ("left", "right", "arg"))
+    return set().union(*(_variables(a) for a in args if a is not None))
+
+
+@pytest.mark.parametrize("H", _arc_cases())
+def test_enclosed_arc_is_the_sampled_arc_or_nothing(H):
+    # a field of one variable is left to the sampler; a field of both gets
+    # the sampled arc bit for bit, or None where the enclosure proves nothing
+    t = np.arange(1024) / 1024
+    arc = fol._enclosed_arc(H, t)
+    if not {"u", "v"} <= _variables(H.V1) | _variables(H.V2):
+        assert arc is None
+    elif arc is not None:
+        assert arc == fol._direction_arc(H, t)
+
+
+@pytest.mark.parametrize("eps, b, v0", [
+    (0.0327, 0.2, 0.1), (0.02, 0.15, 1.5 / 1024), (0.05, 0.3, 255.5 / 1024), (0.045, 0.28, 0.7),
+])
+def test_enclosed_arc_proves_the_isolated_leaf_arcs(eps, b, v0):
+    H = Foliation2(ex.ONE, parse_expr(
+        f"2*pi*{eps}*cos(2*pi*u) + {b}*sin(4*pi*(v - {v0!r} - {eps}*sin(2*pi*u)))"))
+    t = np.arange(1024) / 1024
+    arc = fol._enclosed_arc(H, t)
+    assert arc is not None and arc == fol._direction_arc(H, t)
+
+
+def _sheared_eight_band():
+    A = "pi/2 + 1.2*pi*sin(4*pi*(u - v))"
+    return (Foliation2(parse_expr(f"cos({A}) + sin({A})"), parse_expr(f"sin({A})")),
+            Foliation2(parse_expr(f"-sin({A}) + cos({A})"), parse_expr(f"cos({A})")))
+
+
+def test_cone_separation_samples_where_the_enclosure_proves_nothing(monkeypatch):
+    t = np.arange(1024) / 1024
+    # the enclosure of V1 reaches 0 only through the dependency problem: its
+    # two products are enclosed apart, though they cancel
+    dep = "9*sin(2*pi*u)*cos(2*pi*v)"
+    F = Foliation2(parse_expr(f"1 + {dep} - {dep}"), parse_expr("0.3*sin(2*pi*(u + v))"))
+    G = Foliation2(ex.neg(F.V2), F.V1)
+    sheared = _sheared_eight_band()
+    for H in (F, G) + sheared:
+        assert fol._enclosed_arc(H, t) is None
+    found = cone_separation(F, G)
+    assert cone_separation(*sheared) is None
+    monkeypatch.setattr(fol, "_enclosed_arc", lambda H, t: None)  # the sampler alone
+    assert cone_separation(F, G) == found
+    assert cone_separation(*sheared) is None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cone_separation_refuses_a_two_variable_field_not_finite_on_its_grid():
+    # finite on the validation grids, NaN at u = 1/1024 on the cone grid; its
+    # enclosure is unbounded, so the sampler runs and refuses it
+    F = Foliation2(parse_expr("1 + 0*sqrt(cos(4608*pi*u) - 0.5)"),
+                   parse_expr("0.3 + 0.1*sin(2*pi*v)"))
+    G = Foliation2(parse_expr("-0.3"), parse_expr("1"))
+    assert fol._enclosed_arc(F, np.arange(1024) / 1024) is None
+    with pytest.raises(FoliationError, match="not finite"):
+        cone_separation(F, G)
+
+
+def test_cone_separation_samples_a_few_boxes_of_an_isolated_leaf_field(monkeypatch):
+    F = Foliation2(ex.ONE, parse_expr(_ISOLATED_M2))
+    G = Foliation2(ex.ONE, parse_expr("0.6180339887 + 2*pi*0.0327*cos(2*pi*u)"))
+    fol._check_transverse_pair(F, G)  # cached: its own grid is not the arcs'
+    shapes = []  # of each kernel's values
+    kernel = fol.compile_kernel
+
+    def recorded(e, names):
+        fn = kernel(e, names)
+        return lambda *a: shapes.append(np.shape(out := fn(*a))) or out
+
+    monkeypatch.setattr(fol, "compile_kernel", recorded)
+    found = cone_separation(F, G)
+    assert sum(math.prod(s) for s in shapes) <= 0.05 * 1024**2
+    monkeypatch.setattr(fol, "compile_kernel", kernel)
+    monkeypatch.setattr(fol, "_enclosed_arc", lambda H, t: None)
+    assert found is not None and cone_separation(F, G) == found
