@@ -151,9 +151,7 @@ def suspension_model(A) -> FlowModel:
     # P A = D P with D = diag(e^nu, e^-nu), det P = 1
     P = np.diag([t1, t2]) @ np.linalg.inv(W)
     D = np.diag([lam_u, lam_s])
-    gluing = Gluing3(
-        P=tuple(map(tuple, P)), D=tuple(map(tuple, D)), nu=nu, mapping_torus=True
-    )
+    gluing = Gluing3(P=tuple(map(tuple, P)), D=tuple(map(tuple, D)), nu=nu)
     gluing.validate()
     alpha_u = one_form(XYZ, parse_expr("exp(z)"), ZERO, ZERO)
     alpha_s = one_form(XYZ, ZERO, ex.neg(parse_expr("exp(-z)")), ZERO)
@@ -208,8 +206,8 @@ def estimate_splitting(
     lattice (chart) coordinates of the fiber; forward time converges to the
     unstable direction, reversed time to the stable one."""
     T = m.gluing.nu if T is None else float(T)
-    if T <= 0:
-        raise ModelError("time horizon must be positive")
+    if not 0 < T < math.inf:  # NaN refuses too
+        raise ModelError(f"time horizon must be positive and finite (T = {T})")
     P = m.gluing.P_mat
     M = np.linalg.inv(P) @ np.diag([math.exp(T), math.exp(-T)]) @ P
     if reverse:

@@ -35,7 +35,6 @@ from .geom import (
     restrict,
     torus3,
     torus_samples,
-    volume_form,
     wedge,
 )
 
@@ -121,32 +120,22 @@ def _coeff_values(form3: DifferentialForm, grid: Grid3) -> np.ndarray:
 
 
 @np.errstate(all="ignore")  # a domain error gives NaN, which fails the verdict
-def al_check(
-    pair: FormPair,
-    vol: DifferentialForm | None = None,
-    *,
-    n: int = 48,
-    points: Grid3 | None = None,
-) -> ALReport:
+def al_check(pair: FormPair, *, n: int = 48, points: Grid3 | None = None) -> ALReport:
     """Pointwise Anosov-Liouville test through the contact volumes.
 
     Writes a_+ ^ da_+ = f_+ dvol, a_- ^ da_- = -f_- dvol and
-    d(a_- ^ a_+) = f_0 dvol, then aggregates extrema over the grid, or over
+    d(a_- ^ a_+) = f_0 dvol for dvol = dx ^ dy ^ dz, so each density is a
+    top coefficient, then aggregates extrema over the grid, or over
     ``points``, an (x, y, z) triple of broadcastable arrays.  Each density is
     evaluated at the shape of the variables it uses (a z-only density has n
     values, not n^3), and each argmin is the first point of the full (i, j, k)
     grid that attains the minimum, as over the broadcast values.
     """
-    vol = vol if vol is not None else volume_form()
     pts = [np.asarray(c, dtype=float) for c in (points if points is not None else pair.grid(n))]
-    vol_vals = _coeff_values(vol, pts)
-    bad = np.abs(vol_vals) < 1e-300
-    if np.any(bad):
-        raise ContactError("volume form vanishes at a grid point")
     wp, wm, w0 = pair.contact_volumes
-    f_plus = _coeff_values(wp, pts) / vol_vals
-    f_minus = -_coeff_values(wm, pts) / vol_vals
-    f_zero = _coeff_values(w0, pts) / vol_vals
+    f_plus = _coeff_values(wp, pts)
+    f_minus = -_coeff_values(wm, pts)
+    f_zero = _coeff_values(w0, pts)
     # not f_zero**2: that calls pow on a constant's numpy scalar, off by an ulp at times
     disc = 4.0 * f_plus * f_minus - f_zero * f_zero
     tol = 1e-9
@@ -183,7 +172,7 @@ class LiouvilleReport:
 @np.errstate(all="ignore")  # a domain error gives NaN, which fails the check
 def liouville_direct_check(pair: FormPair, *, n: int = 16) -> LiouvilleReport:
     """Builds lambda = e^s a_+ + e^-s a_- and checks d(lambda)^2 > 0 against
-    ds ^ dvol on the sampled cylinder, at 13 levels of s in [-3, 3]."""
+    ds ^ dx ^ dy ^ dz on the sampled cylinder, at 13 levels of s in [-3, 3]."""
     x, y, z = pair.grid(n)
     s = np.linspace(-3, 3, 13)[:, None, None, None]
     es = ex.func("exp", ex.var("s"))
@@ -194,7 +183,7 @@ def liouville_direct_check(pair: FormPair, *, n: int = 16) -> LiouvilleReport:
     dlam = exterior_derivative(lam)
     top = wedge(dlam, dlam)
     vals = compile_kernel(top.coeff((0, 1, 2, 3)), SXYZ)(s, x, y, z)
-    best, at = grid_argmin(vals / _coeff_values(volume_form(), (x, y, z)), (s, x, y, z))
+    best, at = grid_argmin(vals, (s, x, y, z))
     return LiouvilleReport(best, at, best > 0.0)
 
 
@@ -331,8 +320,12 @@ class ScalingExtension:
 
     @functools.cached_property
     def margin(self) -> float:
-        """The positivity margin on the default grid, computed once."""
-        return self.positivity_margin()
+        """min of d/dz log(mu) + r on the 24 x 24 x 64 grid of (u, v) in
+        the torus and z in [-2 delta, 2 delta], computed once."""
+        a = np.arange(24) / 24
+        zs = np.linspace(-2 * self.delta, 2 * self.delta, 64)
+        fn = compile_kernel(ex.zadd(self.dz_log_mu, self.r), ("u", "v", "z"))
+        return float(np.min(fn(*np.ix_(a, a, zs))))
 
     def to_dict(self):
         return {
@@ -345,12 +338,6 @@ class ScalingExtension:
 
     def mu_fn(self):
         return compile_field(self.mu, ("u", "v", "z"))
-
-    def positivity_margin(self, n_uv: int = 24, n_z: int = 64) -> float:
-        a = np.arange(n_uv) / n_uv
-        zs = np.linspace(-2 * self.delta, 2 * self.delta, n_z)
-        fn = compile_kernel(ex.zadd(self.dz_log_mu, self.r), ("u", "v", "z"))
-        return float(np.min(fn(*np.ix_(a, a, zs))))
 
 
 @np.errstate(all="ignore")  # a domain error gives NaN, refused below

@@ -61,7 +61,10 @@ class Foliation2:
             )
         low, (i, j) = grid_argmin(np.hypot(v1, v2), grid)
         if low <= 1e-9:
-            raise FoliationError(f"direction field vanishes near (u, v) = ({i:.4f}, {j:.4f})")
+            raise FoliationError(
+                f"direction field vanishes near (u, v) = ({i:.4f}, {j:.4f}): "
+                f"|V| = {low:.2e}, not above 1e-09"
+            )
         t = np.linspace(0.0, 1.0, 33)
         u = t[:, None]
         gaps = []

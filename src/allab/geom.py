@@ -201,7 +201,6 @@ class Gluing3:
     P: tuple[tuple[float, float], tuple[float, float]]
     D: tuple[tuple[float, float], tuple[float, float]]
     nu: float
-    mapping_torus: bool = True
 
     @property
     def P_mat(self) -> np.ndarray:
@@ -218,8 +217,8 @@ class Gluing3:
         conj = np.linalg.solve(P, D @ P)
         if np.max(np.abs(conj - np.round(conj))) > 1e-9:
             raise GeomError("deck map does not preserve the lattice")
-        if self.nu <= 0:
-            raise GeomError("deck shift nu must be positive")
+        if not 0 < self.nu < np.inf:  # NaN refuses too
+            raise GeomError(f"deck shift nu must be positive and finite (nu = {self.nu})")
 
     def lattice_vectors(self) -> list[np.ndarray]:
         P = self.P_mat
@@ -240,9 +239,10 @@ class Gluing3:
 
 
 def torus3() -> Gluing3:
-    """The unit cube with opposite faces identified."""
+    """The unit cube with opposite faces identified: the mapping torus of
+    the identity, with deck shift 1."""
     ident = ((1.0, 0.0), (0.0, 1.0))
-    return Gluing3(P=ident, D=ident, nu=1.0, mapping_torus=False)
+    return Gluing3(P=ident, D=ident, nu=1.0)
 
 
 def _affine(offset, matrix, coords: Sequence[str]) -> dict[str, Expr]:
@@ -387,22 +387,19 @@ class PeriodicityReport:
 def check_periodicity(
     omega: DifferentialForm, gluing: Gluing3, n: int = 12
 ) -> PeriodicityReport:
-    """Grid check of invariance under the lattice translations and, for a
-    mapping torus, the deck transformation: max |psi* omega - omega| over
-    the coefficients and the sample grid, where a residual that is not
-    finite counts as infinite."""
+    """Grid check of invariance under the two lattice translations and the
+    deck transformation: max |psi* omega - omega| over the coefficients and
+    the sample grid, where a residual that is not finite counts as
+    infinite."""
     grid = gluing.sample_points(n, z_lo=0.0)
     ident = np.eye(3)
     transforms = {
         f"lattice_{i}": _affine((t[0], t[1], 0.0), ident, XYZ)
         for i, t in enumerate(gluing.lattice_vectors())
     }
-    if gluing.mapping_torus:
-        jac = np.eye(3)
-        jac[:2, :2] = gluing.D_mat
-        transforms["deck"] = _affine((0.0, 0.0, -gluing.nu), jac, XYZ)
-    else:
-        transforms["z_period"] = _affine((0.0, 0.0, gluing.nu), ident, XYZ)
+    jac = np.eye(3)
+    jac[:2, :2] = gluing.D_mat
+    transforms["deck"] = _affine((0.0, 0.0, -gluing.nu), jac, XYZ)
     worst = 0.0
     worst_pt = (0.0, 0.0, 0.0)
     worst_name = ""

@@ -327,7 +327,6 @@ class PreLagReport:
     scaling_residual: float | None = None  # max |d(a - b)|
     extension_u: ScalingExtension | None = None
     extension_s: ScalingExtension | None = None
-    scale_C: float = 1.0
     c1_distance: float | None = None
     final_residual: float | None = None
     final_al: ALReport | None = None
@@ -346,7 +345,7 @@ class PreLagReport:
             else {"residual": self.scaling_residual, "log_f": 0.0, "log_g": 0.0},
             "extension_u": None if self.extension_u is None else self.extension_u.to_dict(),
             "extension_s": None if self.extension_s is None else self.extension_s.to_dict(),
-            "scale_C": self.scale_C,
+            "scale_C": _SCALE_C,
             "c1_distance": self.c1_distance,
             "final_residual": self.final_residual,
             "final_al": None if self.final_al is None else self.final_al.to_dict(),
@@ -369,13 +368,16 @@ AL_GRID = 12
 # on max |d| of the final restricted sum
 _TOL = 1e-6
 
+# the constant C of the standard pair (C alpha_+, alpha_- / C) the pipeline
+# rebuilds
+_SCALE_C = 10.0
+
 
 def pre_lagrangian_certificate(
     model: FlowModel | None = None,
     sigma: TorusEmbedding | None = None,
     *,
     foliations: tuple[Foliation2, Foliation2] | None = None,
-    scale_C: float = 10.0,
 ) -> PreLagReport:
     """Fail-soft pipeline: obstruction test, shared-compact-leaf analysis,
     closedness of a - b (a and b being alpha_u and alpha_s restricted to
@@ -402,7 +404,7 @@ def pre_lagrangian_certificate(
         raise PreLagError("need either an ambient model or a foliation pair")
 
     obst = obstruction_test(F_ws, F_wu)
-    common = dict(obstruction=obst, scale_C=scale_C)
+    common = dict(obstruction=obst)
 
     def stop(outcome: str, why: str) -> PreLagReport:
         return PreLagReport(outcome=outcome, diagnostics=(why,), **common)
@@ -443,7 +445,7 @@ def pre_lagrangian_certificate(
         return stop("failed", f"collar extension failed: {e}")
     common.update(extension_u=ext_u, extension_s=ext_s)
 
-    pair = model.standard_pair(scale_C)
+    pair = model.standard_pair(_SCALE_C)
     restricted = restrict(pair.plus + pair.minus, sigma)
     beta = _mean_constant_form(restricted)
     try:

@@ -18,24 +18,22 @@ that crosses the frame edge, its seam included, where the fold cuts it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .foliation import CompactLeaf, Foliation2, compact_leaves, integrate_leaf
+from .foliation import Foliation2, compact_leaves, integrate_leaf
 
 
-@dataclass(frozen=True)
-class RenderStyle:
-    seeds: int = 4
-    length: float = 2.5
-    # class constants, not fields: no caller draws at another size or colour
-    size = 480
-    margin = 20
-    flow_color = "#8a8f98"
-    leaf_color = "#c0392b"
-    stroke = 1.0
-    leaf_stroke = 2.5
+# the picture: a SEEDS x SEEDS grid of flow lines, each LENGTH long in arc
+# length, in a SIZE px square framed MARGIN px in from its edge
+SEEDS = 4
+LENGTH = 2.5
+SIZE = 480
+MARGIN = 20
+INNER = SIZE - 2 * MARGIN
+FLOW_COLOR = "#8a8f98"
+LEAF_COLOR = "#c0392b"
+STROKE = 1.0
+LEAF_STROKE = 2.5
 
 
 def _wrap_segments(pts: np.ndarray) -> list[np.ndarray]:
@@ -51,18 +49,14 @@ def _fmt(x: float) -> str:
 
 
 class _Canvas:
-    def __init__(self, style: RenderStyle):
-        self.style = style
-        self.inner = style.size - 2 * style.margin
+    def __init__(self):
         self.parts: list[str] = []
 
     def pixel(self, u: float, v: float) -> tuple[float, float]:
-        m, s = self.style.margin, self.inner
-        return m + u * s, m + (1.0 - v) * s
+        return MARGIN + u * INNER, MARGIN + (1.0 - v) * INNER
 
     def polyline(self, seg: np.ndarray, color: str, width: float):
-        m, s = self.style.margin, self.inner
-        px, py = m + seg[:, 0] * s, m + (1.0 - seg[:, 1]) * s  # as in pixel
+        px, py = MARGIN + seg[:, 0] * INNER, MARGIN + (1.0 - seg[:, 1]) * INNER  # as in pixel
         pts = " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
         self.parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
@@ -84,41 +78,33 @@ class _Canvas:
         self.parts.append(f'<polygon points="{pts}" fill="{color}"/>')
 
     def document(self) -> str:
-        s = self.style.size
-        m = self.style.margin
+        s, m = SIZE, MARGIN
         header = (
             '<?xml version="1.0" encoding="UTF-8"?>\n'
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{s}" height="{s}" '
             f'viewBox="0 0 {s} {s}">\n'
             f'<rect x="0" y="0" width="{s}" height="{s}" fill="#ffffff"/>\n'
-            f'<rect x="{m}" y="{m}" width="{self.inner}" height="{self.inner}" '
+            f'<rect x="{m}" y="{m}" width="{INNER}" height="{INNER}" '
             'fill="none" stroke="#222222" stroke-width="1"/>\n'
         )
         return header + "\n".join(self.parts) + "\n</svg>\n"
 
 
-def render_foliation(
-    F: Foliation2,
-    leaves: list[CompactLeaf] | None = None,
-    style: RenderStyle = RenderStyle(),
-) -> str:
-    if leaves is None:
-        leaves = compact_leaves(F)
-    canvas = _Canvas(style)
-
-    n = style.seeds
-    seeds = [((i + 0.5) / n, (j + 0.5) / n) for i in range(n) for j in range(n)]
+def render_foliation(F: Foliation2) -> str:
+    """The SVG picture of F: the flow lines from the seed grid and, over
+    them, the compact leaves ``compact_leaves`` finds."""
+    canvas = _Canvas()
+    seeds = [((i + 0.5) / SEEDS, (j + 0.5) / SEEDS) for i in range(SEEDS) for j in range(SEEDS)]
     # one RK4 step per drawn vertex, 0.02 apart in arc length
-    tracks = integrate_leaf(F, np.reshape(seeds, (-1, 2)), style.length, 0.02)
+    tracks = integrate_leaf(F, np.reshape(seeds, (-1, 2)), LENGTH, 0.02)
     for pts in tracks:
         segs = _wrap_segments(pts)
         for seg in segs:
-            canvas.polyline(seg, style.flow_color, style.stroke)
+            canvas.polyline(seg, FLOW_COLOR, STROKE)
         if segs:
-            canvas.arrowhead(max(segs, key=len), style.flow_color)
-    leaves = sorted(leaves, key=lambda l: (l.point, l.cls))
-    for leaf in leaves:
+            canvas.arrowhead(max(segs, key=len), FLOW_COLOR)
+    for leaf in sorted(compact_leaves(F), key=lambda l: (l.point, l.cls)):
         for seg in _wrap_segments(leaf.path):
-            canvas.polyline(seg, style.leaf_color, style.leaf_stroke)
+            canvas.polyline(seg, LEAF_COLOR, LEAF_STROKE)
 
     return canvas.document()

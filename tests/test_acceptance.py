@@ -233,7 +233,10 @@ def test_criterion_9_collar_extension():
     U, V = np.meshgrid(t, t, indexing="ij")
     ok = True
     for f, extn in ((f1, ext1), (ex.ONE, ext2)):
-        margin = extn.positivity_margin(n_uv=16, n_z=96)
+        # min of d/dz log(mu) + r on 16 x 16 (u, v) by 96 z in [-2 delta, 2 delta]
+        zs = np.linspace(-2 * extn.delta, 2 * extn.delta, 96)
+        rate = ex.compile_kernel(ex.zadd(extn.dz_log_mu, extn.r), ("u", "v", "z"))
+        margin = np.min(rate(*np.ix_(t, t, zs)))
         on_torus = extn.mu_fn()(U, V, np.zeros_like(U))
         f_vals = compile_field(f, UV)(U, V) + np.zeros_like(U)
         ok = ok and margin > 0.0 and np.array_equal(on_torus, f_vals)

@@ -44,7 +44,6 @@ def cat():
 
 def test_suspension_geometry(cat):
     assert cat.gluing.nu == pytest.approx(NU, rel=1e-14)
-    assert cat.gluing.mapping_torus
     P = cat.gluing.P_mat
     assert np.linalg.det(P) == pytest.approx(1.0, abs=1e-12)
     conj = np.linalg.solve(P, cat.gluing.D_mat @ P)
@@ -230,6 +229,13 @@ def test_splitting_estimate_time_scaling(cat):
     assert est.expansion_factor == pytest.approx(math.exp(2.5), rel=1e-9)
     with pytest.raises(ModelError, match="positive"):
         estimate_splitting(cat, T=-1.0)
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf])
+def test_splitting_estimate_refuses_a_time_horizon_that_is_not_finite(cat, T):
+    # both ran all 100 iterations, warned from matmul and divide, and did not converge
+    with pytest.raises(ModelError, match="time horizon must be positive and finite"):
+        estimate_splitting(cat, T=T)
 
 
 def test_reeb_field_of_standard_plus(cat):

@@ -101,13 +101,6 @@ def test_scaling_leaves_discriminant_ratio_invariant():
         assert ratio == pytest.approx(base_ratio, abs=1e-9)
 
 
-def test_al_check_rejects_vanishing_volume():
-    vol = DifferentialForm(XYZ, 3, {(0, 1, 2): parse_expr("x - 1/3")})
-    pts = (np.array([1.0 / 3.0]), np.array([0.0]), np.array([0.0]))
-    with pytest.raises(ContactError):
-        al_check(standard_pair(), vol, points=pts)
-
-
 def test_direct_check_standard_pair():
     rep = liouville_direct_check(standard_pair(), n=6)
     assert rep.passed
@@ -334,7 +327,7 @@ def test_extend_scaling_rate_one_inner_band_constant():
     # rate 1 makes the whole inner band constant in z
     for z in (-0.1, -0.04, 0.03, 0.1):
         assert np.allclose(fn(U, V, np.full_like(U, z)), f_fn(U, V), atol=1e-13)
-    assert mu.positivity_margin() > 0.5
+    assert mu.margin > 0.5
 
 
 def test_extend_scaling_half_rate_matches_inner_formula():
@@ -349,7 +342,7 @@ def test_extend_scaling_half_rate_matches_inner_formula():
     # log-linear bridge stays between the band value and the plateau
     mid = fn(0.0, 0.0, 0.5 * (eps + delta))
     assert lam_eps < mid < 2.0 * lam_eps
-    assert mu.positivity_margin() > 0.0
+    assert mu.margin > 0.0
 
 
 def test_extend_scaling_plateaus_are_constant():
@@ -365,12 +358,22 @@ def test_extend_scaling_plateaus_are_constant():
     assert np.mean(lo) == pytest.approx(0.3, rel=1e-12)
 
 
+def _margin_on_grid(mu, n_uv, n_z):
+    """min of d/dz log(mu) + r on the n_uv x n_uv x n_z grid of (u, v) in
+    the torus and z in [-2 delta, 2 delta]."""
+    a = np.arange(n_uv) / n_uv
+    zs = np.linspace(-2 * mu.delta, 2 * mu.delta, n_z)
+    fn = ex.compile_kernel(ex.zadd(mu.dz_log_mu, mu.r), ("u", "v", "z"))
+    return float(np.min(fn(*np.ix_(a, a, zs))))
+
+
 def test_extend_scaling_margin_positive_everywhere():
     f = parse_expr("1 + 0.25*sin(2*pi*u)*cos(2*pi*v)")
     for r_text in ("1", "0.5", "0.5 + 0.1*cos(2*pi*u)"):
         r = parse_expr(r_text)
         mu = extend_scaling(f, r, delta=0.2, eps=0.1, c=0.3, C=3.0)
-        assert mu.positivity_margin(n_uv=16, n_z=128) > 0.0
+        assert _margin_on_grid(mu, 16, 128) > 0.0
+        assert mu.margin == _margin_on_grid(mu, 24, 64)
 
 
 def test_extend_scaling_precondition_errors():

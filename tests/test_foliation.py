@@ -62,8 +62,10 @@ def _full_grid_refusal(v1, v2):
         if bad.any():
             i, j = np.argwhere(bad)[0] / n
             return f"direction field is not finite at (u, v) = ({i:.4f}, {j:.4f})"
-        i, j = np.unravel_index(int(np.argmin(np.hypot(a, b))), (n, n))
-        return f"direction field vanishes near (u, v) = ({i / n:.4f}, {j / n:.4f})"
+        size = np.hypot(a, b)
+        i, j = np.unravel_index(int(np.argmin(size)), (n, n))
+        return (f"direction field vanishes near (u, v) = ({i / n:.4f}, {j / n:.4f}): "
+                f"|V| = {size[i, j]:.2e}, not above 1e-09")
 
 
 @pytest.mark.parametrize("v1, v2, message", [
@@ -72,10 +74,14 @@ def _full_grid_refusal(v1, v2):
     ("1/(u - 0.375)", "1", "is not finite at (u, v) = (0.3750, 0.0000)"),
     ("1", "1/(v - 0.625)", "is not finite at (u, v) = (0.0000, 0.6250)"),
     ("1/(u + v - 1.375)", "1", "is not finite at (u, v) = (0.3789, 0.9961)"),
-    ("1e-10", "0", "vanishes near (u, v) = (0.0000, 0.0000)"),
-    ("u - 0.375", "0", "vanishes near (u, v) = (0.3750, 0.0000)"),
-    ("0", "v - 0.625", "vanishes near (u, v) = (0.0000, 0.6250)"),
-    ("u - 0.375", "v - 0.625", "vanishes near (u, v) = (0.3750, 0.6250)"),
+    ("1e-10", "0",
+     "vanishes near (u, v) = (0.0000, 0.0000): |V| = 1.00e-10, not above 1e-09"),
+    ("u - 0.375", "0",
+     "vanishes near (u, v) = (0.3750, 0.0000): |V| = 0.00e+00, not above 1e-09"),
+    ("0", "v - 0.625",
+     "vanishes near (u, v) = (0.0000, 0.6250): |V| = 0.00e+00, not above 1e-09"),
+    ("u - 0.375", "v - 0.625",
+     "vanishes near (u, v) = (0.3750, 0.6250): |V| = 0.00e+00, not above 1e-09"),
 ])
 def test_foliation_refusals_name_the_first_failing_grid_point(v1, v2, message):
     # the checks run at each kernel's shape, and name the point the full
@@ -354,19 +360,18 @@ def test_render_tracks_match_integrate_leaf_alone(monkeypatch, name):
         return calls[-1][1]
 
     monkeypatch.setattr(render, "integrate_leaf", recorded)
-    style = render.RenderStyle()
-    svg = render.render_foliation(F, compact_leaves(F), style)
+    svg = render.render_foliation(F)
     [((_, starts, length, step), pts)] = calls  # one RK4 pass, seeds only
     assert pts.shape == (16, 126, 2)
     for start, track in zip(starts, pts):
         assert np.array_equal(track, integrate_leaf(F, start, length, step))
     # every state is a vertex: the flow polylines are the folded tracks, up to
     # the 0.01 px rounding of the SVG, with none decimated
-    drawn = _drawn_polylines(svg, style, style.flow_color)
+    drawn = _drawn_polylines(svg, render.FLOW_COLOR)
     folded = [seg for track in pts for seg in render._wrap_segments(track)]
     assert [len(seg) for seg in drawn] == [len(seg) for seg in folded]
     for seg, ref in zip(drawn, folded):
-        assert np.max(np.abs(seg - ref)) <= 0.006 / (style.size - 2 * style.margin)
+        assert np.max(np.abs(seg - ref)) <= 0.006 / render.INNER
 
 
 def _track_cases():
@@ -383,15 +388,14 @@ def test_seed_tracks_are_within_a_twentieth_pixel_of_four_times_finer_steps(monk
     # track by more than 0.05 px from the same track in steps four times finer
     calls = []
     monkeypatch.setattr(render, "integrate_leaf", lambda *a: calls.append(a) or integrate_leaf(*a))
-    style = render.RenderStyle()
-    render.render_foliation(F, [], style)
+    render.render_foliation(F)
     [(_, starts, length, step)] = calls
     drawn = integrate_leaf(F, starts, length, step)
     fine = integrate_leaf(F, starts, length, step / 4)
     assert fine.shape == (16, 501, 2)
     d = drawn - fine[:, ::4]
     d -= np.round(d)  # the distance on the torus between unfolded points
-    assert np.max(np.hypot(*d.T)) * (style.size - 2 * style.margin) <= 0.05
+    assert np.max(np.hypot(*d.T)) * render.INNER <= 0.05
 
 
 def _exact_leaf(name, leaf, t):
@@ -404,13 +408,12 @@ def _exact_leaf(name, leaf, t):
     return np.column_stack([5 * t, 2 * t])
 
 
-def _drawn_polylines(svg, style, color):
+def _drawn_polylines(svg, color):
     """The vertices of each polyline of one colour in an SVG, in (u, v)."""
-    inner = style.size - 2 * style.margin
+    m, inner = render.MARGIN, render.INNER
     found = re.findall(f'<polyline points="([^"]*)" fill="none" stroke="{color}"', svg)
     px = [np.array([p.split(",") for p in pts.split()], dtype=float) for pts in found]
-    return [np.column_stack([x - style.margin, inner + style.margin - y]) / inner
-            for x, y in (p.T for p in px)]
+    return [np.column_stack([x - m, inner + m - y]) / inner for x, y in (p.T for p in px)]
 
 
 @pytest.mark.parametrize("name, count", [("eight-band", 12), ("isolated", 2), ("family", 1)])
@@ -432,10 +435,9 @@ def test_every_drawn_leaf_closes(name, count):
     # of a vertex, up to the 0.01 px rounding of the SVG.  The one gap is the
     # step that crosses the frame edge, where the fold cuts every polyline;
     # each leaf starts on the edge, so its seam is such a cut.
-    style = render.RenderStyle()
-    drawn = _drawn_polylines(render.render_foliation(F, leaves), style, style.leaf_color)
+    drawn = _drawn_polylines(render.render_foliation(F), render.LEAF_COLOR)
     step = max(np.max(np.hypot(*np.diff(seg, axis=0).T)) for seg in drawn)
-    vertices, reach = np.vstack(drawn), step / 2 + 0.01 / (style.size - 2 * style.margin)
+    vertices, reach = np.vstack(drawn), step / 2 + 0.01 / render.INNER
     for leaf in leaves:
         for t in np.array_split(np.arange(4097) / 4096, 64):
             pts = _exact_leaf(name, leaf, t)

@@ -307,7 +307,6 @@ def test_dz_is_periodic_under_any_gluing():
         P=((2.0, 1.0), (1.0, 1.0)),
         D=((1.0, 0.0), (0.0, 1.0)),
         nu=1.0,
-        mapping_torus=True,
     )
     dz = one_form(XYZ, ex.ZERO, ex.ZERO, ex.ONE)
     rep = check_periodicity(dz, g, n=6)
@@ -329,3 +328,26 @@ def test_gluing_validation():
             D=((1.0, 0.0), (0.0, 1.0)),
             nu=1.0,
         ).validate()
+
+
+@pytest.mark.parametrize("nu", [math.nan, math.inf])
+def test_gluing_refuses_a_deck_shift_that_is_not_finite(nu):
+    ident = ((1.0, 0.0), (0.0, 1.0))
+    with pytest.raises(geom.GeomError, match=r"deck shift nu must be positive and finite"):
+        Gluing3(P=ident, D=ident, nu=nu).validate()
+
+
+def test_torus3_is_checked_under_its_lattice_and_deck_maps():
+    # the unit cube is the mapping torus of the identity with deck shift 1
+    g = torus3()
+    g.validate()
+    periodic = one_form(XYZ, parse_expr("cos(2*pi*z)"), ex.ZERO, parse_expr("sin(2*pi*(x + y))"))
+    assert check_periodicity(periodic, g, n=6).passed
+    # z dx moves by dx under (x, y, z) -> (x, y, z - 1) and by nothing under a translation
+    rep = check_periodicity(one_form(XYZ, Var("z"), ex.ZERO, ex.ZERO), g, n=6)
+    assert not rep.passed and rep.worst_transform == "deck"
+    assert rep.max_residual == pytest.approx(1.0, rel=1e-12)
+    # x dy moves by dy under x -> x + 1 alone
+    rep = check_periodicity(one_form(XYZ, ex.ZERO, Var("x"), ex.ZERO), g, n=6)
+    assert not rep.passed and rep.worst_transform == "lattice_0"
+    assert rep.max_residual == pytest.approx(1.0, rel=1e-12)

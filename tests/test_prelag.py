@@ -9,8 +9,8 @@ import pytest
 from allab import expr as ex
 from allab import foliation as fol
 from allab import library, prelag
-from allab.anosov import FlowModel, ModelError, suspension_model, weak_foliations_on_torus
-from allab.contact import ContactError
+from allab.anosov import FlowModel, suspension_model, weak_foliations_on_torus
+from allab.contact import ContactError, al_check
 from allab.expr import Const, compile_field, parse_expr
 from allab.foliation import FoliationError, cone_separation, parallel_compact_leaves
 from allab.geom import (
@@ -474,7 +474,8 @@ def test_certificate_cat_fiber(cat):
     assert rep.final_al.verdict == "anosov_liouville"
     # the fiber restriction is constant, so it is its own target: the
     # pair is left as it is, and f_0 is exactly 0
-    assert rep.c1_distance == 0.0 and rep.pair == cat.standard_pair(rep.scale_C)
+    assert rep.c1_distance == 0.0 and rep.pair == cat.standard_pair(10.0)
+    assert rep.to_dict()["scale_C"] == 10.0
     assert rep.final_al.f_zero.min == rep.final_al.f_zero.max == 0.0
     # the product of the two expansion densities is scale invariant
     product = rep.final_al.f_plus.min * rep.final_al.f_minus.min
@@ -518,28 +519,12 @@ def test_collar_extension_refuses_a_negative_rate_on_every_call():
 
 
 def test_certificate_scale_invariance(cat):
-    sigma = cat.fiber(0.0)
-    for C in (1.0, 2.0, 10.0):
-        rep = pre_lagrangian_certificate(cat, sigma, scale_C=C)
-        assert rep.outcome == "certificate"
-        assert rep.obstruction.verdict == "passes_obstruction"
-        assert rep.parallel_verdict == "not_parallel"
-        product = rep.final_al.f_plus.min * rep.final_al.f_minus.min
-        assert product == pytest.approx(4.0, rel=5e-2)
-
-
-@pytest.mark.parametrize("C", [0.0, math.nan, math.inf])
-def test_certificate_refuses_a_scale_that_is_zero_or_not_finite(cat, C):
-    # 0 raised ZeroDivisionError; NaN and inf answered failed with "perturbation
-    # target has non-finite coefficients"
-    with pytest.raises(ModelError, match=r"scale C = .* is not finite and nonzero"):
-        pre_lagrangian_certificate(cat, cat.fiber(0.0), scale_C=C)
-
-
-def test_certificate_with_a_negative_scale(cat):
-    rep = pre_lagrangian_certificate(cat, cat.fiber(0.0), scale_C=-10.0)
+    # the pipeline rebuilds the pair at C = 10; f_+ f_- is that of C = 1
+    rep = pre_lagrangian_certificate(cat, cat.fiber(0.0))
     assert rep.outcome == "certificate"
-    assert rep.final_al.verdict == "anosov_liouville"
+    unscaled = al_check(cat.standard_pair(), n=prelag.AL_GRID)
+    product = rep.final_al.f_plus.min * rep.final_al.f_minus.min
+    assert product == pytest.approx(unscaled.f_plus.min * unscaled.f_minus.min, rel=1e-12)
 
 
 def test_certificate_obstructed_foliation_data():

@@ -9,8 +9,7 @@ import pytest
 from allab import library
 from allab.cli import COMMANDS, REPORT_SCHEMA, ToolError, main, run
 from allab.config import _SECTIONS, ConfigError, load_config
-from allab.foliation import compact_leaves
-from allab.render import RenderStyle, render_foliation
+from allab.render import LEAF_COLOR, render_foliation
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -183,19 +182,16 @@ def test_render_constant_foliation_deterministic():
     from allab.foliation import constant_slope
 
     F = constant_slope(0.5)
-    svg1 = render_foliation(F, leaves=[])
-    svg2 = render_foliation(F, leaves=[])
+    svg1 = render_foliation(F)
+    svg2 = render_foliation(F)
     assert svg1 == svg2
     assert svg1.startswith('<?xml version="1.0"')
     assert "<polyline" in svg1 and "</svg>" in svg1
 
 
 def test_render_two_reeb_band_highlights_leaves():
-    F = library.two_reeb_band()
-    leaves = compact_leaves(F)
-    style = RenderStyle(seeds=3, length=1.5)
-    svg = render_foliation(F, leaves, style)
-    assert svg.count(f'stroke="{style.leaf_color}"') >= 2
+    svg = render_foliation(library.two_reeb_band())
+    assert svg.count(f'stroke="{LEAF_COLOR}"') >= 2
     assert "<polygon" in svg  # orientation arrowheads
 
 
@@ -390,6 +386,20 @@ def test_main_reports_input_errors_in_one_line(tmp_path, capsys, recwarn, text):
         assert "Traceback" not in err
     # numpy's warnings go to stderr outside capsys, ahead of the one line
     assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+
+
+@pytest.mark.parametrize("z", [21, -21])
+def test_main_refuses_a_fiber_whose_weak_fields_fall_below_the_vanishing_bound(
+        tmp_path, capsys, z):
+    # e^-|z| shrinks the weak foliations' fields to |V| = 7.58e-10 at |z| = 21:
+    # nowhere zero, but below the absolute bound 1e-9 of Foliation2
+    path = tmp_path / "far.cfg"
+    path.write_text(f"[model]\ntype = suspension\nmatrix = 2 1 1 1\nfiber_z = {z}\n")
+    assert main(["all", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "allab: direction field vanishes near (u, v) = (0.0000, 0.0000): "
+        "|V| = 7.58e-10, not above 1e-09\n"
+    )
 
 
 @pytest.mark.parametrize(
