@@ -19,7 +19,6 @@ from .geom import (
     DifferentialForm,
     Gluing3,
     TorusEmbedding,
-    VectorField3,
     XYZ,
     exterior_derivative,
     fiber_embedding,
@@ -38,7 +37,7 @@ class ModelError(AllabError):
 @dataclass(frozen=True)
 class FlowModel:
     gluing: Gluing3
-    X: VectorField3
+    X: tuple[Expr, Expr, Expr]  # the flow's vector field over (x, y, z)
     alpha_u: DifferentialForm
     alpha_s: DifferentialForm
     r_u: Expr
@@ -157,7 +156,7 @@ def suspension_model(A) -> FlowModel:
     alpha_s = one_form(XYZ, ZERO, ex.neg(parse_expr("exp(-z)")), ZERO)
     return FlowModel(
         gluing=gluing,
-        X=VectorField3((ZERO, ZERO, ex.ONE)),
+        X=(ZERO, ZERO, ex.ONE),
         alpha_u=alpha_u,
         alpha_s=alpha_s,
         r_u=ex.ONE,

@@ -176,7 +176,7 @@ def liouville_direct_check(pair: FormPair, *, n: int = 16) -> LiouvilleReport:
     x, y, z = pair.grid(n)
     s = np.linspace(-3, 3, 13)[:, None, None, None]
     es = ex.func("exp", ex.var("s"))
-    ems = ex.func("exp", ex.zneg(ex.var("s")))
+    ems = ex.func("exp", ex.neg(ex.var("s")))
     proj = {c: ex.var(c) for c in XYZ}  # (s, x, y, z) -> (x, y, z)
     plus, minus = (pullback(a, SXYZ, proj) for a in (pair.plus, pair.minus))
     lam = plus.scale(es) + minus.scale(ems)
@@ -230,7 +230,7 @@ def perturb_pair(
     unchanged."""
     if beta_target.coords != UV or beta_target.degree != 1:
         raise ContactError("perturbation target must be a 1-form on the torus")
-    # a constant has no curl, so the closedness check below passes NaN
+    # refused here by name; curl_residual below would call it not closed
     if not all(np.isfinite(torus_samples(c, 64)).all() for c in beta_target.coeffs.values()):
         raise PerturbationError("perturbation target has non-finite coefficients")
     res = curl_residual(beta_target)
@@ -244,7 +244,7 @@ def perturb_pair(
         cb, cr = beta_target.coeff(idx), restricted_sum.coeff(idx)
         if cb == cr:
             continue
-        coeffs[idx] = ex.zmul(half, ex.zsub(cb, cr))
+        coeffs[idx] = ex.mul(half, ex.sub(cb, cr))
     sigma_form = DifferentialForm(UV, 1, coeffs)
     if sigma_form.is_zero():
         return PerturbResult(pair, False, 0.0, 0.0, None)
@@ -263,7 +263,7 @@ def perturb_pair(
     bx, by, bz = sigma.base
     x_off, y_off = ex.sub(ex.var("x"), ex.const(bx)), ex.sub(ex.var("y"), ex.const(by))
     u_of, v_of = (
-        ex.zadd(ex.zmul(ex.const(a), x_off), ex.zmul(ex.const(b), y_off)) for a, b in Einv
+        ex.add(ex.mul(ex.const(a), x_off), ex.mul(ex.const(b), y_off)) for a, b in Einv
     )
     bump = quintic_bump(ex.div(ex.sub(ex.var("z"), ex.const(bz)), ex.const(0.15)))
     ambient = pullback(sigma_form, XYZ, {"u": u_of, "v": v_of}).scale(bump)
@@ -295,13 +295,13 @@ def perturb_pair(
 def _smoothstep_integral(tau: Expr) -> Expr:
     """Antiderivative of the quintic smoothstep, clamped: 0 for tau <= 0,
     tau - 1/2 for tau >= 1, C^2 throughout."""
-    c = ex.zsub(ex.func("pos", tau), ex.func("pos", ex.sub(tau, ONE)))
+    c = ex.sub(ex.func("pos", tau), ex.func("pos", ex.sub(tau, ONE)))
     c4 = ex.pow_(c, ex.const(4.0))
     poly = ex.mul(
         c4,
         ex.add(ex.sub(ex.mul(c, c), ex.mul(ex.const(3.0), c)), ex.const(2.5)),
     )
-    return ex.zadd(poly, ex.func("pos", ex.sub(tau, ONE)))
+    return ex.add(poly, ex.func("pos", ex.sub(tau, ONE)))
 
 
 @dataclass(frozen=True)
@@ -324,7 +324,7 @@ class ScalingExtension:
         the torus and z in [-2 delta, 2 delta], computed once."""
         a = np.arange(24) / 24
         zs = np.linspace(-2 * self.delta, 2 * self.delta, 64)
-        fn = compile_kernel(ex.zadd(self.dz_log_mu, self.r), ("u", "v", "z"))
+        fn = compile_kernel(ex.add(self.dz_log_mu, self.r), ("u", "v", "z"))
         return float(np.min(fn(*np.ix_(a, a, zs))))
 
     def to_dict(self):
@@ -413,16 +413,16 @@ def extend_scaling(
         (-delta, s_lo),                     # 0 -> s_lo
         (-eps - w, ex.sub(s_in, s_lo)),     # s_lo -> 1 - r
         (eps, ex.sub(s_hi, s_in)),          # 1 - r -> s_hi
-        (delta - w, ex.zneg(s_hi)),         # s_hi -> 0
+        (delta - w, ex.neg(s_hi)),          # s_hi -> 0
     ]
     z = ex.var("z")
     S = ZERO
     for b, ds in junctions:
         tau_z = ex.div(ex.sub(z, ex.const(b)), ex.const(w))
         tau_0 = ex.div(ex.sub(ex.const(0.0), ex.const(b)), ex.const(w))
-        ramp = ex.zsub(_smoothstep_integral(tau_z), _smoothstep_integral(tau_0))
-        S = ex.zadd(S, ex.zmul(ds, ex.zmul(ex.const(w), ramp)))
-    mu = ex.zmul(f, ex.func("exp", S))
+        ramp = ex.sub(_smoothstep_integral(tau_z), _smoothstep_integral(tau_0))
+        S = ex.add(S, ex.mul(ds, ex.mul(ex.const(w), ramp)))
+    mu = ex.mul(f, ex.func("exp", S))
     extension = ScalingExtension(
         f=f,
         r=r,

@@ -7,9 +7,11 @@ and function-call syntax for the unary functions ``exp``, ``log``, ``sin``,
 ``cos``, ``sqrt``, ``neg``.  Recognized variables are ``x y z s u v``,
 and the one named parameter is ``pi``.  See docs/grammar.md for the EBNF.
 
-Expressions are immutable trees.  The only simplification performed by the
-parser is constant folding of literal-only subtrees, to the value that
-``evaluate`` gives; derivatives are returned unsimplified.
+Expressions are immutable trees.  The parser and ``substitute`` fold
+literal-only subtrees to the value that ``evaluate`` gives and simplify
+nothing else.  The builders ``add``, ``sub``, ``mul`` and ``neg``, which the
+form algebra and ``diff`` use, fold constants too and also drop 0 and 1:
+a + 0 is a, a - 0 is a, 0 - a is -a, 1*a is a, 0*a is 0 and -(-a) is a.
 """
 
 from __future__ import annotations
@@ -119,15 +121,32 @@ def _fold(node: Expr, *values: float) -> Expr:
         return node
 
 
+# The parser and substitute call _fold_bin and _fold_func, never these: mul
+# drops a NaN factor of 0, and 0*sqrt(u - 2) in user text stays NaN at u < 2.
+
 def add(a: Expr, b: Expr) -> Expr:
+    if a == ZERO:
+        return b
+    if b == ZERO:
+        return a
     return _fold_bin("+", a, b)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
+    if b == ZERO:
+        return a
+    if a == ZERO:
+        return neg(b)
     return _fold_bin("-", a, b)
 
 
 def mul(a: Expr, b: Expr) -> Expr:
+    if a == ZERO or b == ZERO:
+        return ZERO
+    if a == ONE:
+        return b
+    if b == ONE:
+        return a
     return _fold_bin("*", a, b)
 
 
@@ -144,44 +163,11 @@ def func(name: str, a: Expr) -> Expr:
 
 
 def neg(a: Expr) -> Expr:
-    return _fold_func("neg", a)
-
-
-# Identity-eliminating builders for internal form algebra.  The parser never
-# uses these; they keep machine-generated coefficient trees small.
-
-def zadd(a: Expr, b: Expr) -> Expr:
-    if a == ZERO:
-        return b
-    if b == ZERO:
-        return a
-    return add(a, b)
-
-
-def zsub(a: Expr, b: Expr) -> Expr:
-    if b == ZERO:
-        return a
-    if a == ZERO:
-        return neg(b)
-    return sub(a, b)
-
-
-def zmul(a: Expr, b: Expr) -> Expr:
-    if a == ZERO or b == ZERO:
-        return ZERO
-    if a == ONE:
-        return b
-    if b == ONE:
-        return a
-    return mul(a, b)
-
-
-def zneg(a: Expr) -> Expr:
     if a == ZERO:
         return ZERO
     if isinstance(a, Func) and a.name == "neg":
         return a.arg
-    return neg(a)
+    return _fold_func("neg", a)
 
 
 def const(v: float) -> Expr:
@@ -398,41 +384,41 @@ def diff(e: Expr, w: str) -> Expr:
         a, b = e.left, e.right
         da, db = diff(a, w), diff(b, w)
         if e.op == "+":
-            return zadd(da, db)
+            return add(da, db)
         if e.op == "-":
-            return zsub(da, db)
+            return sub(da, db)
         if e.op == "*":
-            return zadd(zmul(da, b), zmul(a, db))
+            return add(mul(da, b), mul(a, db))
         if e.op == "/":
-            return div(zsub(zmul(da, b), zmul(a, db)), mul(b, b))
+            return div(sub(mul(da, b), mul(a, db)), mul(b, b))
         # power rule; general case via a^b = exp(b log a)
         if db == ZERO:
             if isinstance(b, Const):
-                return zmul(
-                    zmul(b, pow_(a, Const(b.value - 1.0))), da
+                return mul(
+                    mul(b, pow_(a, Const(b.value - 1.0))), da
                 )
-            return zmul(zmul(b, pow_(a, sub(b, ONE))), da)
-        return zmul(
+            return mul(mul(b, pow_(a, sub(b, ONE))), da)
+        return mul(
             e,
-            zadd(zmul(db, func("log", a)), zmul(b, div(da, a))),
+            add(mul(db, func("log", a)), mul(b, div(da, a))),
         )
     d = diff(e.arg, w)
     if d == ZERO:
         return ZERO
     if e.name == "exp":
-        return zmul(e, d)
+        return mul(e, d)
     if e.name == "log":
         return div(d, e.arg)
     if e.name == "sin":
-        return zmul(func("cos", e.arg), d)
+        return mul(func("cos", e.arg), d)
     if e.name == "cos":
-        return zneg(zmul(func("sin", e.arg), d))
+        return neg(mul(func("sin", e.arg), d))
     if e.name == "sqrt":
         return div(d, mul(Const(2.0), e))
     if e.name == "neg":
-        return zneg(d)
+        return neg(d)
     if e.name == "pos":
-        return zmul(func("step", e.arg), d)
+        return mul(func("step", e.arg), d)
     if e.name == "step":
         return ZERO
     raise ExprError(f"no derivative rule for function {e.name!r}")

@@ -82,14 +82,14 @@ class Foliation2:
         the coefficient vector a quarter turn."""
         if a.coords != UV or a.degree != 1:
             raise FoliationError("defining form must be a 1-form on (u, v)")
-        return Foliation2(ex.zneg(a.coeff((1,))), a.coeff((0,)))
+        return Foliation2(ex.neg(a.coeff((1,))), a.coeff((0,)))
 
     @property
     def form(self) -> DifferentialForm:
         """The defining 1-form V2 du - V1 dv.  For ``from_form(a)`` it is a,
         coefficient by coefficient: negating a coefficient twice keeps its
         values bit for bit."""
-        return one_form(UV, self.V2, ex.zneg(self.V1))
+        return one_form(UV, self.V2, ex.neg(self.V1))
 
     @property
     def closed_form(self) -> bool:
@@ -362,6 +362,8 @@ class Transversal:
     def __post_init__(self):
         if self.axis not in ("u", "v"):
             raise FoliationError("transversal axis must be 'u' or 'v'")
+        if not math.isfinite(self.value):
+            raise FoliationError(f"transversal value must be finite (value = {self.value})")
 
 
 _DROP = 1e-12  # far above rounding, far below a scan cell

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import AllabError
 from . import expr as ex
-from .expr import Expr, ZERO, compile_field, diff, substitute, zadd, zmul, zneg, zsub
+from .expr import Expr, ZERO, add, compile_field, diff, mul, neg, substitute
 
 XYZ = ("x", "y", "z")
 SXYZ = ("s", "x", "y", "z")
@@ -77,26 +77,22 @@ class DifferentialForm:
         self._check_compatible(other)
         out = dict(self.coeffs)
         for idx, c in other.coeffs.items():
-            out[idx] = zadd(out.get(idx, ZERO), c)
+            out[idx] = add(out.get(idx, ZERO), c)
         return DifferentialForm(self.coords, self.degree, out)
 
     def __sub__(self, other: "DifferentialForm") -> "DifferentialForm":
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            out[idx] = zsub(out.get(idx, ZERO), c)
-        return DifferentialForm(self.coords, self.degree, out)
+        return self + -other
 
     def __neg__(self) -> "DifferentialForm":
         return DifferentialForm(
-            self.coords, self.degree, {i: zneg(c) for i, c in self.coeffs.items()}
+            self.coords, self.degree, {i: neg(c) for i, c in self.coeffs.items()}
         )
 
     def scale(self, factor: Expr | float) -> "DifferentialForm":
         if not isinstance(factor, (ex.Const, ex.Var, ex.BinOp, ex.Func)):
             factor = ex.const(factor)
         return DifferentialForm(
-            self.coords, self.degree, {i: zmul(factor, c) for i, c in self.coeffs.items()}
+            self.coords, self.degree, {i: mul(factor, c) for i, c in self.coeffs.items()}
         )
 
     def is_zero(self) -> bool:
@@ -134,8 +130,8 @@ def exterior_derivative(omega: DifferentialForm) -> DifferentialForm:
             if res is None:
                 continue
             sign, merged = res
-            term = dc if sign > 0 else zneg(dc)
-            out[merged] = zadd(out.get(merged, ZERO), term)
+            term = dc if sign > 0 else neg(dc)
+            out[merged] = add(out.get(merged, ZERO), term)
     return DifferentialForm(omega.coords, omega.degree + 1, out)
 
 
@@ -151,21 +147,15 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
             if res is None:
                 continue
             sign, merged = res
-            term = zmul(ca, cb)
+            term = mul(ca, cb)
             if sign < 0:
-                term = zneg(term)
-            out[merged] = zadd(out.get(merged, ZERO), term)
+                term = neg(term)
+            out[merged] = add(out.get(merged, ZERO), term)
     return DifferentialForm(a.coords, a.degree + b.degree, out)
 
 
-@dataclass(frozen=True)
-class VectorField3:
-    """A vector field over (x, y, z)."""
-
-    coeffs: tuple[Expr, Expr, Expr]
-
-
-def interior_product(X: VectorField3, omega: DifferentialForm) -> DifferentialForm:
+def interior_product(X: tuple[Expr, Expr, Expr], omega: DifferentialForm) -> DifferentialForm:
+    """i_X omega for the vector field X = (X_x, X_y, X_z) over (x, y, z)."""
     if omega.coords != XYZ:
         raise GeomError("vector field and form live over different coordinates")
     if omega.degree == 0:
@@ -174,14 +164,14 @@ def interior_product(X: VectorField3, omega: DifferentialForm) -> DifferentialFo
     for idx, c in omega.coeffs.items():
         for pos, i in enumerate(idx):
             rest = idx[:pos] + idx[pos + 1:]
-            term = zmul(X.coeffs[i], c)
+            term = mul(X[i], c)
             if pos % 2 == 1:
-                term = zneg(term)
-            out[rest] = zadd(out.get(rest, ZERO), term)
+                term = neg(term)
+            out[rest] = add(out.get(rest, ZERO), term)
     return DifferentialForm(omega.coords, omega.degree - 1, out)
 
 
-def lie_derivative(X: VectorField3, alpha: DifferentialForm) -> DifferentialForm:
+def lie_derivative(X: tuple[Expr, Expr, Expr], alpha: DifferentialForm) -> DifferentialForm:
     """Cartan formula: L_X = i_X d + d i_X."""
     part1 = interior_product(X, exterior_derivative(alpha))
     if alpha.degree == 0:
@@ -252,7 +242,7 @@ def _affine(offset, matrix, coords: Sequence[str]) -> dict[str, Expr]:
     for name, b, row in zip(XYZ, offset, matrix):
         e = ex.const(b)
         for m, c in zip(row, coords):
-            e = zadd(e, zmul(ex.const(m), ex.var(c)))
+            e = add(e, mul(ex.const(m), ex.var(c)))
         out[name] = e
     return out
 
@@ -278,14 +268,14 @@ class TorusEmbedding:
             raise GeomError("embedding directions are linearly dependent")
 
     @np.errstate(all="ignore")  # a domain error gives NaN, refused below
-    def check_transverse(self, X: VectorField3):
+    def check_transverse(self, X: tuple[Expr, Expr, Expr]):
         """min |normal . X| over the 16 x 16 torus grid (i/16, j/16)."""
         normal = np.cross(self.e1, self.e2)
         normal = normal / np.linalg.norm(normal)
         t = np.arange(16) / 16
         u, v = t[:, None], t
         p = [b + u * d1 + v * d2 for b, d1, d2 in zip(self.base, self.e1, self.e2)]
-        flux = sum(nk * compile_field(c, XYZ)(*p) for nk, c in zip(normal, X.coeffs))
+        flux = sum(nk * compile_field(c, XYZ)(*p) for nk, c in zip(normal, X))
         worst = float(np.min(np.abs(flux)))
         if not worst > 1e-9:  # NaN refuses too
             raise GeomError(f"flow not transverse to the torus (margin {worst:.2e})")
@@ -342,8 +332,13 @@ def grid_argmin(values, grid: Sequence[np.ndarray]) -> tuple[float, tuple[float,
     return float(values.flat[i]), grid_point(grid, int(np.ravel_multi_index(at, shape)))
 
 
+@np.errstate(all="ignore")  # a domain error gives NaN or inf, refused as infinite
 def curl_residual(beta: DifferentialForm) -> float:
-    """max |d beta| for a 1-form beta on the torus, over the 64 x 64 grid."""
+    """max |d beta| for a 1-form beta on the torus, over the 64 x 64 grid;
+    inf where a coefficient of beta is not finite on that grid, since the
+    exact derivative of a constant is 0 even when it is NaN or inf."""
+    if not all(np.isfinite(torus_samples(c, 64)).all() for c in beta.coeffs.values()):
+        return np.inf
     c = exterior_derivative(beta).coeff((0, 1))
     return float(np.max(np.abs(torus_samples(c, 64))))
 

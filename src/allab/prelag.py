@@ -440,7 +440,7 @@ def pre_lagrangian_certificate(
     r_s = substitute(model.r_s, sigma.chart())
     try:
         ext_u = _collar_extension(r_u)
-        ext_s = _collar_extension(ex.zneg(r_s))
+        ext_s = _collar_extension(ex.neg(r_s))
     except AllabError as e:
         return stop("failed", f"collar extension failed: {e}")
     common.update(extension_u=ext_u, extension_s=ext_s)
@@ -505,6 +505,6 @@ def check_graph_lagrangian(pair: FormPair, sigma: TorusEmbedding, f: Expr) -> Gr
         raise PreLagError("pair fails the AL check")
     beta = restrict(pair.plus, sigma).scale(ex.func("exp", f)) + restrict(
         pair.minus, sigma
-    ).scale(ex.func("exp", ex.zneg(f)))
+    ).scale(ex.func("exp", ex.neg(f)))
     res = curl_residual(beta)
     return GraphCheck(res < _TOL, res)

@@ -28,14 +28,13 @@ from allab.foliation import (
     Transversal,
     TransversalError,
     ReturnMap,
-    compact_leaves,
     constant_slope,
     reeb_annuli,
     return_map,
     rotation_number,
     winding,
 )
-from allab.geom import UV, XYZ, one_form, restrict
+from allab.geom import UV, XYZ, one_form
 from allab.prelag import check_graph_lagrangian, closedness_objective, scaling_solve
 
 import os
@@ -137,7 +136,7 @@ def test_criterion_5_winding_suite():
         k = rng.randint(1, 3)
         amp = rng.uniform(0.2, 1.5)
         c = parse_expr(f"{amp}*sin(2*pi*{k}*u)")
-        F = Foliation2.from_form(one_form(UV, ex.zneg(c), ex.ONE))
+        F = Foliation2.from_form(one_form(UV, ex.neg(c), ex.ONE))
         ok = ok and F.closed_form and winding(F) == (0, 0)
     for _ in range(10):
         p, q = rng.randint(-3, 3), rng.randint(-3, 3)
@@ -235,7 +234,7 @@ def test_criterion_9_collar_extension():
     for f, extn in ((f1, ext1), (ex.ONE, ext2)):
         # min of d/dz log(mu) + r on 16 x 16 (u, v) by 96 z in [-2 delta, 2 delta]
         zs = np.linspace(-2 * extn.delta, 2 * extn.delta, 96)
-        rate = ex.compile_kernel(ex.zadd(extn.dz_log_mu, extn.r), ("u", "v", "z"))
+        rate = ex.compile_kernel(ex.add(extn.dz_log_mu, extn.r), ("u", "v", "z"))
         margin = np.min(rate(*np.ix_(t, t, zs)))
         on_torus = extn.mu_fn()(U, V, np.zeros_like(U))
         f_vals = compile_field(f, UV)(U, V) + np.zeros_like(U)

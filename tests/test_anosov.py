@@ -22,7 +22,6 @@ from allab.geom import (
     XYZ,
     DifferentialForm,
     GeomError,
-    VectorField3,
     check_periodicity,
     exterior_derivative,
     one_form,
@@ -192,7 +191,7 @@ def test_tangent_induced_foliations_are_a_model_error():
     dx = one_form(XYZ, ex.ONE, ex.ZERO, ex.ZERO)
     model = FlowModel(
         gluing=gluing,
-        X=VectorField3((ex.ZERO, ex.ZERO, ex.ONE)),
+        X=(ex.ZERO, ex.ZERO, ex.ONE),
         alpha_u=dx,
         alpha_s=dx.scale(2.0),
         r_u=ex.ONE,
@@ -259,7 +258,7 @@ def test_reeb_field_standard_contact_form():
 
 
 def test_checks_refuse_a_field_not_finite_at_their_samples(cat):
-    nan_z = VectorField3((ex.ZERO, ex.ZERO, parse_expr("sqrt(x - 5)")))
+    nan_z = (ex.ZERO, ex.ZERO, parse_expr("sqrt(x - 5)"))
     with pytest.raises(GeomError, match="not transverse"):
         cat.fiber(0.0).check_transverse(nan_z)
     nan_form = DifferentialForm(XYZ, 0, {(): parse_expr("sqrt(x - 5)")})

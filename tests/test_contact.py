@@ -10,7 +10,6 @@ from allab import expr as ex
 from allab import contact
 from allab.anosov import suspension_model
 from allab.contact import (
-    ALReport,
     ContactError,
     FormPair,
     PerturbationError,
@@ -40,7 +39,7 @@ def standard_pair(gluing=None):
     ez = parse_expr("exp(z)")
     emz = parse_expr("exp(-z)")
     plus = one_form(XYZ, ez, emz, ex.ZERO)
-    minus = one_form(XYZ, ex.zneg(ez), emz, ex.ZERO)
+    minus = one_form(XYZ, ex.neg(ez), emz, ex.ZERO)
     return FormPair(plus, minus, gluing if gluing is not None else torus3())
 
 
@@ -363,7 +362,7 @@ def _margin_on_grid(mu, n_uv, n_z):
     the torus and z in [-2 delta, 2 delta]."""
     a = np.arange(n_uv) / n_uv
     zs = np.linspace(-2 * mu.delta, 2 * mu.delta, n_z)
-    fn = ex.compile_kernel(ex.zadd(mu.dz_log_mu, mu.r), ("u", "v", "z"))
+    fn = ex.compile_kernel(ex.add(mu.dz_log_mu, mu.r), ("u", "v", "z"))
     return float(np.min(fn(*np.ix_(a, a, zs))))
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from allab import expr as ex
@@ -32,6 +33,23 @@ def test_parse_keeps_nonliteral_structure():
 def test_parse_folds_literal_subtrees():
     assert parse_expr("2*3 + 1") == Const(7.0)
     assert parse_expr("x + 2*3") == ex.BinOp("+", Var("x"), Const(6.0))
+
+
+def test_builders_drop_zero_and_one_but_the_parser_does_not():
+    x = parse_expr("sqrt(u - 2)")
+    assert ex.add(ex.ZERO, x) is x and ex.add(x, ex.ZERO) is x
+    assert ex.sub(x, ex.ZERO) is x and ex.sub(ex.ZERO, x) == ex.neg(x)
+    assert ex.mul(ex.ONE, x) is x and ex.mul(x, ex.ONE) is x
+    assert ex.mul(ex.ZERO, x) == ex.ZERO and ex.mul(x, ex.ZERO) == ex.ZERO
+    assert ex.neg(ex.neg(x)) is x
+    zero = ex.neg(ex.ZERO)
+    assert zero == ex.ZERO and math.copysign(1.0, zero.value) == 1.0
+    # user text keeps its product with 0, so a NaN factor stays NaN
+    with np.errstate(invalid="ignore"):
+        parsed = compile_kernel(parse_expr("0*sqrt(u - 2)"), ("u",))(1.0)
+        shifted = substitute(parse_expr("0*sqrt(u)"), {"u": parse_expr("u - 2")})
+        substituted = compile_kernel(shifted, ("u",))(1.0)
+    assert math.isnan(parsed) and math.isnan(substituted)
 
 
 def test_sin_with_pi_parameter():

@@ -13,7 +13,6 @@ from allab import library
 from allab import render
 from allab.expr import Const, parse_expr, substitute
 from allab.foliation import (
-    CompactLeaf,
     Foliation2,
     FoliationError,
     ReturnMap,
@@ -147,8 +146,8 @@ def test_winding_trivial_under_torus_maps():
     u, v = ex.var("u"), ex.var("v")
     for (a, b), (c, d) in mats:
         sub = {
-            "u": ex.zadd(ex.zmul(Const(float(a)), u), ex.zmul(Const(float(b)), v)),
-            "v": ex.zadd(ex.zmul(Const(float(c)), u), ex.zmul(Const(float(d)), v)),
+            "u": ex.add(ex.mul(Const(float(a)), u), ex.mul(Const(float(b)), v)),
+            "v": ex.add(ex.mul(Const(float(c)), u), ex.mul(Const(float(d)), v)),
         }
         G = Foliation2(substitute(V1, sub), substitute(V2, sub))
         assert winding(G) == (0, 0)
@@ -564,6 +563,13 @@ def test_return_map_golden_slope():
     assert np.allclose(R.lift_values, R.ts + s, atol=1e-6)
     rho, err = rotation_number(R, 10000)
     assert rho == pytest.approx(s, abs=err + 1e-6)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_transversal_refuses_a_value_that_is_not_finite(value):
+    want = rf"transversal value must be finite \(value = {value}\)"
+    with pytest.raises(FoliationError, match=want):
+        Transversal("u", value)
 
 
 def test_return_map_reeb_direction_errors():

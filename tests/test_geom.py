@@ -12,7 +12,6 @@ from allab.geom import (
     DifferentialForm,
     Gluing3,
     TorusEmbedding,
-    VectorField3,
     XYZ,
     UV,
     check_periodicity,
@@ -35,7 +34,7 @@ def alpha_pm():
     ez = parse_expr("exp(z)")
     emz = parse_expr("exp(-z)")
     plus = one_form(XYZ, ez, emz, ex.ZERO)
-    minus = one_form(XYZ, ex.zneg(ez), emz, ex.ZERO)
+    minus = one_form(XYZ, ex.neg(ez), emz, ex.ZERO)
     return plus, minus
 
 
@@ -122,7 +121,7 @@ def test_degree_overflow():
 
 
 def test_lie_derivative_eigenform_identities():
-    dz_field = VectorField3((ex.ZERO, ex.ZERO, ex.ONE))
+    dz_field = (ex.ZERO, ex.ZERO, ex.ONE)
     au = one_form(XYZ, parse_expr("exp(z)"), ex.ZERO, ex.ZERO)
     asf = one_form(XYZ, ex.ZERO, parse_expr("exp(-z)"), ex.ZERO)
     pts = _rand_pts(random.Random(2), 25)
@@ -135,14 +134,14 @@ def test_lie_derivative_eigenform_identities():
 
 
 def test_lie_derivative_constant_case():
-    X = VectorField3((Const(1.0), Const(2.0), Const(-1.0)))
+    X = (Const(1.0), Const(2.0), Const(-1.0))
     a = one_form(XYZ, Const(3.0), Const(-1.0), Const(0.5))
     assert lie_derivative(X, a).is_zero()
 
 
 def test_cartan_matches_flow_difference_quotient():
     # constant X: pullback along phi_h is coefficient translation
-    X = VectorField3((Const(0.5), Const(-0.25), Const(1.0)))
+    X = (Const(0.5), Const(-0.25), Const(1.0))
     a = one_form(
         XYZ, parse_expr("sin(x + 2*y)"), parse_expr("exp(z/2)"), parse_expr("x*y")
     )
@@ -163,7 +162,7 @@ def test_cartan_matches_flow_difference_quotient():
 
 
 def test_interior_product_two_form():
-    X = VectorField3((Const(1.0), Const(0.0), Const(0.0)))
+    X = (Const(1.0), Const(0.0), Const(0.0))
     dxdy = DifferentialForm(XYZ, 2, {(0, 1): ex.ONE})
     res = interior_product(X, dxdy)
     assert res.coeffs == {(1,): ex.ONE}
@@ -253,6 +252,24 @@ def _assert_agree_on_torus(a, b):
         assert np.max(np.abs(gap)) < 1e-9, idx
 
 
+def test_form_subtraction_adds_the_negation():
+    # a - b is a + (-b), and its values are bit for bit those of the
+    # coefficient-wise difference a_i - b_i
+    rng = np.random.default_rng(3)
+    pts = tuple(rng.uniform(-1.0, 1.0, 200) for _ in XYZ)
+    forms = (*alpha_pm(), _A, _B, exterior_derivative(_A), exterior_derivative(_B))
+    for a in forms:
+        for b in forms:
+            if (a.coords, a.degree) != (b.coords, b.degree):
+                continue
+            diff_form = a - b
+            assert diff_form == a + -b
+            for idx in a.coeffs.keys() | b.coeffs.keys():
+                got = ex.compile_field(diff_form.coeff(idx), XYZ)(*pts)
+                want = ex.compile_field(ex.sub(a.coeff(idx), b.coeff(idx)), XYZ)(*pts)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), idx
+
+
 @pytest.mark.parametrize("chart", ["graph", "cat-fiber"])
 def test_pullback_commutes_with_d(chart):
     psi = _chart(chart)
@@ -292,9 +309,9 @@ def test_graph_chart_pulls_dz_back_to_d_phi():
 
 def test_embedding_transversality_check():
     emb = _unit_fiber()
-    X = VectorField3((ex.ZERO, ex.ZERO, ex.ONE))
+    X = (ex.ZERO, ex.ZERO, ex.ONE)
     assert emb.check_transverse(X) > 0.9
-    tangent = VectorField3((ex.ONE, ex.ZERO, ex.ZERO))
+    tangent = (ex.ONE, ex.ZERO, ex.ZERO)
     with pytest.raises(geom.GeomError):
         emb.check_transverse(tangent)
 

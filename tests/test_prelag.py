@@ -11,12 +11,11 @@ from allab import foliation as fol
 from allab import library, prelag
 from allab.anosov import FlowModel, suspension_model, weak_foliations_on_torus
 from allab.contact import ContactError, al_check
-from allab.expr import Const, compile_field, parse_expr
+from allab.expr import Const, parse_expr
 from allab.foliation import FoliationError, cone_separation, parallel_compact_leaves
 from allab.geom import (
     UV,
     XYZ,
-    VectorField3,
     fiber_embedding,
     one_form,
     restrict,
@@ -85,7 +84,7 @@ def _planted_no_beta_pair():
 def _eight_band_forms():
     # a = V2 du - V1 dv for each field: leaves of opposite oriented classes
     # leave no closed beta positive on both fields
-    return tuple(one_form(UV, H.V2, ex.zneg(H.V1)) for H in library.eight_band_pair())
+    return tuple(one_form(UV, H.V2, ex.neg(H.V1)) for H in library.eight_band_pair())
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +563,7 @@ def test_certificate_stops_before_the_collar_when_a_minus_b_is_not_closed(monkey
     # d(a - b) = -0.2 pi cos(2 pi v) du^dv: f = g = 1 leaves 0.2 pi
     wavy = FlowModel(
         gluing=torus3(),
-        X=VectorField3((ex.ZERO, ex.ZERO, ex.ONE)),
+        X=(ex.ZERO, ex.ZERO, ex.ONE),
         alpha_u=one_form(XYZ, parse_expr("1 + 0.1*sin(2*pi*y)"), ex.ZERO, ex.ZERO),
         alpha_s=one_form(XYZ, ex.ZERO, ex.ONE, ex.ZERO),
         r_u=ex.ONE,
@@ -609,7 +608,20 @@ def test_graph_lagrangian_fiber_zero_function(cat):
 
 def test_graph_lagrangian_constant_function(cat):
     res = check_graph_lagrangian(cat.standard_pair(), cat.fiber(0.0), Const(0.7))
-    assert res.ok
+    assert res == GraphCheck(ok=True, residual=0.0)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [Const(math.nan), Const(math.inf), Const(1000.0), "1000 + 0*u", "log(0*u)"],
+    ids=["nan", "inf", "exp-overflow", "1000+0*u", "log(0*u)"],
+)
+def test_graph_lagrangian_refuses_a_form_that_is_not_finite(cat, f):
+    # the exact derivative of a NaN or infinite constant is 0: the check
+    # must read the coefficients themselves, not only their curl
+    f = parse_expr(f) if isinstance(f, str) else f
+    res = check_graph_lagrangian(cat.standard_pair(), cat.fiber(0.0), f)
+    assert res == GraphCheck(ok=False, residual=math.inf)
 
 
 def test_graph_lagrangian_nonconstant_function_fails(cat):

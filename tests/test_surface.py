@@ -23,6 +23,9 @@ sets nothing here.  Lambdas are not scanned.
 
 A value that every call setting it sets to a literal equal to its own
 literal default has one value in use too, and the second test lists those.
+
+The last test lists every name that a module under ``src/`` or ``tests/``
+imports and never reads, ``from __future__ import annotations`` aside.
 """
 
 import ast
@@ -251,3 +254,24 @@ def test_every_exemption_is_still_needed():
     flagged = set(unset_values()) | set(default_only_values())
     stale = sorted(set(EXEMPT) - flagged)
     assert stale == [], "these are set or gone; drop their exemptions:\n" + "\n".join(stale)
+
+
+def test_every_import_is_read():
+    # ``import a.b`` binds a
+    unread = []
+    for d in ("src", "tests"):
+        for path in sorted((ROOT / d).rglob("*.py")):
+            tree = _parse(path)
+            read = {
+                n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)
+            }
+            unread.extend(
+                f"{path.relative_to(ROOT)}:{node.lineno}: {a.asname or a.name.split('.')[0]}"
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+                for a in node.names
+                if (a.asname or a.name.split(".")[0]) not in read
+            )
+    assert unread == [], "imported and never read; drop them:\n" + "\n".join(unread)
