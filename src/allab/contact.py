@@ -230,11 +230,11 @@ def perturb_pair(
     unchanged."""
     if beta_target.coords != UV or beta_target.degree != 1:
         raise ContactError("perturbation target must be a 1-form on the torus")
-    # refused here by name; curl_residual below would call it not closed
-    if not all(np.isfinite(torus_samples(c, 64)).all() for c in beta_target.coeffs.values()):
-        raise PerturbationError("perturbation target has non-finite coefficients")
     res = curl_residual(beta_target)
     if not res < 1e-9:  # NaN refuses too
+        # curl_residual is inf too where beta_target is not finite: name that cause
+        if not all(np.isfinite(torus_samples(c, 64)).all() for c in beta_target.coeffs.values()):
+            raise PerturbationError("perturbation target has non-finite coefficients")
         raise PerturbationError(
             f"perturbation target is not closed (curl residual {res:.2e})"
         )

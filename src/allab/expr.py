@@ -7,7 +7,8 @@ and function-call syntax for the unary functions ``exp``, ``log``, ``sin``,
 ``cos``, ``sqrt``, ``neg``.  Recognized variables are ``x y z s u v``,
 and the one named parameter is ``pi``.  See docs/grammar.md for the EBNF.
 
-Expressions are immutable trees.  The parser and ``substitute`` fold
+Expressions are immutable trees; every reader is a rule per node for the
+one walk over them, ``walk``.  The parser and ``substitute`` fold
 literal-only subtrees to the value that ``evaluate`` gives and simplify
 nothing else.  The builders ``add``, ``sub``, ``mul`` and ``neg``, which the
 form algebra and ``diff`` use, fold constants too and also drop 0 and 1:
@@ -97,6 +98,17 @@ ZERO = Const(0.0)
 ONE = Const(1.0)
 
 
+def walk(e: Expr, leaf: Callable, node: Callable):
+    """The one walk over a tree, post-order: ``leaf(e)`` at a Const or Var,
+    ``node(e, *results)`` at a BinOp or Func with its arguments' results, left
+    first.  One Python frame per tree level, so every reader reads as deep."""
+    if isinstance(e, BinOp):
+        return node(e, walk(e.left, leaf, node), walk(e.right, leaf, node))
+    if isinstance(e, Func):
+        return node(e, walk(e.arg, leaf, node))
+    return leaf(e)
+
+
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -116,7 +128,7 @@ def _fold(node: Expr, *values: float) -> Expr:
     """The constant that ``evaluate`` gives node, whose arguments are
     constants of the given values; node itself where ``evaluate`` refuses it."""
     try:
-        return Const(_apply(node, values))
+        return Const(_apply(node, *values))
     except DomainError:
         return node
 
@@ -321,54 +333,43 @@ _PREC_MUL = 20
 _PREC_NEG = 15
 _PREC_POW = 30
 _PREC_ATOM = 100
+_PREC_BIN = {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL, "/": _PREC_MUL, "^": _PREC_POW}
 
 
-def _prec(e: Expr) -> int:
-    if isinstance(e, Const):
-        return _PREC_NEG if e.value < 0 else _PREC_ATOM
+def _paren(text: str, wrap: bool) -> str:
+    return f"({text})" if wrap else text
+
+
+def _text_leaf(e: Const | Var) -> tuple[str, int]:
     if isinstance(e, Var):
-        return _PREC_ATOM
+        return e.name, _PREC_ATOM
+    # repr's 'inf' and 'nan' are no numerals; the parser folds these back
+    text = "(0*1e999)" if math.isnan(e.value) else repr(e.value).replace("inf", "1e999")
+    return text, _PREC_NEG if e.value < 0 else _PREC_ATOM
+
+
+def _text_node(e: BinOp | Func, *args: tuple[str, int]) -> tuple[str, int]:
     if isinstance(e, Func):
-        return _PREC_NEG if e.name == "neg" else _PREC_ATOM
-    return {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL, "/": _PREC_MUL,
-            "^": _PREC_POW}[e.op]
+        (text, prec), = args
+        if e.name != "neg":
+            return f"{e.name}({text})", _PREC_ATOM
+        # operand of unary minus must itself parse as a unary
+        return "-" + _paren(text, prec <= _PREC_MUL), _PREC_NEG
+    (left, lp), (right, rp) = args
+    prec = _PREC_BIN[e.op]
+    if e.op == "^":  # base must be an atom, exponent a unary
+        return f"{_paren(left, lp <= _PREC_POW)}^{_paren(right, rp < _PREC_NEG)}", prec
+    # the parser is left-associative: the right operand must bind tighter
+    left, right = _paren(left, lp < prec), _paren(right, rp <= prec)
+    return (f"{left} {e.op} {right}" if prec == _PREC_ADD else f"{left}{e.op}{right}"), prec
 
 
 def to_text(e: Expr) -> str:
     """Render an expression; ``parse_expr(to_text(e))`` reproduces ``e``
-    for any tree built by the parser or the folding constructors."""
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Func):
-        if e.name == "neg":
-            inner = to_text(e.arg)
-            # operand of unary minus must itself parse as a unary
-            if _prec(e.arg) <= _PREC_MUL:
-                inner = f"({inner})"
-            return f"-{inner}"
-        return f"{e.name}({to_text(e.arg)})"
-    left, right = to_text(e.left), to_text(e.right)
-    if e.op in "+-":
-        if _prec(e.left) < _PREC_ADD:
-            left = f"({left})"
-        # the parser is left-associative: the right operand must bind tighter
-        if _prec(e.right) <= _PREC_ADD:
-            right = f"({right})"
-        return f"{left} {e.op} {right}"
-    if e.op in "*/":
-        if _prec(e.left) < _PREC_MUL:
-            left = f"({left})"
-        if _prec(e.right) <= _PREC_MUL:
-            right = f"({right})"
-        return f"{left}{e.op}{right}"
-    # '^': base must be an atom, exponent a unary
-    if _prec(e.left) <= _PREC_POW:
-        left = f"({left})"
-    if _prec(e.right) < _PREC_NEG:
-        right = f"({right})"
-    return f"{left}^{right}"
+    for any tree built by the parser or the folding constructors.  A
+    non-finite constant prints as text the parser folds back to it: inf as
+    ``1e999`` and NaN as ``(0*1e999)``."""
+    return walk(e, _text_leaf, _text_node)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -376,52 +377,49 @@ def to_text(e: Expr) -> str:
 
 def diff(e: Expr, w: str) -> Expr:
     """Exact symbolic derivative of ``e`` with respect to variable ``w``."""
-    if isinstance(e, Const):
-        return ZERO
-    if isinstance(e, Var):
-        return ONE if e.name == w else ZERO
-    if isinstance(e, BinOp):
-        a, b = e.left, e.right
-        da, db = diff(a, w), diff(b, w)
-        if e.op == "+":
-            return add(da, db)
-        if e.op == "-":
-            return sub(da, db)
-        if e.op == "*":
-            return add(mul(da, b), mul(a, db))
-        if e.op == "/":
-            return div(sub(mul(da, b), mul(a, db)), mul(b, b))
-        # power rule; general case via a^b = exp(b log a)
-        if db == ZERO:
-            if isinstance(b, Const):
-                return mul(
-                    mul(b, pow_(a, Const(b.value - 1.0))), da
-                )
-            return mul(mul(b, pow_(a, sub(b, ONE))), da)
-        return mul(
-            e,
-            add(mul(db, func("log", a)), mul(b, div(da, a))),
-        )
-    d = diff(e.arg, w)
-    if d == ZERO:
-        return ZERO
-    if e.name == "exp":
-        return mul(e, d)
-    if e.name == "log":
-        return div(d, e.arg)
-    if e.name == "sin":
-        return mul(func("cos", e.arg), d)
-    if e.name == "cos":
-        return neg(mul(func("sin", e.arg), d))
-    if e.name == "sqrt":
-        return div(d, mul(Const(2.0), e))
-    if e.name == "neg":
-        return neg(d)
-    if e.name == "pos":
-        return mul(func("step", e.arg), d)
-    if e.name == "step":
-        return ZERO
-    raise ExprError(f"no derivative rule for function {e.name!r}")
+    # the walk carries each subtree t as the pair (t, dt/dw)
+    return walk(e, lambda t: (t, ONE if isinstance(t, Var) and t.name == w else ZERO),
+                lambda t, *args: (t, _derivative(t, *args)))[1]
+
+
+def _derivative(e: BinOp | Func, *args: tuple[Expr, Expr]) -> Expr:
+    """The derivative of e from its arguments paired with their derivatives."""
+    if isinstance(e, Func):
+        (a, d), = args
+        if d == ZERO:
+            return ZERO
+        if e.name == "exp":
+            return mul(e, d)
+        if e.name == "log":
+            return div(d, a)
+        if e.name == "sin":
+            return mul(func("cos", a), d)
+        if e.name == "cos":
+            return neg(mul(func("sin", a), d))
+        if e.name == "sqrt":
+            return div(d, mul(Const(2.0), e))
+        if e.name == "neg":
+            return neg(d)
+        if e.name == "pos":
+            return mul(func("step", a), d)
+        if e.name == "step":
+            return ZERO
+        raise ExprError(f"no derivative rule for function {e.name!r}")
+    (a, da), (b, db) = args
+    if e.op == "+":
+        return add(da, db)
+    if e.op == "-":
+        return sub(da, db)
+    if e.op == "*":
+        return add(mul(da, b), mul(a, db))
+    if e.op == "/":
+        return div(sub(mul(da, b), mul(a, db)), mul(b, b))
+    # power rule; general case via a^b = exp(b log a)
+    if db == ZERO:
+        if isinstance(b, Const):
+            return mul(mul(b, pow_(a, Const(b.value - 1.0))), da)
+        return mul(mul(b, pow_(a, sub(b, ONE))), da)
+    return mul(e, add(mul(db, func("log", a)), mul(b, div(da, a))))
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +445,23 @@ _FUNC_EVAL: dict[str, Callable[[float], float]] = {
 }
 
 
+def _number_leaf(env: Mapping, const: Callable, point: Callable) -> Callable:
+    """The leaf rule of a walk over numbers: const(c) at a constant c,
+    point(env[name]) at a variable env binds, const(math.pi) at ``pi`` unless
+    env rebinds it, and UnboundVariableError at any other variable."""
+
+    def leaf(e):
+        if isinstance(e, Const):
+            return const(e.value)
+        if e.name in env:
+            return point(env[e.name])
+        if e.name == "pi":
+            return const(math.pi)
+        raise UnboundVariableError(e.name)
+
+    return leaf
+
+
 def evaluate(e: Expr, env: Mapping[str, float]) -> float:
     """Evaluate at a point.  ``pi`` defaults to math.pi unless rebound.
 
@@ -456,20 +471,10 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
     zero, log or sqrt out of range, overflow, a complex power) instead of
     returning NaN.
     """
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        if e.name in env:
-            return float(env[e.name])
-        if e.name == "pi":
-            return math.pi
-        raise UnboundVariableError(e.name)
-    if isinstance(e, BinOp):
-        return _apply(e, (evaluate(e.left, env), evaluate(e.right, env)))
-    return _apply(e, (evaluate(e.arg, env),))
+    return walk(e, _number_leaf(env, float, float), _apply)
 
 
-def _apply(e: BinOp | Func, args: tuple[float, ...]) -> float:
+def _apply(e: BinOp | Func, *args: float) -> float:
     """The operator or function at the root of e applied to the values of
     its arguments, for ``evaluate`` and the constant folding alike."""
     fn = _BIN_EVAL[e.op] if isinstance(e, BinOp) else _FUNC_EVAL[e.name]
@@ -482,39 +487,42 @@ def _apply(e: BinOp | Func, args: tuple[float, ...]) -> float:
     return float(value)
 
 
+def _refold(e: BinOp | Func, *args: Expr) -> Expr:
+    """e with the given arguments, folded where they are constants."""
+    return _fold_bin(e.op, *args) if isinstance(e, BinOp) else _fold_func(e.name, *args)
+
+
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Replace variables by expressions, re-folding constants."""
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Var):
-        return mapping.get(e.name, e)
-    if isinstance(e, BinOp):
-        return _fold_bin(
-            e.op, substitute(e.left, mapping), substitute(e.right, mapping)
-        )
-    return _fold_func(e.name, substitute(e.arg, mapping))
+    return walk(e, lambda v: mapping.get(v.name, v) if isinstance(v, Var) else v, _refold)
 
 
 # ---------------------------------------------------------------------------
 # compilation
 
-def _codegen(e: Expr) -> str:
-    if isinstance(e, Const):
-        text = repr(e.value)  # 'inf' and 'nan' are bound in _NAMESPACE
-        return f"({text})" if text.startswith("-") else text
-    if isinstance(e, Var):
-        return f"_v_{e.name}" if e.name != "pi" else repr(math.pi)
-    if isinstance(e, BinOp):
-        a, b = _codegen(e.left), _codegen(e.right)
-        if e.op in _UFUNCS and isinstance(e.left, Const) and isinstance(e.right, Const):
-            # left unfolded because evaluate refused it, so Python float
-            # arithmetic would raise: numpy gives inf or NaN instead
-            return f"_np.{_UFUNCS[e.op]}({a}, {b})"
-        op = "**" if e.op == "^" else e.op
-        return f"({a}{op}{b})"
-    if e.name == "neg":
-        return f"(-{_codegen(e.arg)})"
-    return f"_f_{e.name}({_codegen(e.arg)})"
+def _code_leaf(e: Const | Var) -> tuple[str, bool]:
+    """A leaf's source, and whether it is a Python float in the kernel."""
+    if isinstance(e, Var) and e.name != "pi":
+        return f"_v_{e.name}", False
+    # 'inf' and 'nan' are bound in _NAMESPACE
+    text = repr(e.value if isinstance(e, Const) else math.pi)
+    return (f"({text})" if text.startswith("-") else text), True
+
+
+def _code_node(e: BinOp | Func, *args: tuple[str, bool]) -> tuple[str, bool]:
+    """A node's source, and whether it is a Python float in the kernel."""
+    if isinstance(e, Func):
+        (a, a_float), = args
+        if e.name == "neg":
+            return f"(-{a})", a_float
+        return f"_f_{e.name}({a})", False
+    (a, a_float), (b, b_float) = args
+    if e.op in _UFUNCS and a_float and b_float:
+        # between Python floats, as in pi/0 or a node evaluate refused and
+        # left unfolded, / and ** would raise: numpy gives inf or NaN instead
+        return f"_np.{_UFUNCS[e.op]}({a}, {b})", False
+    op = "**" if e.op == "^" else e.op
+    return f"({a}{op}{b})", a_float and b_float and e.op in "+-*"
 
 
 _UFUNCS = {"/": "divide", "^": "power"}  # the operators evaluate can refuse
@@ -533,7 +541,6 @@ _NAMESPACE = {
 }
 
 
-@functools.lru_cache(maxsize=4096)
 def compile_kernel(e: Expr, names: tuple[str, ...]) -> Callable:
     """Compile to the raw numpy expression of the given variables.
 
@@ -544,13 +551,19 @@ def compile_kernel(e: Expr, names: tuple[str, ...]) -> Callable:
     arithmetic, and never writes to it, may use it; everyone else calls
     ``compile_field``.  Equal trees share one kernel.  A tree that uses a
     variable outside ``names`` (``pi`` is a constant) is an
-    UnboundVariableError.
+    UnboundVariableError, and one nested too deeply to hash, walk or compile
+    is an ExprError.
     """
-    src = "lambda " + ", ".join(f"_v_{n}" for n in names) + ": " + _codegen(e)
     try:
-        fn = eval(src, dict(_NAMESPACE))  # noqa: S307 - generated from our own AST
+        return _kernel(e, names)
     except (SyntaxError, RecursionError, MemoryError):
         raise ExprError("expression is nested too deeply to compile") from None
+
+
+@functools.lru_cache(maxsize=4096)
+def _kernel(e: Expr, names: tuple[str, ...]) -> Callable:
+    src = "lambda " + ", ".join(f"_v_{n}" for n in names) + ": " + walk(e, _code_leaf, _code_node)[0]
+    fn = eval(src, dict(_NAMESPACE))  # noqa: S307 - generated from our own AST
     # the lambda binds names; any other variable it reads is a global name
     for name in fn.__code__.co_names:
         if name.startswith("_v_"):
@@ -636,28 +649,24 @@ def interval(e: Expr, box: Mapping[str, tuple]) -> tuple:
     amount; the widening covers the computed values there, not the exact
     ones.
     """
-    if isinstance(e, Const):
-        return e.value, e.value
-    if isinstance(e, Var):
-        if e.name in box:
-            lo, hi = box[e.name]
-            return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        if e.name == "pi":
-            return math.pi, math.pi
-        raise UnboundVariableError(e.name)
+    leaf = _number_leaf(box, lambda c: (c, c),
+                        lambda b: (np.asarray(b[0], dtype=float), np.asarray(b[1], dtype=float)))
+    return walk(e, leaf, _interval_node)
+
+
+def _interval_node(e: BinOp | Func, *args: tuple) -> tuple:
+    """The enclosure of e from the enclosures (lo, hi) of its arguments."""
     if isinstance(e, Func):
-        a, b = interval(e.arg, box)
+        (lo, hi), = args
         if e.name == "neg":
-            return -b, -a
-        if e.name == "pos":
-            return _outward(np.maximum(a, 0.0), np.maximum(b, 0.0))
+            return -hi, -lo
         if e.name == "step":
-            return np.where(a > 0.0, 1.0, 0.0), np.where(b > 0.0, 1.0, 0.0)
+            return np.where(lo > 0.0, 1.0, 0.0), np.where(hi > 0.0, 1.0, 0.0)
         fn = _NAMESPACE["_f_" + e.name]
         if e.name in ("sin", "cos"):
-            return _outward(*_trig(fn, 0.5 if e.name == "sin" else 0.0, a, b))
-        return _outward(fn(a), fn(b))  # exp, log and sqrt increase
-    a, b = interval(e.left, box), interval(e.right, box)
+            return _outward(*_trig(fn, 0.5 if e.name == "sin" else 0.0, lo, hi))
+        return _outward(fn(lo), fn(hi))  # exp, log, sqrt and pos increase
+    a, b = args
     if e.op == "+":
         return _outward(a[0] + b[0], a[1] + b[1])
     if e.op == "-":
@@ -669,11 +678,13 @@ def interval(e: Expr, box: Mapping[str, tuple]) -> tuple:
         through = (b[0] <= 0.0) & (b[1] >= 0.0)
         return _outward(np.where(through, math.nan, lo), hi)
     lo, hi = _corners(np.power, a, b)
-    if not (isinstance(e.right, Const) and e.right.value.is_integer()):
+    # a constant exponent (Const, pi or its negation) alone has Python float ends
+    n = b[0]
+    if not (type(n) is float and n.is_integer()):
         # a^b = exp(b log a), whose extremes are at corners for a > 0
         return _outward(np.where(a[0] > 0.0, lo, math.nan), hi)
     # x^n: monotone on each side of 0, so at a corner, unless 0 is inside
-    n, through = e.right.value, (a[0] <= 0.0) & (a[1] >= 0.0)
+    through = (a[0] <= 0.0) & (a[1] >= 0.0)
     if n < 0:
         lo = np.where(through, math.nan, lo)
     elif n % 2 == 0:

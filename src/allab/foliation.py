@@ -244,11 +244,8 @@ def _straight(e: Expr, y: str) -> bool:
     libm's pow and its power of an array a vector loop, which can differ in
     the last bit, while the rest of a kernel is exact arithmetic or ufuncs,
     which run one loop for a scalar and an array."""
-    if isinstance(e, ex.Var):
-        return e.name != y
-    if isinstance(e, ex.BinOp):
-        return e.op != "^" and _straight(e.left, y) and _straight(e.right, y)
-    return not isinstance(e, ex.Func) or _straight(e.arg, y)
+    return ex.walk(e, lambda t: t != ex.Var(y),
+                   lambda t, *args: all(args) and not (isinstance(t, ex.BinOp) and t.op == "^"))
 
 
 def _strip_flow(F: Foliation2, axis: str):

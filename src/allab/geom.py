@@ -89,7 +89,7 @@ class DifferentialForm:
         )
 
     def scale(self, factor: Expr | float) -> "DifferentialForm":
-        if not isinstance(factor, (ex.Const, ex.Var, ex.BinOp, ex.Func)):
+        if not isinstance(factor, ex.Expr):
             factor = ex.const(factor)
         return DifferentialForm(
             self.coords, self.degree, {i: mul(factor, c) for i, c in self.coeffs.items()}

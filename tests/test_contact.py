@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from allab import expr as ex
-from allab import contact
+from allab import contact, geom
 from allab.anosov import suspension_model
 from allab.contact import (
     ContactError,
@@ -298,6 +298,23 @@ def test_perturb_rejects_a_non_finite_target(du):
     beta = DifferentialForm(UV, 1, {(0,): du, (1,): ex.ONE})
     with pytest.raises(PerturbationError, match="non-finite coefficients"):
         perturb_pair(p, beta, sigma, restrict(p.plus + p.minus, sigma))
+
+
+def test_perturb_samples_each_coefficient_of_the_target_once(monkeypatch):
+    p, sigma = standard_pair(), _fiber()
+    restricted = restrict(p.plus + p.minus, sigma)
+    beta = restricted.scale(Const(1.05))
+    sampled, samples = [], geom.torus_samples
+
+    def counted(e, n):
+        sampled.append(e)
+        return samples(e, n)
+
+    monkeypatch.setattr(geom, "torus_samples", counted)
+    monkeypatch.setattr(contact, "torus_samples", counted)
+    assert perturb_pair(p, beta, sigma, restricted).changed
+    counts = [sampled.count(c) for c in beta.coeffs.values()]
+    assert counts and counts == [1] * len(counts)
 
 
 def test_perturb_large_but_valid_target_warns():

@@ -175,6 +175,20 @@ def test_print_parse_roundtrip_on_corpus():
     for _ in range(600):
         tree = _random_tree(rng, rng.randint(1, 8))
         assert parse_expr(to_text(tree)) == tree
+    # non-finite constants: the texts that fold to them, and random trees
+    # with x, y and z replaced by inf, -inf and NaN, folded as the parser folds
+    inf = Const(math.inf)
+    trees = [parse_expr(t) for t in ("1e400", "-1e400", "0*1e400", "u*1e400", "u - 1e400",
+                                     "(u + 1e400)^2", "u^-1e400", "-(0*1e400)*u", "sin(1e400)")]
+    trees += [substitute(_random_tree(rng, rng.randint(1, 8)),
+                         {"x": inf, "y": Const(-math.inf), "z": Const(math.nan)}) for _ in range(600)]
+    assert to_text(trees[0]) == "1e999" and to_text(trees[2]) == "(0*1e999)"
+    for tree in trees:
+        again = parse_expr(to_text(tree))
+        if "0*1e999" in to_text(tree):  # NaN never equals itself: compare by text
+            assert to_text(again) == to_text(tree)
+        else:
+            assert again == tree
 
 
 SMOOTH_CORPUS = [
@@ -307,7 +321,9 @@ def test_compile_field_keeps_a_negative_constant_base():
 
 
 @pytest.mark.parametrize(
-    "text, want", [("u + 1/0", math.inf), ("2 + 2^10000*u", math.inf), ("(-8)^(1/3) + 1", math.nan)]
+    "text, want",
+    [("u + 1/0", math.inf), ("2 + 2^10000*u", math.inf), ("(-8)^(1/3) + 1", math.nan),
+     ("u + pi/0", math.inf), ("u + (2*pi)/0", math.inf), ("(-pi)^0.5 + 1", math.nan)],
 )
 def test_compile_field_gives_numpys_value_for_a_constant_evaluate_refuses(text, want):
     import numpy as np
@@ -385,3 +401,15 @@ def test_interval_is_unbounded_where_the_tree_is(text, box):
     assert (lo, hi) == (-math.inf, math.inf)
     # a box that keeps away from the bad point is bounded
     assert np.isfinite(ex.interval(parse_expr(text), {"u": (np.array(0.61), np.array(0.62))})).all()
+
+
+def test_every_reader_reads_a_tree_900_levels_deep():
+    e, value = Var("u"), 0.5
+    for _ in range(450):
+        e, value = ex.add(ex.func("cos", e), Var("v")), math.cos(value) + 0.25
+    assert evaluate(e, {"u": 0.5, "v": 0.25}) == value
+    assert evaluate(substitute(e, {"v": Const(0.25)}), {"u": 0.5}) == value
+    assert isinstance(diff(e, "u"), Func) and diff(e, "x") == ex.ZERO
+    assert to_text(e).count("cos(") == 450
+    lo, hi = ex.interval(e, {"u": (0.5, 0.5), "v": (0.25, 0.25)})
+    assert lo <= value <= hi

@@ -130,6 +130,18 @@ def test_main_refuses_a_field_nested_too_deeply_to_compile(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("n", [500, 5000])
+def test_main_refuses_a_field_too_deep_to_hash_as_too_deep_to_compile(tmp_path, capsys, n):
+    # the parser builds 1 + 0*u + ... iteratively; the kernel cache hashes it recursively
+    path = tmp_path / "deep.cfg"
+    path.write_text("[foliation]\nsource = field\nv1 = 1" + "+0*u" * n + "\nv2 = 0.3\n")
+    assert main(["foliation", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "allab: invalid configuration:\n"
+        "  - foliation.v1: expression is nested too deeply to compile\n"
+    )
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_config_rejects_non_finite_numbers(tmp_path, value):
     bad = tmp_path / "bad.cfg"

@@ -24,8 +24,11 @@ sets nothing here.  Lambdas are not scanned.
 A value that every call setting it sets to a literal equal to its own
 literal default has one value in use too, and the second test lists those.
 
-The last test lists every name that a module under ``src/`` or ``tests/``
-imports and never reads, ``from __future__ import annotations`` aside.
+The last tests list every name that a module under ``src/`` or ``tests/``
+imports and never reads, ``from __future__ import annotations`` aside, and
+every function in ``src/`` that reads the arguments of an expression
+(``.left``, ``.right`` or ``.arg``) other than ``expr.walk``, which every
+reader of a tree goes through.
 """
 
 import ast
@@ -275,3 +278,37 @@ def test_every_import_is_read():
                 if (a.asname or a.name.split(".")[0]) not in read
             )
     assert unread == [], "imported and never read; drop them:\n" + "\n".join(unread)
+
+
+# functions that may read an expression's arguments, each with its reason
+CHILD_READERS = {
+    "expr.walk": "the one walk over a tree",
+    "expr.neg": "a builder, not a walk: -(-a) is a, one level down",
+}
+
+
+def _child_reads(tree, module):
+    """The dotted name of the innermost function around each read of
+    ``.left``, ``.right`` or ``.arg``."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}")
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in ("left", "right", "arg"):
+                found.append(owner)
+            visit(child, owner)
+
+    visit(tree, module)
+    return found
+
+
+def test_only_the_walk_reads_the_arguments_of_a_tree():
+    readers = {
+        name for path in sorted((ROOT / "src" / "allab").glob("*.py"))
+        for name in _child_reads(_parse(path), path.stem)
+    }
+    assert "expr.walk" in readers
+    assert sorted(readers - set(CHILD_READERS)) == [], "read the tree through expr.walk"
