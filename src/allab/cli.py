@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from . import AllabError, __version__, library
+from . import AllabError, __version__
 from .anosov import FlowModel, suspension_model, weak_foliations_on_torus
 from .config import RunConfig, load_config
 from .contact import al_check
@@ -79,17 +79,12 @@ def _build_model(cfg: RunConfig) -> FlowModel | None:
 def _build_foliations(
     cfg: RunConfig, model: FlowModel | None
 ) -> tuple[Foliation2, Foliation2 | None]:
-    if cfg.foliation_source == "model":
-        if model is None:
-            raise ToolError("foliation source 'model' but no model is configured")
+    if model is not None:
         return weak_foliations_on_torus(model, model.fiber(cfg.fiber_z))
-    if cfg.foliation_source == "builtin":
-        return library.BUILTINS[cfg.builtin]()
-    F = Foliation2(cfg.v1, cfg.v2)
     G = None
     if cfg.partner_v1 is not None:
         G = Foliation2(cfg.partner_v1, cfg.partner_v2)
-    return F, G
+    return Foliation2(cfg.v1, cfg.v2), G
 
 
 def _leaf_dict(leaf):

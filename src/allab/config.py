@@ -1,6 +1,7 @@
-"""Run configuration: a small INI-style file describing a model, foliation
-data and output names.  Validation reports every violation at once instead of
-stopping at the first.
+"""Run configuration: a small INI-style file naming one subject (a suspension
+model, a builtin foliation, or a field and its optional partner) and output
+names.  The keys a file sets name its subject.  Validation reports every
+violation at once instead of stopping at the first.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ class ConfigError(AllabError):
 
 
 _SECTIONS = {
-    "model": {"type", "matrix", "fiber_z"},
-    "foliation": {"source", "builtin", "v1", "v2", "partner_v1", "partner_v2"},
+    "model": {"matrix", "fiber_z"},
+    "foliation": {"builtin", "v1", "v2", "partner_v1", "partner_v2"},
     "output": {"report", "svg"},
 }
 
@@ -43,11 +44,9 @@ def _numerals(raw: str) -> str:
 @dataclass(frozen=True)
 class RunConfig:
     digest: str
-    matrix: tuple[int, int, int, int] | None  # None: no suspension model
+    matrix: tuple[int, int, int, int] | None  # None: the subject is v1, v2
     fiber_z: float
-    foliation_source: str  # model | builtin | field
-    builtin: str | None
-    v1: Expr | None
+    v1: Expr | None  # None: the subject is the model's fiber
     v2: Expr | None
     partner_v1: Expr | None
     partner_v2: Expr | None
@@ -120,62 +119,53 @@ def load_config(path: str) -> RunConfig:
             return None
         return e
 
-    model_type = get("model", "type", "none") if parser.has_section("model") else "none"
-    if model_type not in ("none", "suspension"):
-        violations.append(f"model.type: unknown type {model_type!r}")
-        model_type = "none"
+    has = parser.has_option
+    model = has("model", "matrix")
     matrix = None
-    if model_type == "suspension":
+    if model:
         raw = get("model", "matrix")
-        if raw is None:
-            violations.append("model.matrix: required for a suspension model")
-        else:
-            try:
-                matrix = tuple(int(p) for p in _numerals(raw).replace(",", " ").split())
-            except ValueError:
-                matrix = ()
-            if len(matrix) != 4:
-                violations.append(f"model.matrix: expected four integers, got {raw!r}")
-                matrix = None
+        try:
+            matrix = tuple(int(p) for p in _numerals(raw).replace(",", " ").split())
+        except ValueError:
+            matrix = ()
+        if len(matrix) != 4:
+            violations.append(f"model.matrix: expected four integers, got {raw!r}")
+            matrix = None
     fiber_z = get_float("model", "fiber_z", 0.0)
+    if has("model", "fiber_z") and not model:
+        violations.append("model.fiber_z without model.matrix: it places the model's fiber")
 
-    source = get("foliation", "source")
-    if source is None:
-        source = "model" if model_type != "none" else None
-        if source is None and parser.has_section("foliation"):
-            violations.append("foliation.source: required without a model")
-    if source is not None and source not in ("model", "builtin", "field"):
-        violations.append(f"foliation.source: unknown source {source!r}")
-        source = None
     builtin = get("foliation", "builtin")
-    if source == "builtin":
-        if builtin is None:
-            violations.append("foliation.builtin: required when source = builtin")
-        elif builtin not in BUILTINS:
-            violations.append(
-                f"foliation.builtin: unknown name {builtin!r}; "
-                f"choose from {', '.join(BUILTINS)}"
-            )
-    v1 = get_expr("foliation", "v1")
-    v2 = get_expr("foliation", "v2")
-    if source == "field" and (get("foliation", "v1") is None or get("foliation", "v2") is None):
-        violations.append("foliation.v1/v2: required when source = field")
-    partner_v1 = get_expr("foliation", "partner_v1")
-    partner_v2 = get_expr("foliation", "partner_v2")
-    if (get("foliation", "partner_v1") is None) != (get("foliation", "partner_v2") is None):
-        violations.append("foliation.partner_v1/partner_v2: declare both or neither")
-    if source == "model" and model_type == "none":
-        violations.append("foliation.source: 'model' needs a [model] section")
+    if builtin is not None and builtin not in BUILTINS:
+        violations.append(
+            f"foliation.builtin: unknown name {builtin!r}; "
+            f"choose from {', '.join(BUILTINS)}"
+        )
+    keys = ("v1", "v2", "partner_v1", "partner_v2")
+    fields = [get_expr("foliation", k) for k in keys]
+
+    # one subject: the model's fiber, a builtin, or a field and its partner
+    given = [f"foliation.{k}" for k in ("builtin",) + keys if has("foliation", k)]
+    if model and given:
+        violations.append(f"model.matrix with {', '.join(given)}: a config has one subject")
+    if builtin is not None and given[1:]:
+        violations.append(f"{', '.join(given)}: a builtin names its own fields")
+    for a, b in zip(keys, ("v2", "v1", "partner_v2", "partner_v1")):
+        if has("foliation", a) and not has("foliation", b):
+            violations.append(f"foliation.{a} without foliation.{b}: a field has two components")
+    if not (model or builtin is not None or has("foliation", "v1") or has("foliation", "v2")):
+        violations.append(
+            "no subject: give model.matrix, foliation.builtin, or foliation.v1 and v2"
+        )
+
+    if builtin in BUILTINS:
+        F, G = BUILTINS[builtin]()
+        fields = [F.V1, F.V2] + ([G.V1, G.V2] if G is not None else [None, None])
 
     values = dict(
+        zip(keys, fields),
         matrix=matrix,
         fiber_z=fiber_z,
-        foliation_source=source or "model",
-        builtin=builtin,
-        v1=v1,
-        v2=v2,
-        partner_v1=partner_v1,
-        partner_v2=partner_v2,
         report_name=get_name("report", "report.json"),
         svg_name=get_name("svg", "foliation.svg"),
     )

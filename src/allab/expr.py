@@ -571,17 +571,19 @@ def _kernel(e: Expr, names: tuple[str, ...]) -> Callable:
     return fn
 
 
-@functools.lru_cache(maxsize=4096)
 def compile_field(e: Expr, names: tuple[str, ...]) -> Callable:
     """Compile to a numpy-vectorized callable of the given variables.
 
     The callable returns a fresh float array of the broadcast shape of its
     arguments, also for trees that do not use every variable.  Equal trees
-    share one callable, which wraps their ``compile_kernel``.  Domain
-    violations give NaN or inf, as in numpy.
+    share one callable, which wraps their ``compile_kernel`` and refuses the
+    trees it refuses.  Domain violations give NaN or inf, as in numpy.
     """
-    fn = compile_kernel(e, names)
+    return _field(compile_kernel(e, names))
 
+
+@functools.lru_cache(maxsize=4096)  # keyed on the kernel: a tree too deep to hash is refused first
+def _field(fn: Callable) -> Callable:
     def field(*args):
         args = [np.asarray(a, dtype=float) for a in args]
         out = np.empty(np.broadcast(*args).shape)

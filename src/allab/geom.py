@@ -249,11 +249,19 @@ def _affine(offset, matrix, coords: Sequence[str]) -> dict[str, Expr]:
 
 @dataclass(frozen=True)
 class TorusEmbedding:
-    """Affine 2-torus in the chart: base + u*e1 + v*e2, (u, v) in [0,1)^2."""
+    """Affine 2-torus in the chart: base + u*e1 + v*e2, (u, v) in [0,1)^2.
+    Refused where it is made unless finite, with independent directions."""
 
     base: tuple[float, float, float]
     e1: tuple[float, float, float]
     e2: tuple[float, float, float]
+
+    def __post_init__(self):
+        # finite first: matrix_rank raises LinAlgError on NaN
+        if not np.isfinite([self.base, self.e1, self.e2]).all():
+            raise GeomError("embedding is not finite")
+        if np.linalg.matrix_rank(self.frame, tol=1e-12) < 2:
+            raise GeomError("embedding directions are linearly dependent")
 
     @property
     def frame(self) -> np.ndarray:
@@ -262,10 +270,6 @@ class TorusEmbedding:
     def chart(self) -> dict[str, Expr]:
         """x, y and z as base + u*e1 + v*e2."""
         return _affine(self.base, self.frame, UV)
-
-    def validate(self):
-        if np.linalg.matrix_rank(self.frame, tol=1e-12) < 2:
-            raise GeomError("embedding directions are linearly dependent")
 
     @np.errstate(all="ignore")  # a domain error gives NaN, refused below
     def check_transverse(self, X: tuple[Expr, Expr, Expr]):

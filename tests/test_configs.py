@@ -1,8 +1,9 @@
-"""Golden verdicts of ``allab all`` on the four shipped configs: exit code,
+"""Golden verdicts of ``allab all`` on the shipped configs: exit code,
 winding, compact leaves (class exactly, point to 1e-9), Reeb annuli, the
-pre-Lagrangian outcome and cone pair, and the SVG byte for byte.  Any change
-to the numeric layers that moves one of these is a change of verdict, not a
-refactor."""
+pre-Lagrangian outcome and cone pair, and the SVG byte for byte.  Every file
+in configs/ is pinned: one without a ``GOLDEN`` and ``SVG_SHA256`` entry
+fails.  Any change to the numeric layers that moves one of these is a change
+of verdict, not a refactor."""
 
 import hashlib
 import os
@@ -52,8 +53,11 @@ SVG_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
+@pytest.mark.parametrize(
+    "name", sorted(f.removesuffix(".cfg") for f in os.listdir(CONFIGS) if f.endswith(".cfg"))
+)
 def test_all_keeps_its_verdicts(name, tmp_path):
+    assert name in GOLDEN and name in SVG_SHA256, f"configs/{name}.cfg has no pinned verdict"
     code, report = run(load_config(os.path.join(CONFIGS, name + ".cfg")), "all", str(tmp_path))
     want_code, want_winding, want_leaves, want_annuli, want_outcome = GOLDEN[name]
     assert code == want_code

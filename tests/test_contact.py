@@ -114,6 +114,20 @@ def test_direct_check_closed_pair_fails():
     assert rep.min_value == pytest.approx(0.0, abs=1e-14)
 
 
+def test_a_pair_with_negative_discriminant_is_liouville_only():
+    # a_+ = dz + x dy and a_- = -dz - 2y dx, over the unit cube: f_+ = 1,
+    # f_- = 2 and f_0 = 3, so 4 f_+ f_- - f_0^2 = -1 but f_0 + 2 sqrt(f_+ f_-) > 0
+    pair = FormPair(one_form(XYZ, ex.ZERO, parse_expr("x"), ex.ONE),
+                    one_form(XYZ, parse_expr("-2*y"), ex.ZERO, Const(-1.0)))
+    rep = al_check(pair, n=8)
+    assert rep.verdict == "liouville_only"
+    assert (rep.f_plus.min, rep.f_minus.min, rep.f_zero.min) == (1.0, 2.0, 3.0)
+    assert rep.discriminant.min == rep.discriminant.max == -1.0
+    # min over the 13 levels of s of 2(e^2s f_+ + e^-2s f_- + f_0), at s = 0
+    direct = liouville_direct_check(pair, n=8)
+    assert direct.passed and direct.min_value == pytest.approx(12.0, rel=1e-12)
+
+
 def _randomly_perturbed_pair(rng):
     amp = rng.uniform(0.0, 0.12)
     k1, k2 = rng.randint(1, 2), rng.randint(1, 2)

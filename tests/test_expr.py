@@ -290,6 +290,14 @@ def test_compile_kernel_refuses_a_variable_it_does_not_bind(text, name):
     assert compile_kernel(parse_expr(text), ("u", "v", "x", "z"))  # pi is a constant
 
 
+def test_compile_field_refuses_a_tree_too_deep_to_hash_as_compile_kernel_does():
+    # the parser builds 1 + 0*u + ... iteratively; hashing it recurses per level
+    e = parse_expr("1" + "+0*u" * 600)
+    for compile_ in (compile_kernel, compile_field):
+        with pytest.raises(ex.ExprError, match="nested too deeply to compile"):
+            compile_(e, ("u", "v"))
+
+
 @pytest.mark.parametrize("text", ["1e400*u", "u - 1e400", "u + 1e400*0"])
 def test_compile_field_emits_non_finite_constants(text):
     import numpy as np

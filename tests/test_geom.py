@@ -209,6 +209,13 @@ def test_grid_point_matches_the_broadcast_grid():
         assert geom.grid_point(grid, int(k)) == ref
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_torus_embedding_refuses_a_direction_that_is_not_finite(bad):
+    # numpy's matrix_rank raises LinAlgError on NaN; finiteness is checked first
+    with pytest.raises(geom.GeomError, match="embedding is not finite"):
+        TorusEmbedding(base=(0.0, 0.0, 0.0), e1=(1.0, bad, 0.0), e2=(0.0, 1.0, 0.0))
+
+
 def test_restrict_commutes_with_d():
     sigma = TorusEmbedding(
         base=(0.1, -0.2, 0.5),

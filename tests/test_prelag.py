@@ -16,6 +16,8 @@ from allab.foliation import FoliationError, cone_separation, parallel_compact_le
 from allab.geom import (
     UV,
     XYZ,
+    GeomError,
+    TorusEmbedding,
     fiber_embedding,
     one_form,
     restrict,
@@ -580,6 +582,46 @@ def test_certificate_stops_before_the_collar_when_a_minus_b_is_not_closed(monkey
         "f = g = 1 leaves max |d(a - b)| = 6.28e-01, not below 1.00e-06: "
         "no other scalings are tried",
     )
+
+
+def _rippled(eps):
+    # alpha_u = e^z (1 + eps sin 2 pi y) dx and alpha_s = e^-z (eps sin 2 pi y dx - dy):
+    # the standard pair's sum restricts to the z = 0 fiber as a form that is
+    # not constant, so the collar perturbation changes the pair
+    return FlowModel(
+        gluing=torus3(),
+        X=(ex.ZERO, ex.ZERO, ex.ONE),
+        alpha_u=one_form(XYZ, parse_expr(f"exp(z)*(1 + {eps}*sin(2*pi*y))"), ex.ZERO, ex.ZERO),
+        alpha_s=one_form(XYZ, parse_expr(f"exp(-z)*{eps}*sin(2*pi*y)"), parse_expr("-exp(-z)"),
+                         ex.ZERO),
+        r_u=ex.ONE,
+        r_s=Const(-1.0),
+    )
+
+
+@pytest.mark.parametrize("eps, warnings", [
+    (0.01, ()),
+    (0.05, ("perturbation C1 norm 3.142e-02 exceeds the smallness threshold 1.0e-02",)),
+])
+def test_certificate_perturbs_a_pair_whose_fiber_restriction_is_not_constant(eps, warnings):
+    model = _rippled(eps)
+    assert model.validate()
+    rep = pre_lagrangian_certificate(model, model.fiber(0.0))
+    assert rep.outcome == "certificate"
+    assert rep.pair != model.standard_pair(prelag._SCALE_C)
+    assert rep.c1_distance == pytest.approx(0.2 * math.pi * eps, rel=1e-12)
+    assert rep.final_residual == 0.0
+    assert rep.final_al.verdict == "anosov_liouville"
+    assert rep.diagnostics == warnings
+
+
+@pytest.mark.parametrize("scale", [2.0, 0.0], ids=["parallel", "zero"])
+def test_certificate_refuses_a_torus_with_dependent_directions(cat, scale):
+    # refused where the torus is made, before any stage samples it
+    fiber = cat.fiber(0.0)
+    with pytest.raises(GeomError, match="embedding directions are linearly dependent"):
+        pre_lagrangian_certificate(
+            cat, TorusEmbedding(fiber.base, fiber.e1, tuple(scale * c for c in fiber.e1)))
 
 
 def test_certificate_report_serializes(cat, monkeypatch):

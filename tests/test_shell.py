@@ -24,7 +24,7 @@ def cfg_path(name):
 def test_load_cat_map_config():
     cfg = load_config(cfg_path("cat-map.cfg"))
     assert cfg.matrix == (2, 1, 1, 1)
-    assert cfg.foliation_source == "model"
+    assert cfg.v1 is cfg.v2 is None  # the subject is the model's fiber
     with open(cfg_path("cat-map.cfg"), "rb") as fh:  # the file's own digest
         assert cfg.digest == hashlib.sha256(fh.read()).hexdigest()
 
@@ -45,7 +45,7 @@ def test_config_reports_all_violations(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(str(bad))
     text = str(err.value)
-    assert "model.type" in text
+    assert "unknown key model.type" in text and "unknown key foliation.source" in text
     assert "model.fiber_z" in text
     assert "foliation.v1" in text
     assert "unknown section [mystery]" in text
@@ -55,7 +55,7 @@ def test_config_reports_all_violations(tmp_path):
                                  "2 1 1 1_0", "2 1 1 \u0661"])
 def test_config_refuses_a_matrix_of_other_than_four_integers(tmp_path, raw):
     bad = tmp_path / "bad.cfg"
-    bad.write_text(f"[model]\ntype = suspension\nmatrix = {raw}\n", encoding="utf-8")
+    bad.write_text(f"[model]\nmatrix = {raw}\n", encoding="utf-8")
     with pytest.raises(ConfigError) as err:
         load_config(str(bad))
     assert f"model.matrix: expected four integers, got {raw!r}" in str(err.value)
@@ -88,8 +88,7 @@ def test_main_refuses_the_analysis_section(tmp_path, capsys):
 )
 def test_config_keeps_output_names_inside_the_output_directory(tmp_path, key, name):
     bad = tmp_path / "bad.cfg"
-    bad.write_text(f"[foliation]\nsource = builtin\nbuiltin = two-reeb-band\n"
-                   f"[output]\n{key} = {name}\n")
+    bad.write_text(f"[foliation]\nbuiltin = two-reeb-band\n[output]\n{key} = {name}\n")
     with pytest.raises(ConfigError) as err:
         load_config(str(bad))
     assert err.value.violations == (
@@ -101,17 +100,63 @@ def test_config_keeps_output_names_inside_the_output_directory(tmp_path, key, na
 
 def test_config_lists_the_builtin_names(tmp_path):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("[foliation]\nsource = builtin\nbuiltin = nine-band\n")
+    bad.write_text("[foliation]\nbuiltin = nine-band\n")
     with pytest.raises(ConfigError) as err:
         load_config(str(bad))
     assert "unknown name 'nine-band'; choose from " + ", ".join(library.BUILTINS) in str(err.value)
     assert sorted(library.BUILTINS) == ["eight-band", "franks-williams", "two-reeb-band"]
 
 
+@pytest.mark.parametrize(
+    "text, violation",
+    [
+        ("[model]\nmatrix = 2 1 1 1\n[foliation]\nbuiltin = eight-band\n",
+         "model.matrix with foliation.builtin: a config has one subject"),
+        ("[model]\nmatrix = 2 1 1 1\n[foliation]\nv1 = 1\nv2 = 0.5\n",
+         "model.matrix with foliation.v1, foliation.v2: a config has one subject"),
+        ("[foliation]\nbuiltin = eight-band\nv1 = 1\nv2 = 0.5\n",
+         "foliation.builtin, foliation.v1, foliation.v2: a builtin names its own fields"),
+        ("[foliation]\nbuiltin = franks-williams\npartner_v1 = 0.2\npartner_v2 = 1\n",
+         "foliation.builtin, foliation.partner_v1, foliation.partner_v2: "
+         "a builtin names its own fields"),
+        ("[model]\nfiber_z = 3\n[foliation]\nv1 = 1\nv2 = 0.5\n",
+         "model.fiber_z without model.matrix: it places the model's fiber"),
+        ("[foliation]\nv1 = 1\n", "foliation.v1 without foliation.v2: a field has two components"),
+        ("[foliation]\nv2 = 1\n", "foliation.v2 without foliation.v1: a field has two components"),
+        ("[foliation]\nv1 = 1\nv2 = 0.5\npartner_v2 = 1\n",
+         "foliation.partner_v2 without foliation.partner_v1: a field has two components"),
+        ("[output]\nreport = r.json\n",
+         "no subject: give model.matrix, foliation.builtin, or foliation.v1 and v2"),
+        ("[model]\ntype = suspension\nmatrix = 2 1 1 1\n", "unknown key model.type"),
+        ("[foliation]\nsource = builtin\nbuiltin = eight-band\n", "unknown key foliation.source"),
+    ],
+    ids=["model-and-builtin", "model-and-field", "builtin-and-field", "builtin-and-partner",
+         "fiber-without-matrix", "v1-without-v2", "v2-without-v1", "one-partner-key",
+         "only-output", "model-type", "foliation-source"],
+)
+def test_main_refuses_a_config_that_does_not_name_one_subject(tmp_path, capsys, text, violation):
+    # the keys a config sets name its subject: the model's fiber, a builtin,
+    # or a field and its partner; no key is read and then ignored
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert main(["all", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"allab: invalid configuration:\n  - {violation}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_matrix_alone_is_the_suspension_model(tmp_path):
+    path = tmp_path / "matrix.cfg"
+    path.write_text("[model]\nmatrix = 2 1 1 1\n")
+    assert main(["all", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "report.json", encoding="utf-8") as fh:
+        stages = json.load(fh)["stages"]
+    assert stages["check-pair"]["al"]["verdict"] == "anosov_liouville"
+    assert stages["pre-lagrangian"]["prelag"]["outcome"] == "certificate"
+
+
 def test_config_refuses_deeply_nested_input(tmp_path):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("[foliation]\nsource = field\nv1 = " + "sin(" * 250 + "u" + ")" * 250
-                   + "\nv2 = 1\n")
+    bad.write_text("[foliation]\nv1 = " + "sin(" * 250 + "u" + ")" * 250 + "\nv2 = 1\n")
     with pytest.raises(ConfigError, match="foliation.v1: does not parse: nested too deeply"):
         load_config(str(bad))
 
@@ -122,7 +167,7 @@ def test_main_refuses_a_field_nested_too_deeply_to_compile(tmp_path, capsys):
     for _ in range(100):
         e = f"sin(1+{e})"
     path = tmp_path / "deep.cfg"
-    path.write_text(f"[foliation]\nsource = field\nv1 = 1\nv2 = 0.3 + 0.01*{e}\n")
+    path.write_text(f"[foliation]\nv1 = 1\nv2 = 0.3 + 0.01*{e}\n")
     assert main(["foliation", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == (
         "allab: invalid configuration:\n"
@@ -134,7 +179,7 @@ def test_main_refuses_a_field_nested_too_deeply_to_compile(tmp_path, capsys):
 def test_main_refuses_a_field_too_deep_to_hash_as_too_deep_to_compile(tmp_path, capsys, n):
     # the parser builds 1 + 0*u + ... iteratively; the kernel cache hashes it recursively
     path = tmp_path / "deep.cfg"
-    path.write_text("[foliation]\nsource = field\nv1 = 1" + "+0*u" * n + "\nv2 = 0.3\n")
+    path.write_text("[foliation]\nv1 = 1" + "+0*u" * n + "\nv2 = 0.3\n")
     assert main(["foliation", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == (
         "allab: invalid configuration:\n"
@@ -154,7 +199,7 @@ def test_config_rejects_non_finite_numbers(tmp_path, value):
 def test_config_numbers_are_ascii_numerals(tmp_path, raw):
     # Python's float takes them all, as 12.0, 10.0, 10.0, 0.5 and 1e-06
     bad = tmp_path / "bad.cfg"
-    bad.write_text(f"[model]\nfiber_z = {raw}\n", encoding="utf-8")
+    bad.write_text(f"[model]\nmatrix = 2 1 1 1\nfiber_z = {raw}\n", encoding="utf-8")
     with pytest.raises(ConfigError) as err:
         load_config(str(bad))
     assert err.value.violations == (f"model.fiber_z: not a number: {raw!r}",)
@@ -379,11 +424,11 @@ def test_main_out_on_a_file_is_tool_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "text",
     [
-        "[model]\ntype = suspension\nmatrix = 1 1 1 1\n",
-        "[foliation]\nsource = field\nv1 = 0\nv2 = 0\n",
-        "[foliation]\nsource = field\nv1 = 1\nv2 = u\n",
+        "[model]\nmatrix = 1 1 1 1\n",
+        "[foliation]\nv1 = 0\nv2 = 0\n",
+        "[foliation]\nv1 = 1\nv2 = u\n",
         # finite on the 256 validation grid only
-        "[foliation]\nsource = field\nv1 = 1 + 0*sqrt(cos(512*pi*u) - 0.5)\nv2 = 0.3\n"
+        "[foliation]\nv1 = 1 + 0*sqrt(cos(512*pi*u) - 0.5)\nv2 = 0.3\n"
         "partner_v1 = 0.2\npartner_v2 = 1\n",
     ],
     ids=["degenerate-matrix", "vanishing-field", "non-periodic-field", "nan-off-grid"],
@@ -406,7 +451,7 @@ def test_main_refuses_a_fiber_whose_weak_fields_fall_below_the_vanishing_bound(
     # e^-|z| shrinks the weak foliations' fields to |V| = 7.58e-10 at |z| = 21:
     # nowhere zero, but below the absolute bound 1e-9 of Foliation2
     path = tmp_path / "far.cfg"
-    path.write_text(f"[model]\ntype = suspension\nmatrix = 2 1 1 1\nfiber_z = {z}\n")
+    path.write_text(f"[model]\nmatrix = 2 1 1 1\nfiber_z = {z}\n")
     assert main(["all", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == (
         "allab: direction field vanishes near (u, v) = (0.0000, 0.0000): "
@@ -426,13 +471,14 @@ def test_main_refuses_a_fiber_whose_weak_fields_fall_below_the_vanishing_bound(
 )
 def test_main_names_the_key_of_an_unbound_field_variable(tmp_path, capsys, fields, key, name):
     path = tmp_path / "bad.cfg"
-    path.write_text("[model]\nfiber_z = nan\n[foliation]\nsource = field\n" + fields)
+    path.write_text("[model]\nfiber_z = nan\n[foliation]\n" + fields)
     for command in ("all", "pre-lagrangian"):
         assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         # with the file's other violations
         assert capsys.readouterr().err == (
             "allab: invalid configuration:\n"
             "  - model.fiber_z: not a finite number: 'nan'\n"
+            "  - model.fiber_z without model.matrix: it places the model's fiber\n"
             f"  - foliation.{key}: variable {name!r} is not bound; fields use u and v\n"
         )
 
@@ -464,7 +510,7 @@ def test_main_help_exits_0(capsys):
 @pytest.mark.parametrize("v1", ["u + 1/0", "2 + 2^10000*u", "(-8)^(1/3) + 1"])
 def test_main_refuses_a_constant_evaluate_refuses_as_not_finite(tmp_path, capsys, v1):
     path = tmp_path / "bad.cfg"
-    path.write_text(f"[foliation]\nsource = field\nv1 = {v1}\nv2 = 1\n")
+    path.write_text(f"[foliation]\nv1 = {v1}\nv2 = 1\n")
     assert main(["foliation", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("allab: direction field is not finite") and err.count("\n") == 1
